@@ -407,13 +407,7 @@ def cmd_eval(args, config: dict) -> int:
     algorithm = args.algorithm or config.get("rules", {}).get("algorithm", "part")
     params = _induction_params(config, args)
     spec = _split_spec(config, args)
-    inducer = _inducer(algorithm, schema, params)
-    if spec.mode == evaluation.HOLDOUT:
-        train_idx, test_idx = evaluation.holdout_split(X.shape[0], spec, y)
-        model = inducer(X[train_idx], y[train_idx])
-        report = evaluation.evaluate(model, X[test_idx], y[test_idx])
-    else:
-        report = evaluation.cross_validate(inducer, X, y, spec).pooled
+    report = evaluation.evaluate_inducer(_inducer(algorithm, schema, params), X, y, spec)
     row = evaluation.report_row(
         report,
         algorithm=algorithm,
@@ -484,38 +478,26 @@ def _run_cell(
     params_obj["reduced_error_pruning"] = cell.rep_flag == "on"
     params = InductionParams(**params_obj)
     inducer = _inducer(cell.algorithm, schema, params)
+    # plain 66/34 holdout, or stratified 10-fold cross-validation
+    spec = evaluation.SplitSpec(
+        mode=cell.split_mode,
+        seed=params.seed,
+        stratified=cell.split_mode == evaluation.CROSS_VALIDATION,
+    )
+    labels = {
+        "algorithm": cell.algorithm,
+        "attribute_kind": attribute_kind,
+        "min_instances": cell.min_instances if cell.min_instances is not None else "default",
+        "rep_flag": cell.rep_flag,
+        "split_mode": cell.split_mode,
+    }
     try:
-        if cell.split_mode == evaluation.HOLDOUT:
-            spec = evaluation.SplitSpec(mode=evaluation.HOLDOUT, seed=params.seed)
-            train_idx, test_idx = evaluation.holdout_split(X.shape[0], spec, y)
-            model = inducer(X[train_idx], y[train_idx])
-            report = evaluation.evaluate(model, X[test_idx], y[test_idx])
-        else:
-            spec = evaluation.SplitSpec(
-                mode=evaluation.CROSS_VALIDATION, folds=10, seed=params.seed, stratified=True
-            )
-            report = evaluation.cross_validate(inducer, X, y, spec).pooled
-        row = evaluation.report_row(
-            report,
-            algorithm=cell.algorithm,
-            attribute_kind=attribute_kind,
-            min_instances=cell.min_instances if cell.min_instances is not None else "default",
-            rep_flag=cell.rep_flag,
-            split_mode=cell.split_mode,
-        )
+        report = evaluation.evaluate_inducer(inducer, X, y, spec)
+        row = evaluation.report_row(report, **labels)
     except Exception as exc:  # a failed cell must stay visible in the grid
         log.exception("grid cell %s failed", cell)
-        row = {
-            "algorithm": cell.algorithm,
-            "attribute_kind": attribute_kind,
-            "min_instances": cell.min_instances if cell.min_instances is not None else "default",
-            "rep_flag": cell.rep_flag,
-            "split_mode": cell.split_mode,
-            "number_of_rules": f"ERROR: {exc}",
-            "percent_correct": "",
-            "kappa": "",
-            "roc_area": "",
-        }
+        row = {**labels, "number_of_rules": f"ERROR: {exc}", "percent_correct": "",
+               "kappa": "", "roc_area": ""}
     row["_index"] = cell.index
     return row
 

@@ -55,9 +55,6 @@ class Normalization:
         Xn[:, self.ranges == 0] = 0.0
         return Xn
 
-    def invert(self, Xn: np.ndarray) -> np.ndarray:
-        return Xn * self.ranges + self.mins
-
 
 @dataclass
 class ClusterModel:
@@ -70,10 +67,6 @@ class ClusterModel:
     iterations_run: int
     sse: float
     sse_history: tuple[float, ...] = ()
-
-    def centroids_original(self) -> np.ndarray:
-        """Centroids mapped back to raw attribute units."""
-        return self.normalization.invert(self.centroids)
 
     def to_json(self) -> dict:
         return {
@@ -211,18 +204,14 @@ def seed_indices(X: np.ndarray, k: int, kind: str, nominal_cols: np.ndarray, rng
     return chosen
 
 
-def _update_centroids(
-    X: np.ndarray, labels: np.ndarray, k: int, numeric_mask: np.ndarray
-) -> np.ndarray:
-    centroids = np.zeros((k, X.shape[1]))
-    nominal_cols = np.flatnonzero(~numeric_mask)
-    for j in range(k):
-        members = X[labels == j]
-        centroids[j, numeric_mask] = members[:, numeric_mask].mean(axis=0)
-        for col in nominal_cols:
-            counts = np.bincount(members[:, col].astype(np.int64))
-            centroids[j, col] = float(np.argmax(counts))  # lowest index wins ties
-    return centroids
+def centroid(X: np.ndarray, numeric_mask: np.ndarray) -> np.ndarray:
+    """Column means of the numeric columns and the modal level of the
+    nominal ones (lowest level wins ties)."""
+    out = np.zeros(X.shape[1])
+    out[numeric_mask] = X[:, numeric_mask].mean(axis=0)
+    for col in np.flatnonzero(~numeric_mask):
+        out[col] = float(np.argmax(np.bincount(X[:, col].astype(np.int64))))
+    return out
 
 
 def kmeans_fit(
@@ -279,7 +268,7 @@ def kmeans_fit(
         labels = new_labels
         if iterations == max_iter:
             break  # keep the centroids that produced the final assignment
-        centroids = _update_centroids(Xn, labels, k, numeric_mask)
+        centroids = np.array([centroid(Xn[labels == j], numeric_mask) for j in range(k)])
 
     return ClusterModel(
         k=k,

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import IO, Callable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import clustering
 from .clustering import ClusterModel
@@ -57,6 +56,30 @@ class SplitSpec:
         return SplitSpec(**obj)
 
 
+def _stratified_take(
+    y: np.ndarray, fraction: float, target: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded stratified split into sorted (taken, rest) index arrays.
+
+    Each class is shuffled, in class order, and gives floor(fraction * n_c)
+    rows; then classes ordered by largest fractional remainder (lowest class
+    on ties) give one more row each until ``target`` rows are taken.
+    """
+    classes, inverse = np.unique(y, return_inverse=True)
+    members = [rng.permutation(np.flatnonzero(inverse == c)) for c in range(classes.size)]
+    exact = [fraction * m.size for m in members]
+    take = [math.floor(e) for e in exact]
+    remainders = [e - t for e, t in zip(exact, take)]
+    short = target - sum(take)
+    for c in sorted(range(classes.size), key=lambda c: (-remainders[c], c))[: max(short, 0)]:
+        if take[c] < members[c].size:
+            take[c] += 1
+    empty = [np.empty(0, dtype=np.int64)]
+    taken = np.concatenate([m[:t] for m, t in zip(members, take)] or empty)
+    rest = np.concatenate([m[t:] for m, t in zip(members, take)] or empty)
+    return np.sort(taken), np.sort(rest)
+
+
 def holdout_split(
     n: int, spec: SplitSpec, y: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -69,20 +92,10 @@ def holdout_split(
         raise ValueError("need at least 2 instances to split")
     rng = np.random.default_rng(spec.seed)
     target_train = math.ceil(spec.train_fraction * n)
-    if not spec.stratified or y is None:
-        perm = rng.permutation(n)
-        return np.sort(perm[:target_train]), np.sort(perm[target_train:])
-    classes, inverse = np.unique(y, return_inverse=True)
-    shuffled = [rng.permutation(np.flatnonzero(inverse == c)) for c in range(classes.size)]
-    base = [int(math.floor(spec.train_fraction * s.size)) for s in shuffled]
-    remainders = [spec.train_fraction * s.size - b for s, b in zip(shuffled, base)]
-    short = target_train - sum(base)
-    for c in sorted(range(classes.size), key=lambda c: (-remainders[c], c))[: max(short, 0)]:
-        if base[c] < shuffled[c].size:
-            base[c] += 1
-    train = np.concatenate([s[:b] for s, b in zip(shuffled, base)])
-    test = np.concatenate([s[b:] for s, b in zip(shuffled, base)])
-    return np.sort(train), np.sort(test)
+    if spec.stratified and y is not None:
+        return _stratified_take(y, spec.train_fraction, target_train, rng)
+    perm = rng.permutation(n)
+    return np.sort(perm[:target_train]), np.sort(perm[target_train:])
 
 
 def cv_folds(n: int, spec: SplitSpec, y: Optional[np.ndarray] = None) -> list[np.ndarray]:
@@ -218,7 +231,13 @@ def auc_from_scores(scores: np.ndarray, positives: np.ndarray) -> float:
     n_neg = positives.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both positives and negatives")
-    ranks = rankdata(scores)
+    # average 1-based rank of each group of tied scores
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], ordered.size]
+    ranks = np.empty(ordered.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     u = float(ranks[positives].sum()) - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 
@@ -249,26 +268,36 @@ def weighted_roc(
     return total / weight, tuple(excluded)
 
 
-def evaluate(model, X_test: np.ndarray, y_test: np.ndarray) -> EvaluationReport:
-    """Confusion-matrix metrics plus weighted ROC from the model's scores."""
-    if X_test.shape[0] == 0:
-        raise ValueError("empty test set")
-    y_pred = model.predict(X_test)
-    roster = list(model.classes)
-    for c in np.unique(y_test):
+def _report(classes, y_true, y_pred, scores, number_of_rules: int) -> EvaluationReport:
+    """Confusion-matrix metrics plus weighted ROC.  Test classes unknown to
+    the model are added to the matrix roster (they can only be errors)."""
+    roster = list(classes)
+    for c in np.unique(y_true):
         if int(c) not in roster:
             roster.append(int(c))
-    matrix = ConfusionMatrix.from_predictions(y_test, y_pred, roster)
-    scores = model.class_scores(X_test)
-    roc, excluded = weighted_roc(scores, y_test, model.classes)
+    matrix = ConfusionMatrix.from_predictions(y_true, y_pred, roster)
+    roc, excluded = weighted_roc(scores, y_true, classes)
     return EvaluationReport(
         matrix=matrix,
         percent_correct=matrix.percent_correct,
         kappa=matrix.kappa,
         weighted_roc_area=roc,
-        number_of_rules=model.number_of_rules,
+        number_of_rules=number_of_rules,
         per_class=matrix.per_class(),
         roc_excluded_classes=excluded,
+    )
+
+
+def evaluate(model, X_test: np.ndarray, y_test: np.ndarray) -> EvaluationReport:
+    """Confusion-matrix metrics plus weighted ROC from the model's scores."""
+    if X_test.shape[0] == 0:
+        raise ValueError("empty test set")
+    return _report(
+        model.classes,
+        y_test,
+        model.predict(X_test),
+        model.class_scores(X_test),
+        model.number_of_rules,
     )
 
 
@@ -308,26 +337,28 @@ def cross_validate(
         pooled_true.append(y[test_idx])
         pooled_pred.append(model.predict(X[test_idx]))
         pooled_scores.append(model.class_scores(X[test_idx]))
-    y_true = np.concatenate(pooled_true)
-    y_pred = np.concatenate(pooled_pred)
-    scores = np.vstack(pooled_scores)
-    full_roster = list(roster)
-    for c in np.unique(y_true):
-        if int(c) not in full_roster:
-            full_roster.append(int(c))
-    matrix = ConfusionMatrix.from_predictions(y_true, y_pred, full_roster)
-    roc, excluded = weighted_roc(scores, y_true, roster)
-    full_model = inducer(X, y)
-    pooled = EvaluationReport(
-        matrix=matrix,
-        percent_correct=matrix.percent_correct,
-        kappa=matrix.kappa,
-        weighted_roc_area=roc,
-        number_of_rules=full_model.number_of_rules,
-        per_class=matrix.per_class(),
-        roc_excluded_classes=excluded,
+    pooled = _report(
+        roster,
+        np.concatenate(pooled_true),
+        np.concatenate(pooled_pred),
+        np.vstack(pooled_scores),
+        inducer(X, y).number_of_rules,
     )
     return CrossValidationReport(pooled, fold_reports)
+
+
+def evaluate_inducer(
+    inducer: Callable[[np.ndarray, np.ndarray], object],
+    X: np.ndarray,
+    y: np.ndarray,
+    spec: SplitSpec,
+) -> EvaluationReport:
+    """The report of ``spec``'s protocol: the test rows of a holdout split,
+    or the pooled report of cross-validation."""
+    if spec.mode == HOLDOUT:
+        train_idx, test_idx = holdout_split(X.shape[0], spec, y)
+        return evaluate(inducer(X[train_idx], y[train_idx]), X[test_idx], y[test_idx])
+    return cross_validate(inducer, X, y, spec).pooled
 
 
 def classes_to_clusters(

@@ -10,12 +10,10 @@ downstream aggregation is independent of row order.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from decimal import Decimal, InvalidOperation
-from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Optional
 
 log = logging.getLogger(__name__)
@@ -417,7 +415,3 @@ class IngestConfig:
             error_cap=int(obj.get("error_cap", 100)),
         )
 
-
-def load_ingest_config(path: Path | str) -> IngestConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return IngestConfig.from_json(json.load(fh))

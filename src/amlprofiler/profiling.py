@@ -222,11 +222,6 @@ class _Accumulator:
                 queue.popleft()
 
 
-def _event_sort_key(ev: tuple) -> tuple:
-    # (ts, credit-before-debit, cents, then stable record identity fields)
-    return ev
-
-
 def _aggregate(
     txns: Iterable[TransactionRecord],
     register: Mapping[str, CustomerRecord],
@@ -283,7 +278,8 @@ def _aggregate(
         raise UnknownCustomerError(sorted(unknown))
     if flows and not assume_sorted:
         for acc in accs.values():
-            acc.events.sort(key=_event_sort_key)
+            # (ts, credit-before-debit, cents, then stable record identity fields)
+            acc.events.sort()
             for ev in acc.events:
                 acc.match_event(ev[0], ev[1] == 0, ev[2])
             acc.events = None
@@ -585,6 +581,10 @@ def read_profiles(source: IO[str], schema: AttributeSchema) -> list[CustomerProf
     width = len(schema)
     profiles = []
     for row in reader:
+        if len(row) != len(header):
+            raise ValueError(
+                f"profile CSV line {reader.line_num}: {len(row)} fields, expected {len(header)}"
+            )
         values = tuple(float(v) for v in row[1 : 1 + width])
         label = int(row[1 + width]) if has_label and row[1 + width] != "" else None
         profiles.append(CustomerProfile(row[0], values, label))

@@ -60,15 +60,6 @@ class Rule:
     coverage: int
     class_counts: tuple[int, ...]  # aligned with the rule set's class roster
 
-    @property
-    def confidence(self) -> float:
-        return self.class_counts[self._class_pos] / self.coverage if self.coverage else 0.0
-
-    @property
-    def _class_pos(self) -> int:
-        # set by RuleSet at attach time; falls back to argmax for lone rules
-        return getattr(self, "_pos", int(np.argmax(self.class_counts)))
-
     def matches(self, row: Sequence[float]) -> bool:
         return all(c.matches(row) for c in self.conditions)
 
@@ -164,9 +155,16 @@ class RuleSet:
     params: InductionParams
 
     def __post_init__(self) -> None:
-        pos = {c: i for i, c in enumerate(self.classes)}
         for r in self.rules:
-            object.__setattr__(r, "_pos", pos[r.predicted_class])
+            if r.predicted_class not in self.classes:
+                raise ValueError(
+                    f"rule predicts class {r.predicted_class}, "
+                    f"which is not in the class roster {list(self.classes)}"
+                )
+
+    def correct_count(self, rule: Rule) -> int:
+        """Training instances covered by ``rule`` that carry its class."""
+        return rule.class_counts[self.classes.index(rule.predicted_class)]
 
     @property
     def number_of_rules(self) -> int:
@@ -245,7 +243,7 @@ def render_ruleset(ruleset: RuleSet) -> str:
     lines = [f"# {ruleset.algorithm} rules ({len(ruleset.rules)} + default)"]
     for rule in ruleset.rules:
         conds = " AND ".join(c.render(schema) for c in rule.conditions) or "(always)"
-        errors = rule.coverage - rule.class_counts[rule._class_pos]
+        errors = rule.coverage - ruleset.correct_count(rule)
         lines.append(f"{conds} : cluster_{rule.predicted_class} ({rule.coverage}/{errors})")
     lines.append(f"(default) : cluster_{ruleset.default_class}")
     return "\n".join(lines) + "\n"
@@ -313,7 +311,7 @@ def write_knowledge_base(ruleset: RuleSet, dest: IO[str]) -> None:
                 ],
                 "class": r.predicted_class,
                 "coverage": r.coverage,
-                "confidence": r.confidence,
+                "confidence": ruleset.correct_count(r) / r.coverage if r.coverage else 0.0,
             }
             for r in ruleset.rules
         ],

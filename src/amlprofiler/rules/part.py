@@ -18,13 +18,14 @@ from typing import Optional
 import numpy as np
 
 from ..profiling import AttributeSchema
-from .model import Condition, InductionParams, OP_EQ, OP_GT, OP_LE, Rule, RuleSet, merge_conditions
+from .model import InductionParams, Rule, RuleSet, merge_conditions
 from .tree import (
     TreeNode,
     _choose_split,
     _rep_prune,
     added_errors,
     entropy,
+    leaf_paths,
     stratified_two_way,
 )
 
@@ -56,9 +57,11 @@ def _partial_tree(
     the pessimistic error estimate does not favour the split.
     """
 
-    def leaf(node_idx: np.ndarray, expanded: bool = True) -> TreeNode:
+    def node_for(node_idx: np.ndarray, split=None, expanded: bool = True) -> TreeNode:
         counts = np.bincount(y_pos[node_idx], minlength=n_classes).astype(float)
-        return TreeNode(counts, int(np.argmax(counts)), expanded=expanded)
+        node = TreeNode.for_split(counts, split)
+        node.expanded = expanded
+        return node
 
     def estimated_errors(node: TreeNode) -> float:
         n = float(node.coverage)
@@ -76,27 +79,11 @@ def _partial_tree(
                     X, y_pos, frame.idx, schema, n_classes, params.min_instances
                 )
             if split is None:
-                finished = leaf(frame.idx)
+                finished = node_for(frame.idx)
                 stack.pop()
                 continue
-            counts = np.bincount(y_pos[frame.idx], minlength=n_classes).astype(float)
-            col = X[frame.idx, split.attr]
-            if split.threshold is not None:
-                frame.node = TreeNode(
-                    counts, int(np.argmax(counts)), attr=split.attr,
-                    threshold=split.threshold, children=[None, None],
-                )
-                frame.partitions = [
-                    frame.idx[col <= split.threshold],
-                    frame.idx[col > split.threshold],
-                ]
-            else:
-                frame.node = TreeNode(
-                    counts, int(np.argmax(counts)), attr=split.attr,
-                    branch_levels=split.levels,
-                    children=[None] * len(split.levels),
-                )
-                frame.partitions = [frame.idx[col == level] for level in split.levels]
+            frame.node = node_for(frame.idx, split)
+            frame.partitions, _ = frame.node.partition(X, frame.idx)
             entropies = [
                 entropy(np.bincount(y_pos[part], minlength=n_classes).astype(float))
                 for part in frame.partitions
@@ -120,7 +107,7 @@ def _partial_tree(
         # no more children to expand: placeholders for unexplored siblings
         for pos in range(frame.next_child, len(frame.partitions)):
             branch = frame.expansion_order[pos]
-            frame.node.children[branch] = leaf(frame.partitions[branch], expanded=False)
+            frame.node.children[branch] = node_for(frame.partitions[branch], expanded=False)
         node = frame.node
         all_expanded_leaves = frame.next_child == len(frame.partitions) and all(
             c.is_leaf for c in node.children
@@ -128,37 +115,10 @@ def _partial_tree(
         if all_expanded_leaves:
             subtree_est = sum(estimated_errors(c) for c in node.children)
             if estimated_errors(node) <= subtree_est + 0.1:
-                node.children = None
-                node.attr = -1
-                node.branch_levels = ()
+                node.make_leaf()
         finished = node
         stack.pop()
     return finished
-
-
-def _best_leaf_path(root: TreeNode) -> tuple[TreeNode, tuple[Condition, ...]]:
-    """Highest-coverage explored leaf (pre-order breaks ties) and its path."""
-    best: Optional[tuple[int, int, TreeNode, tuple[Condition, ...]]] = None
-    order = 0
-    stack: list[tuple[TreeNode, tuple[Condition, ...]]] = [(root, ())]
-    while stack:
-        node, path = stack.pop()
-        if node.is_leaf:
-            if node.expanded:
-                key = (-node.coverage, order)
-                if best is None or key < (best[0], best[1]):
-                    best = (key[0], key[1], node, path)
-            order += 1
-            continue
-        if not node.branch_levels:
-            stack.append((node.children[1], path + (Condition(node.attr, OP_GT, node.threshold),)))
-            stack.append((node.children[0], path + (Condition(node.attr, OP_LE, node.threshold),)))
-        else:
-            for b in range(len(node.branch_levels) - 1, -1, -1):
-                cond = Condition(node.attr, OP_EQ, float(node.branch_levels[b]))
-                stack.append((node.children[b], path + (cond,)))
-    assert best is not None
-    return best[2], best[3]
 
 
 def part_induce(
@@ -221,9 +181,11 @@ def part_induce(
                 default_counts = node_counts
             break
 
-        leaf_node, path = _best_leaf_path(root)
+        # highest-coverage explored leaf; min() keeps the first in pre-order
+        leaf_node, path = min(
+            (lp for lp in leaf_paths(root) if lp[0].expanded), key=lambda lp: -lp[0].coverage
+        )
         conditions = merge_conditions(path)
-        rule_class_pos = leaf_node.class_pos
         mask = np.ones(remaining.size, dtype=bool)
         for cond in conditions:
             mask &= cond.mask(X[remaining])
@@ -232,7 +194,7 @@ def part_induce(
         rules.append(
             Rule(
                 conditions=conditions,
-                predicted_class=int(classes[rule_class_pos]),
+                predicted_class=int(classes[leaf_node.class_pos]),
                 coverage=int(covered.size),
                 class_counts=tuple(int(c) for c in counts),
             )

@@ -16,11 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from statistics import NormalDist
+from typing import Iterator, Optional
 
 import numpy as np
-from scipy.stats import norm
 
+from ..evaluation import _stratified_take
 from ..profiling import NUMERIC, AttributeSchema
 from .model import (
     OP_EQ,
@@ -223,6 +224,18 @@ class TreeNode:
     # predict normally but are not eligible as best-leaf rule sources
     expanded: bool = True
 
+    @staticmethod
+    def for_split(counts: np.ndarray, split: Optional["_Candidate"]) -> "TreeNode":
+        """A majority-class leaf, or an internal node with empty child slots."""
+        node = TreeNode(counts, int(np.argmax(counts)))
+        if split is not None:
+            node.attr = split.attr
+            if split.threshold is not None:
+                node.threshold = split.threshold
+            node.branch_levels = split.levels  # empty for a binary numeric split
+            node.children = [None] * (len(split.levels) or 2)
+        return node
+
     @property
     def is_leaf(self) -> bool:
         return self.children is None
@@ -231,15 +244,37 @@ class TreeNode:
     def coverage(self) -> int:
         return int(self.class_counts.sum())
 
-    def route(self, row: Sequence[float]) -> Optional[int]:
-        """Child index for a row, or None when a nominal level has no branch."""
-        v = row[self.attr]
+    def partition(self, X: np.ndarray, idx: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """Row indices routed to each child, plus the rows whose nominal
+        level has no branch here (always empty for a numeric split)."""
+        col = X[idx, self.attr]
         if not self.branch_levels:
-            return 0 if v <= self.threshold else 1
-        for i, level in enumerate(self.branch_levels):
-            if v == level:
-                return i
-        return None
+            left = col <= self.threshold
+            return [idx[left], idx[~left]], idx[:0]
+        masks = [col == level for level in self.branch_levels]
+        return [idx[m] for m in masks], idx[~np.any(masks, axis=0)]
+
+    def make_leaf(self) -> None:
+        self.children = None
+        self.attr = -1
+        self.branch_levels = ()
+
+
+def leaf_paths(root: TreeNode) -> Iterator[tuple[TreeNode, tuple[Condition, ...]]]:
+    """Every leaf with the conditions on its path, in pre-order."""
+    stack: list[tuple[TreeNode, tuple[Condition, ...]]] = [(root, ())]
+    while stack:
+        node, path = stack.pop()
+        if node.is_leaf:
+            yield node, path
+            continue
+        if node.branch_levels:
+            conds = [Condition(node.attr, OP_EQ, float(level)) for level in node.branch_levels]
+        else:
+            conds = [Condition(node.attr, OP_LE, node.threshold),
+                     Condition(node.attr, OP_GT, node.threshold)]
+        for child, cond in reversed(list(zip(node.children, conds))):
+            stack.append((child, path + (cond,)))
 
 
 @dataclass
@@ -259,34 +294,8 @@ class DecisionTree:
         """Leaf count; the tree analogue of a rule count."""
         return sum(1 for _ in self.leaves())
 
-    def leaves(self):
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                yield node
-            else:
-                stack.extend(reversed(node.children))
-
-    def nodes(self) -> list[TreeNode]:
-        out = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            if not node.is_leaf:
-                stack.extend(reversed(node.children))
-        return out
-
-    def predict_row(self, row: Sequence[float]) -> int:
-        node = self.root
-        while not node.is_leaf:
-            branch = node.route(row)
-            if branch is None:
-                # level unseen on this path during training: global majority
-                return self.classes[self.global_majority_pos]
-            node = node.children[branch]
-        return self.classes[node.class_pos]
+    def leaves(self) -> Iterator[TreeNode]:
+        return (leaf for leaf, _ in leaf_paths(self.root))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         out = np.empty(X.shape[0], dtype=np.int64)
@@ -314,22 +323,13 @@ class DecisionTree:
                 if scores is not None:
                     scores[idx] = (node.class_counts + 1.0) / (node.coverage + k)
                 continue
-            col = X[idx, node.attr]
-            if not node.branch_levels:
-                left = col <= node.threshold
-                stack.append((node.children[0], idx[left]))
-                stack.append((node.children[1], idx[~left]))
-            else:
-                unrouted = np.ones(idx.size, dtype=bool)
-                for i, level in enumerate(node.branch_levels):
-                    m = col == level
-                    stack.append((node.children[i], idx[m]))
-                    unrouted &= ~m
-                if unrouted.any():
-                    miss = idx[unrouted]
-                    out[miss] = self.classes[fallback]
-                    if scores is not None:
-                        scores[miss] = fallback_scores
+            parts, miss = node.partition(X, idx)
+            stack.extend(zip(node.children, parts))
+            if miss.size:
+                # level unseen on this path during training: global majority
+                out[miss] = self.classes[fallback]
+                if scores is not None:
+                    scores[miss] = fallback_scores
 
 
 def _grow_tree(
@@ -345,30 +345,17 @@ def _grow_tree(
     while work:
         node_idx, container, pos = work.pop()
         counts = np.bincount(y_pos[node_idx], minlength=n_classes).astype(float)
-        majority = int(np.argmax(counts))
         split = None
         if node_idx.size >= 2 * min_instances:
             split = _choose_split(X, y_pos, node_idx, schema, n_classes, min_instances)
-        if split is None:
-            container[pos] = TreeNode(counts, majority)
-            continue
-        col = X[node_idx, split.attr]
-        if split.threshold is not None:
-            node = TreeNode(counts, majority, attr=split.attr, threshold=split.threshold,
-                            children=[None, None])
-            left = col <= split.threshold
-            partitions = [node_idx[left], node_idx[~left]]
-        else:
-            node = TreeNode(counts, majority, attr=split.attr, branch_levels=split.levels,
-                            children=[None] * len(split.levels))
-            partitions = [node_idx[col == level] for level in split.levels]
-        container[pos] = node
-        for b, sub in enumerate(partitions):
-            work.append((sub, node.children, b))
+        node = container[pos] = TreeNode.for_split(counts, split)
+        if split is not None:
+            parts, _ = node.partition(X, node_idx)
+            work.extend((sub, node.children, b) for b, sub in enumerate(parts))
     return holder[0]
 
 
-def _reverse_bfs(root: TreeNode) -> list[TreeNode]:
+def _bfs(root: TreeNode) -> list[TreeNode]:
     order = [root]
     i = 0
     while i < len(order):
@@ -376,13 +363,12 @@ def _reverse_bfs(root: TreeNode) -> list[TreeNode]:
         if not node.is_leaf:
             order.extend(node.children)
         i += 1
-    order.reverse()
     return order
 
 
 @lru_cache(maxsize=16)
 def _z_value(cf: float) -> float:
-    return float(norm.ppf(1.0 - cf))
+    return NormalDist().inv_cdf(1.0 - cf)
 
 
 def added_errors(n: float, e: float, cf: float) -> float:
@@ -407,7 +393,7 @@ def added_errors(n: float, e: float, cf: float) -> float:
 
 def _pessimistic_prune(root: TreeNode, cf: float) -> None:
     estimates: dict[int, float] = {}
-    for node in _reverse_bfs(root):
+    for node in reversed(_bfs(root)):
         n = float(node.coverage)
         e_leaf = n - float(node.class_counts[node.class_pos])
         leaf_est = e_leaf + added_errors(n, e_leaf, cf)
@@ -416,9 +402,7 @@ def _pessimistic_prune(root: TreeNode, cf: float) -> None:
             continue
         subtree_est = sum(estimates[id(c)] for c in node.children)
         if leaf_est <= subtree_est + 0.1:
-            node.children = None
-            node.attr = -1
-            node.branch_levels = ()
+            node.make_leaf()
             estimates[id(node)] = leaf_est
         else:
             estimates[id(node)] = subtree_est
@@ -428,46 +412,26 @@ def _rep_prune(
     root: TreeNode, X_prune: np.ndarray, y_prune_pos: np.ndarray, global_majority: int
 ) -> None:
     """Subtree replacement driven by held-out error; never increases it."""
+    order = _bfs(root)
     routed: dict[int, np.ndarray] = {id(root): np.arange(X_prune.shape[0])}
     missed: dict[int, np.ndarray] = {}
-    order = [root]
-    i = 0
-    while i < len(order):
-        node = order[i]
-        i += 1
-        if node.is_leaf:
-            continue
-        idx = routed[id(node)]
-        col = X_prune[idx, node.attr] if idx.size else np.empty(0)
-        if not node.branch_levels:
-            left = col <= node.threshold
-            routed[id(node.children[0])] = idx[left]
-            routed[id(node.children[1])] = idx[~left]
-        else:
-            unrouted = np.ones(idx.size, dtype=bool)
-            for b, level in enumerate(node.branch_levels):
-                m = col == level
-                routed[id(node.children[b])] = idx[m]
-                unrouted &= ~m
-            missed[id(node)] = idx[unrouted]
-        order.extend(node.children)
+    for node in order:
+        if not node.is_leaf:
+            parts, missed[id(node)] = node.partition(X_prune, routed[id(node)])
+            for child, sub in zip(node.children, parts):
+                routed[id(child)] = sub
 
     errors: dict[int, float] = {}
     for node in reversed(order):
-        idx = routed[id(node)]
-        y_here = y_prune_pos[idx]
+        y_here = y_prune_pos[routed[id(node)]]
         leaf_err = float((y_here != node.class_pos).sum())
         if node.is_leaf:
             errors[id(node)] = leaf_err
             continue
         subtree_err = sum(errors[id(c)] for c in node.children)
-        miss = missed.get(id(node))
-        if miss is not None and miss.size:
-            subtree_err += float((y_prune_pos[miss] != global_majority).sum())
+        subtree_err += float((y_prune_pos[missed[id(node)]] != global_majority).sum())
         if leaf_err <= subtree_err:
-            node.children = None
-            node.attr = -1
-            node.branch_levels = ()
+            node.make_leaf()
             errors[id(node)] = leaf_err
         else:
             errors[id(node)] = subtree_err
@@ -487,44 +451,18 @@ def refresh_counts(tree: DecisionTree, X: np.ndarray, y: np.ndarray) -> None:
     while stack:
         node, idx = stack.pop()
         node.class_counts = np.bincount(y_pos[idx], minlength=k).astype(float)
-        if node.is_leaf:
-            continue
-        col = X[idx, node.attr]
-        if not node.branch_levels:
-            left = col <= node.threshold
-            stack.append((node.children[0], idx[left]))
-            stack.append((node.children[1], idx[~left]))
-        else:
-            for b, level in enumerate(node.branch_levels):
-                stack.append((node.children[b], idx[col == level]))
+        if not node.is_leaf:
+            stack.extend(zip(node.children, node.partition(X, idx)[0]))
 
 
 def stratified_two_way(
     y: np.ndarray, holdout_fraction: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded stratified split into (main, holdout) index arrays.
-
-    The holdout gets floor(fraction * n_c) per class, then classes ordered
-    by largest fractional remainder top up until the exact overall
-    floor(fraction * n) size is reached.
-    """
-    n = y.shape[0]
-    target = int(math.floor(holdout_fraction * n))
-    classes, inverse = np.unique(y, return_inverse=True)
-    per_class = []
-    for ci in range(classes.size):
-        members = rng.permutation(np.flatnonzero(inverse == ci))
-        exact = holdout_fraction * members.size
-        per_class.append([members, int(math.floor(exact)), exact - math.floor(exact)])
-    short = target - sum(p[1] for p in per_class)
-    for _, entry in sorted(
-        enumerate(per_class), key=lambda t: (-t[1][2], t[0])
-    )[: max(short, 0)]:
-        if entry[1] < len(entry[0]):
-            entry[1] += 1
-    holdout = np.concatenate([p[0][: p[1]] for p in per_class]) if per_class else np.empty(0, int)
-    main = np.concatenate([p[0][p[1] :] for p in per_class]) if per_class else np.empty(0, int)
-    return np.sort(main), np.sort(holdout)
+    """Seeded stratified split into (main, holdout) index arrays; the
+    holdout has exactly floor(fraction * n) rows."""
+    target = math.floor(holdout_fraction * y.shape[0])
+    holdout, main = _stratified_take(y, holdout_fraction, target, rng)
+    return main, holdout
 
 
 def build_tree(
@@ -559,39 +497,23 @@ def build_tree(
 
 
 def tree_to_rules(tree: DecisionTree) -> RuleSet:
-    """One rule per leaf, path bounds merged, ordered by descending coverage.
+    """One rule per leaf, path bounds merged, ordered by descending coverage
+    (pre-order breaks ties).
 
     The default is the global majority class, which is also what the tree
     itself predicts for nominal levels with no branch, so rule-set and tree
     predictions agree on every instance.
     """
-    rules: list[Rule] = []
-    stack: list[tuple[TreeNode, tuple[Condition, ...]]] = [(tree.root, ())]
-    order = 0
-    collected: list[tuple[int, int, Rule]] = []
-    while stack:
-        node, path = stack.pop()
-        if node.is_leaf:
-            rule = Rule(
-                conditions=merge_conditions(path),
-                predicted_class=tree.classes[node.class_pos],
-                coverage=node.coverage,
-                class_counts=tuple(int(c) for c in node.class_counts),
-            )
-            collected.append((-rule.coverage, order, rule))
-            order += 1
-            continue
-        if not node.branch_levels:
-            le = Condition(node.attr, OP_LE, node.threshold)
-            gt = Condition(node.attr, OP_GT, node.threshold)
-            stack.append((node.children[1], path + (gt,)))
-            stack.append((node.children[0], path + (le,)))
-        else:
-            for b in range(len(node.branch_levels) - 1, -1, -1):
-                cond = Condition(node.attr, OP_EQ, float(node.branch_levels[b]))
-                stack.append((node.children[b], path + (cond,)))
-    collected.sort(key=lambda t: (t[0], t[1]))
-    rules = [t[2] for t in collected]
+    leaves = sorted(leaf_paths(tree.root), key=lambda lp: -lp[0].coverage)  # stable
+    rules = [
+        Rule(
+            conditions=merge_conditions(path),
+            predicted_class=tree.classes[node.class_pos],
+            coverage=node.coverage,
+            class_counts=tuple(int(c) for c in node.class_counts),
+        )
+        for node, path in leaves
+    ]
     return RuleSet(
         rules=rules,
         default_class=tree.classes[tree.global_majority_pos],

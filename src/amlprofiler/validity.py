@@ -126,12 +126,12 @@ def vrc(
         raise ValueError(f"VRC needs 2 <= k <= n-1, got k={k}, n={n}")
     numeric_mask = schema.numeric_mask()
     nominal_cols = np.flatnonzero(~numeric_mask)
-    grand = _centroid_of(X, numeric_mask, nominal_cols)
+    grand = clustering.centroid(X, numeric_mask)
     between = 0.0
     within = 0.0
     for c in uniq:
         members = X[labels == c]
-        centroid = _centroid_of(members, numeric_mask, nominal_cols)
+        centroid = clustering.centroid(members, numeric_mask)
         d_between = clustering.distances_to(centroid[None, :], grand, EUCLIDEAN, nominal_cols)
         between += members.shape[0] * float(d_between[0] ** 2)
         d_within = clustering.distances_to(members, centroid, EUCLIDEAN, nominal_cols)
@@ -139,15 +139,6 @@ def vrc(
     if within == 0.0:
         return math.inf
     return (between / (k - 1)) / (within / (n - k))
-
-
-def _centroid_of(X: np.ndarray, numeric_mask: np.ndarray, nominal_cols: np.ndarray) -> np.ndarray:
-    centroid = np.zeros(X.shape[1])
-    centroid[numeric_mask] = X[:, numeric_mask].mean(axis=0)
-    for col in nominal_cols:
-        counts = np.bincount(X[:, col].astype(np.int64))
-        centroid[col] = float(np.argmax(counts))
-    return centroid
 
 
 def partition_agreement(labels_a: np.ndarray, labels_b: np.ndarray) -> tuple[float, float]:

@@ -1,7 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import amlprofiler
 
 from amlprofiler.cli import geometric_steps, grid_cells, main
 from amlprofiler.manifest import read_manifest, sha256_file
@@ -155,6 +161,20 @@ class TestDiagnostics:
             main(["--out-dir", str(tmp_path), "profile"])
         assert exc.value.code == 2
         assert "window" in capsys.readouterr().err
+
+
+class TestRuntimeDependencies:
+    def test_cli_import_loads_no_scipy(self):
+        src = str(Path(amlprofiler.__file__).resolve().parent.parent)
+        code = (
+            "import sys, amlprofiler.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestDeterminism:

@@ -76,6 +76,14 @@ class TestHoldout:
         b = holdout_split(50, SplitSpec(seed=9))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
+    def test_stratified_golden_indices(self):
+        # recorded before the stratified split was shared with the tree
+        # inducers; the class sizes force largest-remainder top-ups
+        y = np.array([2, 0, 1, 1, 0, 2, 2, 1, 0, 0, 1, 2, 2, 2, 0, 1, 1, 0, 2, 1, 0, 0, 2, 1, 1, 3, 3])
+        train, test = holdout_split(y.size, SplitSpec(seed=7, stratified=True), y)
+        assert train.tolist() == [1, 2, 5, 7, 8, 10, 11, 12, 14, 18, 19, 20, 21, 22, 23, 24, 25, 26]
+        assert test.tolist() == [0, 3, 4, 6, 9, 13, 15, 16, 17]
+
 
 class TestCvFolds:
     def test_hundred_into_ten_folds_of_ten(self):
@@ -146,6 +154,27 @@ class TestRoc:
         scores = np.ones(10)
         positives = np.array([True] * 5 + [False] * 5)
         assert auc_from_scores(scores, positives) == 0.5
+
+    def test_ties_match_average_rank_oracle(self):
+        def oracle(scores, positives):
+            # O(n^2) average ranks: 1 + #smaller + (#equal - 1) / 2
+            ranks = [
+                1 + sum(t < s for t in scores) + (sum(t == s for t in scores) - 1) / 2
+                for s in scores
+            ]
+            n_pos = int(positives.sum())
+            u = sum(r for r, p in zip(ranks, positives) if p) - n_pos * (n_pos + 1) / 2
+            return u / (n_pos * (positives.size - n_pos))
+
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            n = int(rng.integers(2, 60))
+            scores = rng.integers(0, 5, n) / 4.0  # few distinct values: many ties
+            positives = rng.random(n) < 0.5
+            positives[:2] = (True, False)
+            assert auc_from_scores(scores, positives) == pytest.approx(
+                oracle(scores, positives), abs=1e-12
+            )
 
     def test_random_scores_near_half(self):
         rng = np.random.default_rng(2)

@@ -241,6 +241,17 @@ class TestPersistence:
             (p.customer_id, p.values, p.label) for p in profiles
         ]
 
+    @pytest.mark.parametrize("bad_row", ["c1,0.5", "c1,0.5,2.0,3,9"])
+    def test_profiles_csv_row_width_checked(self, bad_row):
+        import io
+
+        from amlprofiler.profiling import read_profiles
+
+        schema, _ = numeric_profiles({"x": [0.0], "y": [0.0]})
+        text = f"customer_id,x,y,label\nc0,1.0,2.0,3\n{bad_row}\n"
+        with pytest.raises(ValueError, match="line 3"):
+            read_profiles(io.StringIO(text), schema)
+
 
 class TestDiscretization:
     def test_uniform_1_to_9(self):

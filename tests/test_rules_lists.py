@@ -15,6 +15,8 @@ from amlprofiler.rules import (
     foil_gain,
     part_induce,
     ripper_induce,
+    ruleset_from_json,
+    ruleset_to_json,
     structural_violations,
 )
 
@@ -200,6 +202,12 @@ class TestDecisionListSemantics:
                     expected = rule.predicted_class
                     break
             assert batch[i] == expected
+
+    def test_rule_class_outside_roster_rejected(self):
+        obj = ruleset_to_json(tiny_ruleset())
+        obj["rules"][1]["class"] = 7
+        with pytest.raises(ValueError, match="class 7"):
+            ruleset_from_json(obj)
 
     def test_scores_follow_matched_rule(self):
         rs = tiny_ruleset()

@@ -16,7 +16,7 @@ from amlprofiler.rules import (
     tree_to_rules,
 )
 from amlprofiler.rules.model import merge_conditions
-from amlprofiler.rules.tree import _grow_tree, added_errors, stratified_two_way
+from amlprofiler.rules.tree import _grow_tree, _z_value, added_errors, stratified_two_way
 
 
 def numeric_schema(width):
@@ -172,6 +172,19 @@ class TestAddedErrors:
 
     def test_saturated(self):
         assert added_errors(10, 10, 0.25) == 0.0
+
+    def test_z_value_at_default_confidence(self):
+        assert _z_value(0.25) == 0.6744897501960817
+
+
+class TestStratifiedTwoWay:
+    def test_golden_indices(self):
+        # recorded before the stratified split was shared with holdout_split;
+        # three classes tie on the float remainder of n_c / 3
+        y = np.array([2, 0, 1, 1, 0, 2, 2, 1, 0, 0, 1, 2, 2, 2, 0, 1, 1, 0, 2, 1, 0, 0, 2, 1, 1, 3, 3])
+        main, holdout = stratified_two_way(y, 1 / 3, np.random.default_rng(7))
+        assert main.tolist() == [0, 2, 3, 4, 5, 6, 8, 9, 12, 13, 14, 15, 16, 17, 18, 19, 23, 26]
+        assert holdout.tolist() == [1, 7, 10, 11, 20, 21, 22, 24, 25]
 
 
 class TestTreeToRules:
