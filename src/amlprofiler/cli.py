@@ -231,9 +231,7 @@ def cmd_profile(args, config: dict) -> int:
         if phase == 1:
             schema, profiles = build_profiles_phase1(stream, register, window)
         else:
-            schema, profiles = build_profiles_phase2(
-                stream, register, window, assume_sorted=args.assume_sorted
-            )
+            schema, profiles = build_profiles_phase2(stream, register, window)
     outputs = [out_dir / PROFILES_CSV, out_dir / PROFILES_SCHEMA]
     with open(out_dir / PROFILES_CSV, "w", encoding="utf-8", newline="") as fh:
         write_profiles(fh, schema, profiles)
@@ -265,8 +263,7 @@ def cmd_profile(args, config: dict) -> int:
         out_dir,
         "profile",
         params={**meta, "filter_policy": ingest_cfg.filter_policy.to_json(),
-                "discretize": discretize, "assume_sorted": args.assume_sorted,
-                "customers": len(profiles)},
+                "discretize": discretize, "customers": len(profiles)},
         inputs=[tx_path, reg_path],
         outputs=outputs,
     )
@@ -624,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phase", type=int, choices=(1, 2), default=None)
     p.add_argument("--discretize", action="store_true")
     p.add_argument("--assume-sorted", action="store_true",
-                   help="ledger is chronological per customer; stream the FIFO matcher")
+                   help="ignored: profiles do not depend on row order")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("sweep", help="k-selection sweep with validity metrics")

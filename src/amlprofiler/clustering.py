@@ -229,6 +229,7 @@ def kmeans_fit(
     Ties (nearest centroid, nominal mode) break toward the lowest index.  An
     emptied cluster is re-seeded with the instance farthest from its own
     centroid.  SSE is the sum of squared distances of the configured kind.
+    A k above the number of distinct profiles fails in the seeding.
     """
     X = profiles if isinstance(profiles, np.ndarray) else profile_matrix(profiles)
     if not np.isfinite(X).all():
@@ -237,9 +238,6 @@ def kmeans_fit(
         raise ValueError("k must be >= 1")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    n_distinct = np.unique(X, axis=0).shape[0]
-    if k > n_distinct:
-        raise ValueError(f"k={k} exceeds the {n_distinct} distinct profiles")
 
     numeric_mask = schema.numeric_mask()
     nominal_cols = np.flatnonzero(~numeric_mask)

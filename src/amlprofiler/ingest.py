@@ -193,10 +193,13 @@ def parse_amount_cents(text: str) -> int:
 def _parse_row(
     row: list[str], idx: dict[str, int], window: Optional[Window]
 ) -> TransactionRecord:
+    raw_ts = row[idx["timestamp"]]
     try:
-        ts = datetime.fromisoformat(row[idx["timestamp"]])
+        ts = datetime.fromisoformat(raw_ts)
     except ValueError:
-        raise ValueError(f"unparseable timestamp {row[idx['timestamp']]!r}") from None
+        raise ValueError(f"unparseable timestamp {raw_ts!r}") from None
+    if ts.tzinfo is not None:
+        raise ValueError(f"timestamp {raw_ts!r} has a UTC offset; expected naive ledger time")
     if window is not None and not window.contains(ts):
         raise ValueError(f"timestamp {ts.isoformat()} outside analysis window")
     cents = parse_amount_cents(row[idx["amount"]])

@@ -17,8 +17,10 @@ import csv
 import json
 import logging
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
+from datetime import datetime
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Optional, Sequence
 
@@ -27,6 +29,9 @@ import numpy as np
 from .ingest import CREDIT, DEBIT, CustomerRecord, TransactionRecord, Window
 
 log = logging.getLogger(__name__)
+
+# Naive ledger timestamps are read as UTC, whatever the host time zone.
+EPOCH = datetime(1970, 1, 1)
 
 NUMERIC = "numeric"
 NOMINAL = "nominal"
@@ -40,10 +45,6 @@ class UnknownCustomerError(ValueError):
         more = "" if len(ids) <= 10 else f" (+{len(ids) - 10} more)"
         super().__init__(f"transactions reference unknown customers: {shown}{more}")
         self.customer_ids = tuple(sorted(ids))
-
-
-class StreamOrderError(ValueError):
-    """Raised by the sorted fast path when per-customer order is violated."""
 
 
 @dataclass(frozen=True)
@@ -138,19 +139,15 @@ def phase2_schema() -> AttributeSchema:
     return AttributeSchema(tuple(Attribute(n) for n in PHASE1_NAMES + PHASE2_EXTRA_NAMES))
 
 
-def _mean_std_int(series: Sequence[int], scale: int = 1) -> tuple[float, float]:
-    """Population mean and std of an integer series, computed exactly.
+def _mean_std(n: int, total: int, sqsum: int, scale: int = 1) -> tuple[float, float]:
+    """Population mean and std of n integers from their sum and sum of squares.
 
     ``scale`` divides the result (100 turns cents into currency units).
     n*Q - S^2 is a nonnegative integer, so the std can never come out as a
     small negative float.
     """
-    n = len(series)
-    s = sum(series)
-    q = sum(v * v for v in series)
-    mean = s / (n * scale)
-    var_num = n * q - s * s
-    std = math.sqrt(var_num) / (n * scale)
+    mean = total / (n * scale)
+    std = math.sqrt(n * sqsum - total * total) / (n * scale)
     return mean, std
 
 
@@ -167,8 +164,8 @@ class _Accumulator:
         "fifo",
         "lag_weighted",
         "lag_matched",
-        "last_ts",
-        "events",
+        "event_ts",
+        "event_cents",
     )
 
     def __init__(self) -> None:
@@ -183,8 +180,9 @@ class _Accumulator:
         self.fifo: deque = deque()
         self.lag_weighted = 0.0
         self.lag_matched = 0
-        self.last_ts = 0.0
-        self.events: list | None = None
+        # Flow event log: epoch seconds and signed cents (credits positive).
+        self.event_ts = array("d")
+        self.event_cents = array("q")
 
     def add_common(self, r: TransactionRecord) -> None:
         key = (r.timestamp.year, r.timestamp.month)
@@ -221,14 +219,26 @@ class _Accumulator:
             if entry[0] == 0:
                 queue.popleft()
 
+    def match_events(self) -> None:
+        """FIFO-match the whole event log in (timestamp, credit-before-debit,
+        amount) order, then free it.
+
+        Events equal in all three keys are interchangeable in FIFO, so any
+        row order of the ledger gives the same matches.
+        """
+        ts = np.frombuffer(self.event_ts, dtype=np.float64)
+        cents = np.frombuffer(self.event_cents, dtype=np.int64)
+        order = np.lexsort((np.abs(cents), cents < 0, ts))
+        for t, c in zip(ts[order].tolist(), cents[order].tolist()):
+            self.match_event(t, c > 0, abs(c))
+        self.event_ts = self.event_cents = None
+
 
 def _aggregate(
     txns: Iterable[TransactionRecord],
     register: Mapping[str, CustomerRecord],
-    window: Window,
     *,
     flows: bool,
-    assume_sorted: bool,
 ) -> dict[str, _Accumulator]:
     accs: dict[str, _Accumulator] = {}
     unknown: set[str] = set()
@@ -240,91 +250,40 @@ def _aggregate(
         if acc is None:
             acc = _Accumulator()
             accs[r.customer_id] = acc
-            if flows and not assume_sorted:
-                acc.events = []
         acc.add_common(r)
         if not flows:
             continue
-        ts = r.timestamp.timestamp()
-        is_credit = r.direction == CREDIT
         cents = r.amount_cents
-        if is_credit:
+        if r.direction == CREDIT:
             acc.credit_cents += cents
         else:
             acc.debit_cents += cents
             if r.counterparty_bank is not None:
                 acc.interbank_debit_cents += cents
-        if assume_sorted:
-            if ts < acc.last_ts:
-                raise StreamOrderError(
-                    f"customer {r.customer_id}: timestamps not in chronological order "
-                    "(required when assume_sorted=True)"
-                )
-            acc.last_ts = ts
-            acc.match_event(ts, is_credit, cents)
-        else:
-            acc.events.append(
-                (
-                    ts,
-                    0 if is_credit else 1,
-                    cents,
-                    r.account_id,
-                    r.service_code,
-                    r.txn_type_code,
-                    r.counterparty_bank or "",
-                )
-            )
+            cents = -cents
+        acc.event_ts.append((r.timestamp - EPOCH).total_seconds())
+        acc.event_cents.append(cents)
     if unknown:
         raise UnknownCustomerError(sorted(unknown))
-    if flows and not assume_sorted:
+    if flows:
         for acc in accs.values():
-            # (ts, credit-before-debit, cents, then stable record identity fields)
-            acc.events.sort()
-            for ev in acc.events:
-                acc.match_event(ev[0], ev[1] == 0, ev[2])
-            acc.events = None
+            acc.match_events()
     return accs
 
 
 def _phase1_values(
     acc: _Accumulator, cust: CustomerRecord, window: Window, month_keys: list
 ) -> list[float]:
-    txn_series, debit_series, credit_series, svc_series = [], [], [], []
-    for key in month_keys:
-        slot = acc.months.get(key)
-        if slot is None:
-            txn_series.append(0)
-            debit_series.append(0)
-            credit_series.append(0)
-            svc_series.append(0)
-        else:
-            txn_series.append(slot[0])
-            debit_series.append(slot[1])
-            credit_series.append(slot[2])
-            svc_series.append(len(slot[3]))
-    svc_avg, svc_std = _mean_std_int(svc_series)
-    txn_avg, txn_std = _mean_std_int(txn_series)
-    deb_avg, deb_std = _mean_std_int(debit_series)
-    cre_avg, cre_std = _mean_std_int(credit_series)
-    amount_series_n = acc.n_txns
-    amt_mean = acc.amount_sum / (amount_series_n * 100)
-    amt_var_num = amount_series_n * acc.amount_sqsum - acc.amount_sum * acc.amount_sum
-    amt_std = math.sqrt(amt_var_num) / (amount_series_n * 100)
+    slots = [acc.months.get(key) for key in month_keys]
+    monthly = [(len(s[3]), s[0], s[1], s[2]) if s else (0, 0, 0, 0) for s in slots]
+    values: list[float] = []
+    # services, transactions, debits, credits per month: mean and std of each
+    for series in zip(*monthly):
+        values.extend(_mean_std(len(series), sum(series), sum(v * v for v in series)))
+    values.extend(_mean_std(acc.n_txns, acc.amount_sum, acc.amount_sqsum, 100))
     age_years = (window.end.date() - cust.account_open_date).days / 365.25
-    return [
-        svc_avg,
-        svc_std,
-        txn_avg,
-        txn_std,
-        deb_avg,
-        deb_std,
-        cre_avg,
-        cre_std,
-        amt_mean,
-        amt_std,
-        age_years,
-        float(len(acc.all_services)),
-    ]
+    values.extend((age_years, float(len(acc.all_services))))
+    return values
 
 
 def _phase2_extras(acc: _Accumulator, window: Window) -> list[float]:
@@ -346,9 +305,7 @@ def _phase2_extras(acc: _Accumulator, window: Window) -> list[float]:
     return [total_credited, total_debited, interbank, intrabank, lag_days, outflow_share]
 
 
-def _build(
-    txns, register, window, *, flows: bool, assume_sorted: bool
-) -> tuple[AttributeSchema, list[CustomerProfile]]:
+def _build(txns, register, window, *, flows: bool) -> tuple[AttributeSchema, list[CustomerProfile]]:
     if isinstance(register, dict):
         reg = register
     else:
@@ -356,7 +313,7 @@ def _build(
     if window.month_count() < 1:
         raise ValueError("analysis window must span at least one month")
     month_keys = window.month_keys()
-    accs = _aggregate(txns, reg, window, flows=flows, assume_sorted=assume_sorted)
+    accs = _aggregate(txns, reg, flows=flows)
     schema = phase2_schema() if flows else phase1_schema()
     profiles = []
     for cid in sorted(accs):
@@ -374,25 +331,21 @@ def build_profiles_phase1(
     window: Window,
 ) -> tuple[AttributeSchema, list[CustomerProfile]]:
     """General activity profiles: monthly usage averages, dispersions, account age."""
-    return _build(txns, register, window, flows=False, assume_sorted=False)
+    return _build(txns, register, window, flows=False)
 
 
 def build_profiles_phase2(
     txns: Iterable[TransactionRecord],
     register: Mapping[str, CustomerRecord] | Iterable[CustomerRecord],
     window: Window,
-    *,
-    assume_sorted: bool = False,
 ) -> tuple[AttributeSchema, list[CustomerProfile]]:
     """Flow-oriented profiles: the general roster plus money-movement attributes.
 
-    With ``assume_sorted=True`` the ledger must be chronological per customer
-    (ties resolved by file order); the FIFO matcher then runs online and
-    memory stays bounded by the profile table plus outstanding credits.  The
-    default buffers a compact per-customer event log and sorts it, so any
-    row order gives identical output.
+    Each customer's flow events are buffered (about 16 bytes per row) and
+    FIFO-matched once the stream ends, so any row order gives identical
+    output.  At equal timestamps credits match before debits.
     """
-    return _build(txns, register, window, flows=True, assume_sorted=assume_sorted)
+    return _build(txns, register, window, flows=True)
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,22 @@ class TestDiagnostics:
         assert exc.value.code == 2
         assert "window" in capsys.readouterr().err
 
+    def test_offset_timestamp_is_rejected_row(self, tmp_path):
+        (tmp_path / "register.csv").write_text("customer_id,account_open_date\nc1,2010-01-01\n")
+        (tmp_path / "transactions.csv").write_text(
+            "customer_id,account_id,timestamp,amount,direction,service_code,txn_type_code,"
+            "counterparty_bank\n"
+            "c1,a1,2014-03-08T12:00:00,10.00,credit,1,1,\n"
+            "c1,a1,2014-03-08T12:00:00+02:00,5.00,debit,1,1,\n"
+        )
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"window": {"start": "2014-01-01", "end": "2014-12-31"}}))
+        assert main(["--config", str(cfg_path), "--out-dir", str(tmp_path), "profile"]) == 0
+        rejected = csv_rows(tmp_path / "rejected_rows.csv")
+        assert [r["line_no"] for r in rejected] == ["3"]
+        assert "offset" in rejected[0]["reason"]
+        assert len(csv_rows(tmp_path / "profiles.csv")) == 1
+
 
 class TestRuntimeDependencies:
     def test_cli_import_loads_no_scipy(self):

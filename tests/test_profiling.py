@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from datetime import date, datetime
 
 import numpy as np
@@ -12,7 +13,6 @@ from amlprofiler.profiling import (
     Attribute,
     AttributeSchema,
     CustomerProfile,
-    StreamOrderError,
     UnknownCustomerError,
     apply_discretization,
     bin_index,
@@ -185,18 +185,38 @@ class TestPhase2:
             _, again = build_profiles_phase2(shuffled, register, Q1)
             assert [p.values for p in again] == [p.values for p in base]
 
-    def test_sorted_mode_matches_buffered(self):
-        rng = random.Random(9)
-        txns, register = self.ledger_many(rng)
-        txns.sort(key=lambda t: (t.customer_id, t.timestamp, t.direction != "credit"))
-        _, buffered = build_profiles_phase2(txns, register, Q1)
-        _, streamed = build_profiles_phase2(txns, register, Q1, assume_sorted=True)
-        assert [p.values for p in streamed] == [p.values for p in buffered]
+    def test_credit_matches_before_debit_at_equal_timestamps(self):
+        credit, debit = txn("T", 2, 5, 100, "credit"), txn("T", 2, 5, 100, "debit")
+        schema, credit_first = build_profiles_phase2([credit, debit], self.register("T"), Q1)
+        _, debit_first = build_profiles_phase2([debit, credit], self.register("T"), Q1)
+        assert debit_first[0].values == credit_first[0].values
+        assert by_name(schema, debit_first[0], "in_out_lag_days") == 0.0
 
-    def test_sorted_mode_rejects_disorder(self):
-        txns = [txn("X", 2, 5, 100, "credit"), txn("X", 1, 5, 100, "credit")]
-        with pytest.raises(StreamOrderError):
-            build_profiles_phase2(txns, self.register("X"), Q1, assume_sorted=True)
+    def test_pre_1970_ledger(self):
+        window = Window(datetime(1965, 1, 1), datetime(1965, 3, 31, 23, 59, 59))
+        txns = [
+            TransactionRecord("P", "acc_P", datetime(1965, 1, 5, 10), 100, "credit", 1, 1, None),
+            TransactionRecord("P", "acc_P", datetime(1965, 1, 7, 10), 100, "debit", 1, 1, None),
+        ]
+        register = {"P": CustomerRecord("P", date(1960, 1, 1))}
+        schema, profiles = build_profiles_phase2(txns, register, window)
+        assert by_name(schema, profiles[0], "in_out_lag_days") == 2.0
+
+    def test_host_time_zone_does_not_change_lag(self, monkeypatch):
+        # A credit and a debit straddling the 2014 US daylight-saving switch.
+        # The POSIX rule string is New York's and needs no zone database.
+        txns = [txn("T", 3, 8, 100, "credit", hour=12), txn("T", 3, 10, 100, "debit", hour=12)]
+        lags = []
+        try:
+            for zone in ("UTC", "EST5EDT,M3.2.0,M11.1.0"):
+                monkeypatch.setenv("TZ", zone)
+                time.tzset()
+                schema, profiles = build_profiles_phase2(txns, self.register("T"), Q1)
+                lags.append(by_name(schema, profiles[0], "in_out_lag_days"))
+        finally:
+            monkeypatch.undo()
+            time.tzset()
+        assert lags == [2.0, 2.0]
 
     def test_invariant_ranges(self):
         rng = random.Random(11)
