@@ -1,21 +1,26 @@
 """Command-line orchestration of the profiling pipeline.
 
 Subcommands map to pipeline stages (synth, profile, sweep, cluster, rules,
-eval, grid, export-kb).  Every stage writes its artifacts under --out-dir
-together with a manifest recording parameters, seeds, and content hashes,
-so reruns can be verified byte for byte.  Downstream commands read the
-upstream artifacts by their conventional names and fail with a "run stage
-X first" diagnostic when they are missing.
+eval, grid, export-kb).  Every stage function takes ``(args, config,
+out_dir)``, writes its artifacts under --out-dir and returns a
+``StageResult``: the parameters, inputs and outputs of its manifest and its
+summary line.  ``main`` writes the manifest, which records parameter values,
+seeds and content hashes so reruns can be verified byte for byte, and prints
+the summary.  Downstream commands read the upstream artifacts by their
+conventional names and fail with a "run stage X first" diagnostic when they
+are missing.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -32,7 +37,7 @@ from .ingest import (
     parse_transactions,
     write_rejections,
 )
-from .manifest import write_manifest
+from .manifest import write_json, write_manifest
 from .profiling import (
     AttributeSchema,
     apply_discretization,
@@ -89,6 +94,17 @@ class StageError(SystemExit):
         super().__init__(2)
 
 
+@dataclass(frozen=True)
+class StageResult:
+    """A finished stage: its ``<manifest>.manifest.json`` entry and summary line."""
+
+    manifest: str
+    params: dict
+    inputs: list[Path]
+    outputs: list[Path]
+    summary: str
+
+
 def _require(path: Path, producer: str) -> Path:
     if not path.exists():
         raise StageError(f"missing {path.name}; run stage '{producer}' first")
@@ -115,37 +131,41 @@ def _resolve_window(config: dict, out_dir: Path) -> Window:
     raise StageError("no analysis window: add \"window\" to the config file")
 
 
-def _induction_params(config: dict, args) -> InductionParams:
-    section = dict(config.get("rules", {}))
-    section.pop("algorithm", None)
-    if getattr(args, "min_instances", None) is not None:
-        section["min_instances"] = args.min_instances
-    if getattr(args, "reduced_error_pruning", False):
-        section["reduced_error_pruning"] = True
-    if args.seed is not None:
-        section["seed"] = args.seed
-    known = {
-        "min_instances",
-        "reduced_error_pruning",
-        "pruning_confidence",
-        "folds_for_rep",
-        "seed",
-        "optimization_passes",
-        "mdl_slack_bits",
-    }
-    unknown = set(section) - known
+def _from_config(cls, config: dict, section: str, ignore: Sequence[str] = (), **overrides):
+    """``cls`` built from a config section, with the overrides that are not None.
+
+    A section key that is neither a field of the dataclass ``cls`` nor in
+    ``ignore`` is a ``StageError``.
+    """
+    values = {k: v for k, v in config.get(section, {}).items() if k not in ignore}
+    unknown = set(values) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
-        raise StageError(f"unknown rules options in config: {sorted(unknown)}")
-    return InductionParams(**section)
+        raise StageError(f"unknown {section} options in config: {sorted(unknown)}")
+    values.update((k, v) for k, v in overrides.items() if v is not None)
+    return cls(**values)
 
 
-def _split_spec(config: dict, args) -> evaluation.SplitSpec:
-    section = dict(config.get("split", {}))
-    if getattr(args, "split_mode", None):
-        section["mode"] = args.split_mode
-    if args.seed is not None:
-        section["seed"] = args.seed
-    return evaluation.SplitSpec(**section)
+def _load_profiles(out_dir: Path, labeled: Optional[str] = None):
+    """``profiles.csv``, or the CSV that ``cluster`` labeled for the attribute
+    kind ``labeled``, read with its schema: ``(csv path, schema path, schema,
+    profiles)``."""
+    nominal = labeled == "nominal"
+    if labeled is None:
+        csv_path = _require(out_dir / PROFILES_CSV, "profile")
+    elif nominal:
+        csv_path = _require(out_dir / LABELED_NOMINAL_CSV, "cluster (after profile --discretize)")
+    else:
+        csv_path = _require(out_dir / LABELED_CSV, "cluster")
+    schema_path = _require(
+        out_dir / (PROFILES_NOMINAL_SCHEMA if nominal else PROFILES_SCHEMA),
+        "profile (with discretize)" if nominal else "profile",
+    )
+    schema, _, _ = read_schema_sidecar(schema_path)
+    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
+        profiles = read_profiles(fh, schema)
+    if labeled is not None and any(p.label is None for p in profiles):
+        raise StageError(f"{csv_path.name} has unlabeled rows; rerun 'cluster'")
+    return csv_path, schema_path, schema, profiles
 
 
 def _inducer(algorithm: str, schema: AttributeSchema, params: InductionParams):
@@ -162,8 +182,7 @@ def _inducer(algorithm: str, schema: AttributeSchema, params: InductionParams):
 # Stage implementations
 
 
-def cmd_synth(args, config: dict) -> int:
-    out_dir = Path(args.out_dir)
+def cmd_synth(args, config: dict, out_dir: Path) -> StageResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     if "generator" in config:
         gen = synthgen.GeneratorConfig.from_json(config["generator"])
@@ -182,29 +201,17 @@ def cmd_synth(args, config: dict) -> int:
             {**gen.to_json(), "n_customers": args.n_customers}
         )
     result = synthgen.generate_files(gen, out_dir)
-    with open(out_dir / GENERATOR_JSON, "w", encoding="utf-8") as fh:
-        json.dump(gen.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    write_manifest(
-        out_dir,
+    write_json(out_dir / GENERATOR_JSON, gen.to_json())
+    return StageResult(
         "synth",
-        params={"generator": gen.to_json(), "rows": result.transactions},
-        outputs=[
-            out_dir / TRANSACTIONS_CSV,
-            out_dir / REGISTER_CSV,
-            out_dir / GROUND_TRUTH_CSV,
-            out_dir / GENERATOR_JSON,
-        ],
+        {"generator": gen.to_json(), "rows": result.transactions},
+        [],
+        [out_dir / n for n in (TRANSACTIONS_CSV, REGISTER_CSV, GROUND_TRUTH_CSV, GENERATOR_JSON)],
+        f"synth: {result.transactions} transactions for {result.customers} customers -> {out_dir}",
     )
-    print(
-        f"synth: {result.transactions} transactions for {result.customers} customers "
-        f"-> {out_dir}"
-    )
-    return 0
 
 
-def cmd_profile(args, config: dict) -> int:
-    out_dir = Path(args.out_dir)
+def cmd_profile(args, config: dict, out_dir: Path) -> StageResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     tx_path = Path(config.get("transactions", out_dir / TRANSACTIONS_CSV))
     reg_path = Path(config.get("register", out_dir / REGISTER_CSV))
@@ -259,37 +266,19 @@ def cmd_profile(args, config: dict) -> int:
         )
         outputs += [out_dir / PROFILES_NOMINAL_CSV, out_dir / PROFILES_NOMINAL_SCHEMA]
 
-    write_manifest(
-        out_dir,
+    return StageResult(
         "profile",
-        params={**meta, "filter_policy": ingest_cfg.filter_policy.to_json(),
-                "discretize": discretize, "customers": len(profiles)},
-        inputs=[tx_path, reg_path],
-        outputs=outputs,
-    )
-    print(
+        {**meta, "filter_policy": ingest_cfg.filter_policy.to_json(),
+         "discretize": discretize, "customers": len(profiles)},
+        [tx_path, reg_path],
+        outputs,
         f"profile: {len(profiles)} customers from {reader.accepted} rows "
-        f"({reader.rejected} rejected, {stats.dropped} filtered) -> {out_dir / PROFILES_CSV}"
+        f"({reader.rejected} rejected, {stats.dropped} filtered) -> {out_dir / PROFILES_CSV}",
     )
-    return 0
 
 
-def _read_profile_artifacts(out_dir: Path, nominal: bool):
-    if nominal:
-        csv_path = _require(out_dir / PROFILES_NOMINAL_CSV, "profile (with discretize)")
-        schema_path = _require(out_dir / PROFILES_NOMINAL_SCHEMA, "profile (with discretize)")
-    else:
-        csv_path = _require(out_dir / PROFILES_CSV, "profile")
-        schema_path = _require(out_dir / PROFILES_SCHEMA, "profile")
-    schema, dschema, meta = read_schema_sidecar(schema_path)
-    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-        profiles = read_profiles(fh, schema)
-    return csv_path, schema_path, schema, dschema, profiles
-
-
-def cmd_sweep(args, config: dict) -> int:
-    out_dir = Path(args.out_dir)
-    csv_path, schema_path, schema, _, profiles = _read_profile_artifacts(out_dir, False)
+def cmd_sweep(args, config: dict, out_dir: Path) -> StageResult:
+    csv_path, schema_path, schema, profiles = _load_profiles(out_dir)
     section = config.get("clustering", {})
     k_lo, k_hi = args.k_range or tuple(section.get("k_range", (2, 10)))
     runs = args.runs or int(section.get("runs", 10))
@@ -305,23 +294,18 @@ def cmd_sweep(args, config: dict) -> int:
     )
     with open(out_dir / SWEEP_CSV, "w", encoding="utf-8", newline="") as fh:
         validity.write_sweep_csv(fh, result)
-    with open(out_dir / SWEEP_RECOMMENDATION, "w", encoding="utf-8") as fh:
-        json.dump(result.recommended, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    write_manifest(
-        out_dir,
+    write_json(out_dir / SWEEP_RECOMMENDATION, result.recommended)
+    return StageResult(
         "sweep",
-        params={"k_range": [k_lo, k_hi], "runs": runs, "seed": seed, "distance": kind},
-        inputs=[csv_path, schema_path],
-        outputs=[out_dir / SWEEP_CSV, out_dir / SWEEP_RECOMMENDATION],
+        {"k_range": [k_lo, k_hi], "runs": runs, "seed": seed, "distance": kind},
+        [csv_path, schema_path],
+        [out_dir / SWEEP_CSV, out_dir / SWEEP_RECOMMENDATION],
+        f"sweep: k in {k_lo}..{k_hi}, recommendations {result.recommended}",
     )
-    print(f"sweep: k in {k_lo}..{k_hi}, recommendations {result.recommended}")
-    return 0
 
 
-def cmd_cluster(args, config: dict) -> int:
-    out_dir = Path(args.out_dir)
-    csv_path, schema_path, schema, _, profiles = _read_profile_artifacts(out_dir, False)
+def cmd_cluster(args, config: dict, out_dir: Path) -> StageResult:
+    csv_path, schema_path, schema, profiles = _load_profiles(out_dir)
     section = config.get("clustering", {})
     k = args.k or int(section.get("k", 7))
     seed = args.seed if args.seed is not None else int(section.get("seed", 1))
@@ -345,66 +329,48 @@ def cmd_cluster(args, config: dict) -> int:
         with open(out_dir / LABELED_NOMINAL_CSV, "w", encoding="utf-8", newline="") as fh:
             write_profiles(fh, nominal_schema, nominal_profiles)
         outputs.append(out_dir / LABELED_NOMINAL_CSV)
-    write_manifest(
-        out_dir,
-        "cluster",
-        params={"k": k, "seed": seed, "runs": runs, "distance": kind,
-                "max_iter": max_iter, "sse": model.sse,
-                "best_seed": model.seed, "iterations": model.iterations_run},
-        inputs=[csv_path, schema_path],
-        outputs=outputs,
-    )
     sizes = np.bincount(labels, minlength=k).tolist()
-    print(f"cluster: k={k} sse={model.sse:.4f} sizes={sizes}")
-    return 0
+    return StageResult(
+        "cluster",
+        {"k": k, "seed": seed, "runs": runs, "distance": kind,
+         "max_iter": max_iter, "sse": model.sse,
+         "best_seed": model.seed, "iterations": model.iterations_run},
+        [csv_path, schema_path],
+        outputs,
+        f"cluster: k={k} sse={model.sse:.4f} sizes={sizes}",
+    )
 
 
-def _load_labeled(out_dir: Path, kind: str):
-    if kind == "nominal":
-        path = _require(out_dir / LABELED_NOMINAL_CSV, "cluster (after profile --discretize)")
-        schema, _, _ = read_schema_sidecar(
-            _require(out_dir / PROFILES_NOMINAL_SCHEMA, "profile (with discretize)")
-        )
-    else:
-        path = _require(out_dir / LABELED_CSV, "cluster")
-        schema, _, _ = read_schema_sidecar(_require(out_dir / PROFILES_SCHEMA, "profile"))
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        profiles = read_profiles(fh, schema)
-    if any(p.label is None for p in profiles):
-        raise StageError(f"{path.name} has unlabeled rows; rerun 'cluster'")
-    return path, schema, profile_matrix(profiles), profile_labels(profiles)
-
-
-def cmd_rules(args, config: dict) -> int:
-    out_dir = Path(args.out_dir)
-    path, schema, X, y = _load_labeled(out_dir, args.attribute_kind)
+def cmd_rules(args, config: dict, out_dir: Path) -> StageResult:
+    path, _, schema, profiles = _load_profiles(out_dir, labeled=args.attribute_kind)
     algorithm = args.algorithm or config.get("rules", {}).get("algorithm", "part")
-    params = _induction_params(config, args)
-    model = _inducer(algorithm, schema, params)(X, y)
+    params = _from_config(InductionParams, config, "rules", ("algorithm",), seed=args.seed,
+                          min_instances=args.min_instances,
+                          reduced_error_pruning=args.reduced_error_pruning or None)
+    model = _inducer(algorithm, schema, params)(profile_matrix(profiles), profile_labels(profiles))
     ruleset = tree_to_rules(model) if algorithm == "tree" else model
-    with open(out_dir / RULESET_JSON, "w", encoding="utf-8") as fh:
-        json.dump(ruleset_to_json(ruleset), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / RULESET_JSON, ruleset_to_json(ruleset))
     with open(out_dir / RULESET_TXT, "w", encoding="utf-8") as fh:
         fh.write(render_ruleset(ruleset))
-    write_manifest(
-        out_dir,
+    return StageResult(
         "rules",
-        params={"algorithm": algorithm, **params.to_json()},
-        inputs=[path],
-        outputs=[out_dir / RULESET_JSON, out_dir / RULESET_TXT],
+        {"algorithm": algorithm, **params.to_json()},
+        [path],
+        [out_dir / RULESET_JSON, out_dir / RULESET_TXT],
+        f"rules: {algorithm} induced {len(ruleset.rules)} rules + default",
     )
-    print(f"rules: {algorithm} induced {len(ruleset.rules)} rules + default")
-    return 0
 
 
-def cmd_eval(args, config: dict) -> int:
-    out_dir = Path(args.out_dir)
-    path, schema, X, y = _load_labeled(out_dir, args.attribute_kind)
+def cmd_eval(args, config: dict, out_dir: Path) -> StageResult:
+    path, _, schema, profiles = _load_profiles(out_dir, labeled=args.attribute_kind)
     algorithm = args.algorithm or config.get("rules", {}).get("algorithm", "part")
-    params = _induction_params(config, args)
-    spec = _split_spec(config, args)
-    report = evaluation.evaluate_inducer(_inducer(algorithm, schema, params), X, y, spec)
+    params = _from_config(InductionParams, config, "rules", ("algorithm",), seed=args.seed,
+                          min_instances=args.min_instances,
+                          reduced_error_pruning=args.reduced_error_pruning or None)
+    spec = _from_config(evaluation.SplitSpec, config, "split", mode=args.split_mode, seed=args.seed)
+    report = evaluation.evaluate_inducer(
+        _inducer(algorithm, schema, params), profile_matrix(profiles), profile_labels(profiles), spec
+    )
     row = evaluation.report_row(
         report,
         algorithm=algorithm,
@@ -413,23 +379,17 @@ def cmd_eval(args, config: dict) -> int:
         rep_flag="builtin" if algorithm == "ripper" else ("on" if params.reduced_error_pruning else "off"),
         split_mode=spec.mode,
     )
-    with open(out_dir / EVALUATION_JSON, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / EVALUATION_JSON, report.to_json())
     with open(out_dir / EVALUATION_ROW_CSV, "w", encoding="utf-8", newline="") as fh:
         evaluation.write_report_rows(fh, [row])
-    write_manifest(
-        out_dir,
+    return StageResult(
         "eval",
-        params={"algorithm": algorithm, "split": spec.to_json(), **params.to_json()},
-        inputs=[path],
-        outputs=[out_dir / EVALUATION_JSON, out_dir / EVALUATION_ROW_CSV],
-    )
-    print(
+        {"algorithm": algorithm, "split": spec.to_json(), **params.to_json()},
+        [path],
+        [out_dir / EVALUATION_JSON, out_dir / EVALUATION_ROW_CSV],
         f"eval: {algorithm} {spec.mode} percent_correct={report.percent_correct:.2f} "
-        f"kappa={report.kappa:.3f} roc={report.weighted_roc_area:.3f}"
+        f"kappa={report.kappa:.3f} roc={report.weighted_roc_area:.3f}",
     )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +427,13 @@ def _run_cell(
     y: np.ndarray,
     schema: AttributeSchema,
     attribute_kind: str,
-    base_params: dict,
+    base: InductionParams,
 ) -> dict:
-    params_obj = dict(base_params)
-    if cell.min_instances is not None:
-        params_obj["min_instances"] = cell.min_instances
-    params_obj["reduced_error_pruning"] = cell.rep_flag == "on"
-    params = InductionParams(**params_obj)
+    params = dataclasses.replace(
+        base,
+        min_instances=base.min_instances if cell.min_instances is None else cell.min_instances,
+        reduced_error_pruning=cell.rep_flag == "on",
+    )
     inducer = _inducer(cell.algorithm, schema, params)
     # plain 66/34 holdout, or stratified 10-fold cross-validation
     spec = evaluation.SplitSpec(
@@ -490,13 +450,11 @@ def _run_cell(
     }
     try:
         report = evaluation.evaluate_inducer(inducer, X, y, spec)
-        row = evaluation.report_row(report, **labels)
+        return evaluation.report_row(report, **labels)
     except Exception as exc:  # a failed cell must stay visible in the grid
         log.exception("grid cell %s failed", cell)
-        row = {**labels, "number_of_rules": f"ERROR: {exc}", "percent_correct": "",
-               "kappa": "", "roc_area": ""}
-    row["_index"] = cell.index
-    return row
+        return {**labels, "number_of_rules": f"ERROR: {exc}", "percent_correct": "",
+                "kappa": "", "roc_area": ""}
 
 
 def geometric_steps(lo: int, hi: int, count: int) -> list[int]:
@@ -515,76 +473,56 @@ def geometric_steps(lo: int, hi: int, count: int) -> list[int]:
     return out
 
 
-def cmd_grid(args, config: dict) -> int:
-    out_dir = Path(args.out_dir)
+def cmd_grid(args, config: dict, out_dir: Path) -> StageResult:
     kind = args.attribute_kind
-    path, schema, X, y = _load_labeled(out_dir, kind)
+    path, _, schema, profiles = _load_profiles(out_dir, labeled=kind)
+    X, y = profile_matrix(profiles), profile_labels(profiles)
     section = config.get("grid", {})
-    base_params = dict(config.get("rules", {}))
-    base_params.pop("algorithm", None)
-    base_params.pop("reduced_error_pruning", None)
-    if args.seed is not None:
-        base_params["seed"] = args.seed
-
     if args.sweep:
         smallest_cluster = int(np.bincount(y).min())
         steps = geometric_steps(2, max(smallest_cluster, 2), int(section.get("sweep_steps", 22)))
-        rows = []
-        for algorithm in ("part", "tree"):
-            for index, mi in enumerate(steps):
-                cell = GridCell(index, algorithm, mi, "off", evaluation.HOLDOUT)
-                rows.append(_run_cell(cell, X, y, schema, kind, base_params))
+        cells = [GridCell(index, algorithm, mi, "off", evaluation.HOLDOUT)
+                 for algorithm in ("part", "tree") for index, mi in enumerate(steps)]
         out_name = f"grid_sweep_{kind}.csv"
         params = {"mode": "sweep", "steps": steps, "attribute_kind": kind}
     else:
         options = section.get("min_instances", [None, 100, 1000])
         options = [None if v in (None, "default") else int(v) for v in options]
         cells = grid_cells(options)
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                futures = [
-                    pool.submit(_run_cell, cell, X, y, schema, kind, base_params)
-                    for cell in cells
-                ]
-                rows = [f.result() for f in futures]
-        else:
-            rows = [_run_cell(cell, X, y, schema, kind, base_params) for cell in cells]
-        rows.sort(key=lambda r: r["_index"])
         out_name = f"grid_{kind}.csv"
         params = {"mode": "grid", "min_instances": [o if o is not None else "default" for o in options],
                   "attribute_kind": kind}
-
-    for row in rows:
-        row.pop("_index", None)
+    base = _from_config(InductionParams, config, "rules", ("algorithm",), seed=args.seed)
+    run = partial(_run_cell, X=X, y=y, schema=schema, attribute_kind=kind, base=base)
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            rows = list(pool.map(run, cells))
+    else:
+        rows = [run(cell) for cell in cells]
     with open(out_dir / out_name, "w", encoding="utf-8", newline="") as fh:
         evaluation.write_report_rows(fh, rows)
-    write_manifest(
-        out_dir,
+    return StageResult(
         f"grid_{kind}" + ("_sweep" if args.sweep else ""),
-        params=params,
-        inputs=[path],
-        outputs=[out_dir / out_name],
+        params,
+        [path],
+        [out_dir / out_name],
+        f"grid: wrote {len(rows)} rows -> {out_dir / out_name}",
     )
-    print(f"grid: wrote {len(rows)} rows -> {out_dir / out_name}")
-    return 0
 
 
-def cmd_export_kb(args, config: dict) -> int:
-    out_dir = Path(args.out_dir)
+def cmd_export_kb(args, config: dict, out_dir: Path) -> StageResult:
     path = _require(out_dir / RULESET_JSON, "rules")
     with open(path, "r", encoding="utf-8") as fh:
         ruleset = ruleset_from_json(json.load(fh))
     with open(out_dir / KNOWLEDGE_BASE_JSON, "w", encoding="utf-8") as fh:
         write_knowledge_base(ruleset, fh)
-    write_manifest(
-        out_dir,
+    return StageResult(
         "export_kb",
-        params={"algorithm": ruleset.algorithm},
-        inputs=[path],
-        outputs=[out_dir / KNOWLEDGE_BASE_JSON],
+        {"algorithm": ruleset.algorithm},
+        [path],
+        [out_dir / KNOWLEDGE_BASE_JSON],
+        f"export-kb: {len(ruleset.rules)} rules -> {out_dir / KNOWLEDGE_BASE_JSON}",
     )
-    print(f"export-kb: {len(ruleset.rules)} rules -> {out_dir / KNOWLEDGE_BASE_JSON}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +549,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the inducer flags shared by rules and eval
+    induction = argparse.ArgumentParser(add_help=False)
+    induction.add_argument("--algorithm", choices=ALGORITHMS, default=None)
+    induction.add_argument("--attribute-kind", choices=("numeric", "nominal"), default="numeric")
+    induction.add_argument("--min-instances", type=int, default=None)
+    induction.add_argument("--reduced-error-pruning", action="store_true")
+
     p = sub.add_parser("synth", help="generate a synthetic ledger")
     p.add_argument("--n-customers", type=int, default=None)
     p.add_argument("--archetypes", type=int, choices=(6, 7), default=7)
@@ -634,18 +579,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=None, help="seeded restarts, best SSE kept")
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("rules", help="induce classification rules from cluster labels")
-    p.add_argument("--algorithm", choices=ALGORITHMS, default=None)
-    p.add_argument("--attribute-kind", choices=("numeric", "nominal"), default="numeric")
-    p.add_argument("--min-instances", type=int, default=None)
-    p.add_argument("--reduced-error-pruning", action="store_true")
+    p = sub.add_parser("rules", parents=[induction],
+                       help="induce classification rules from cluster labels")
     p.set_defaults(func=cmd_rules)
 
-    p = sub.add_parser("eval", help="evaluate an inducer under a split protocol")
-    p.add_argument("--algorithm", choices=ALGORITHMS, default=None)
-    p.add_argument("--attribute-kind", choices=("numeric", "nominal"), default="numeric")
-    p.add_argument("--min-instances", type=int, default=None)
-    p.add_argument("--reduced-error-pruning", action="store_true")
+    p = sub.add_parser("eval", parents=[induction], help="evaluate an inducer under a split protocol")
     p.add_argument("--split-mode", choices=(evaluation.HOLDOUT, evaluation.CROSS_VALIDATION),
                    default=None)
     p.set_defaults(func=cmd_eval)
@@ -671,10 +609,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     config = _load_config(args.config)
     if "out_dir" in config and args.out_dir == "runs/default":
         args.out_dir = config["out_dir"]
+    out_dir = Path(args.out_dir)
     try:
-        return args.func(args, config)
-    except StageError:
-        raise
+        result = args.func(args, config, out_dir)
+        write_manifest(out_dir, result.manifest, params=result.params,
+                       inputs=result.inputs, outputs=result.outputs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -682,6 +621,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         log.exception("command failed")
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(result.summary)
+    return 0
 
 
 if __name__ == "__main__":

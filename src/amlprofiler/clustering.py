@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .manifest import write_json
 from .profiling import AttributeSchema, CustomerProfile, profile_matrix
 
 EUCLIDEAN = "euclidean"
@@ -102,9 +103,7 @@ class ClusterModel:
         )
 
     def save(self, path: Path | str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json())
 
     @staticmethod
     def load(path: Path | str) -> "ClusterModel":

@@ -112,6 +112,9 @@ class Window:
             end = datetime.fromisoformat(obj["end"])
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad window spec {obj!r}: {exc}") from None
+        if start.tzinfo is not None or end.tzinfo is not None:
+            raise ConfigError(f"bad window spec {obj!r}: a bound has a UTC offset; "
+                              "expected naive dates or datetimes")
         # A bare date for the end bound means "whole day".
         if len(obj["end"]) == 10:
             end = end + timedelta(days=1) - timedelta(seconds=1)

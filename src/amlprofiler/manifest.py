@@ -21,6 +21,13 @@ def sha256_file(path: Path | str) -> str:
     return digest.hexdigest()
 
 
+def write_json(path: Path | str, obj) -> None:
+    """The one JSON artifact format: sorted keys, 2-space indent, final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_manifest(
     out_dir: Path | str,
     stage: str,
@@ -36,9 +43,7 @@ def write_manifest(
         "outputs": {Path(p).name: sha256_file(p) for p in outputs},
     }
     path = Path(out_dir) / f"{stage}.manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, manifest)
     return path
 
 

@@ -27,6 +27,7 @@ from typing import IO, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .ingest import CREDIT, DEBIT, CustomerRecord, TransactionRecord, Window
+from .manifest import write_json
 
 log = logging.getLogger(__name__)
 
@@ -556,9 +557,7 @@ def write_schema_sidecar(
         obj["discretization"] = dschema.to_json()
     if meta:
         obj["meta"] = meta
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, obj)
 
 
 def read_schema_sidecar(path: Path | str) -> tuple[AttributeSchema, Optional[DiscretizationSchema], dict]:

@@ -178,6 +178,37 @@ class TestDiagnostics:
         assert "offset" in rejected[0]["reason"]
         assert len(csv_rows(tmp_path / "profiles.csv")) == 1
 
+    @pytest.mark.parametrize("window", [
+        {"start": "2014-01-01T00:00:00+02:00", "end": "2014-12-31"},
+        {"start": "2014-01-01T00:00:00+02:00", "end": "2014-12-31T23:59:59+02:00"},
+    ])
+    def test_offset_window_bound_is_config_error(self, tmp_path, capsys, window):
+        (tmp_path / "register.csv").write_text("customer_id,account_open_date\nc1,2010-01-01\n")
+        (tmp_path / "transactions.csv").write_text(
+            "customer_id,account_id,timestamp,amount,direction,service_code,txn_type_code,"
+            "counterparty_bank\n"
+            "c1,a1,2014-03-08T12:00:00,10.00,credit,1,1,\n"
+        )
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"window": window}))
+        assert main(["--config", str(cfg_path), "--out-dir", str(tmp_path), "profile"]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, section, options", [
+        ("rules", "rules", {"min_instance": 5}),
+        ("grid", "rules", {"min_instance": 5}),
+        ("eval", "split", {"folds_typo": 5}),
+    ])
+    def test_unknown_section_option_exits_two(self, pipeline_dir, tmp_path, capsys,
+                                              command, section, options):
+        out, _ = pipeline_dir
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({section: options}))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg_path), "--out-dir", str(out), command])
+        assert exc.value.code == 2
+        assert f"unknown {section} options in config: {sorted(options)}" in capsys.readouterr().err
+
 
 class TestRuntimeDependencies:
     def test_cli_import_loads_no_scipy(self):

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import os
 import random
 import time
 from datetime import date, datetime
@@ -32,6 +34,62 @@ def txn(cid, month, day, amount_cents, direction, svc=1, ttype=1, cp=None, hour=
 
 def by_name(schema, profile, name):
     return profile.values[schema.index(name)]
+
+
+# Spans 1970-01-01 and, under New York's rule, the DST switches of
+# 1969-11-02 and 1970-03-08; ``EDGE_TIMES`` sit next to each of them.
+EPOCH_WINDOW = Window(datetime(1969, 10, 1), datetime(1970, 3, 31, 23, 59, 59))
+EDGE_TIMES = (
+    datetime(1969, 11, 1, 12),
+    datetime(1969, 11, 2, 1, 30),
+    datetime(1969, 11, 3, 12),
+    datetime(1969, 12, 31, 23, 59, 59),
+    datetime(1970, 1, 1),
+    datetime(1970, 3, 8, 2, 30),
+    datetime(1970, 3, 9, 12),
+)
+
+
+@contextlib.contextmanager
+def host_zone(zone):
+    old = os.environ.get("TZ")
+    os.environ["TZ"] = zone
+    time.tzset()
+    try:
+        yield
+    finally:
+        if old is None:
+            del os.environ["TZ"]
+        else:
+            os.environ["TZ"] = old
+        time.tzset()
+
+
+@st.composite
+def epoch_ledgers(draw):
+    """A small ledger in ``EPOCH_WINDOW`` and a permutation of its rows.
+
+    Rows share a few timestamps, the first row is dated before 1970, and a
+    row may come with an opposite-direction twin of the same amount and
+    timestamp.
+    """
+    pre_1970 = st.sampled_from(EDGE_TIMES[:4]) | st.datetimes(
+        EPOCH_WINDOW.start, datetime(1969, 12, 31, 23, 59, 59)
+    )
+    any_time = st.sampled_from(EDGE_TIMES) | st.datetimes(EPOCH_WINDOW.start, EPOCH_WINDOW.end)
+    times = [draw(pre_1970)] + draw(st.lists(any_time, min_size=1, max_size=4))
+
+    def rows(ts):
+        return st.tuples(st.sampled_from("AB"), ts, st.integers(1, 50_000),
+                         st.sampled_from(("credit", "debit")), st.booleans())
+
+    txns = []
+    for cid, ts, cents, direction, twin in [draw(rows(st.just(times[0])))] + draw(
+        st.lists(rows(st.sampled_from(times)), max_size=14)
+    ):
+        directions = ("credit", "debit") if twin else (direction,)
+        txns += [TransactionRecord(cid, f"acc_{cid}", ts, cents, d, 1, 1, None) for d in directions]
+    return txns, draw(st.permutations(txns))
 
 
 class TestPhase1:
@@ -175,14 +233,16 @@ class TestPhase2:
             )
         return txns, self.register(*{t.customer_id for t in txns})
 
-    def test_permutation_invariance(self):
-        rng = random.Random(4)
-        txns, register = self.ledger_many(rng)
-        schema, base = build_profiles_phase2(txns, register, Q1)
-        for trial in range(5):
-            shuffled = txns[:]
-            rng.shuffle(shuffled)
-            _, again = build_profiles_phase2(shuffled, register, Q1)
+    @given(epoch_ledgers())
+    @settings(max_examples=150, deadline=None)
+    def test_permutation_invariance(self, ledger):
+        txns, shuffled = ledger
+        register = self.register("A", "B")
+        with host_zone("UTC"):
+            _, base = build_profiles_phase2(txns, register, EPOCH_WINDOW)
+        for zone in ("UTC", "EST5EDT,M3.2.0,M11.1.0"):
+            with host_zone(zone):
+                _, again = build_profiles_phase2(shuffled, register, EPOCH_WINDOW)
             assert [p.values for p in again] == [p.values for p in base]
 
     def test_credit_matches_before_debit_at_equal_timestamps(self):
@@ -202,20 +262,15 @@ class TestPhase2:
         schema, profiles = build_profiles_phase2(txns, register, window)
         assert by_name(schema, profiles[0], "in_out_lag_days") == 2.0
 
-    def test_host_time_zone_does_not_change_lag(self, monkeypatch):
+    def test_host_time_zone_does_not_change_lag(self):
         # A credit and a debit straddling the 2014 US daylight-saving switch.
         # The POSIX rule string is New York's and needs no zone database.
         txns = [txn("T", 3, 8, 100, "credit", hour=12), txn("T", 3, 10, 100, "debit", hour=12)]
         lags = []
-        try:
-            for zone in ("UTC", "EST5EDT,M3.2.0,M11.1.0"):
-                monkeypatch.setenv("TZ", zone)
-                time.tzset()
+        for zone in ("UTC", "EST5EDT,M3.2.0,M11.1.0"):
+            with host_zone(zone):
                 schema, profiles = build_profiles_phase2(txns, self.register("T"), Q1)
-                lags.append(by_name(schema, profiles[0], "in_out_lag_days"))
-        finally:
-            monkeypatch.undo()
-            time.tzset()
+            lags.append(by_name(schema, profiles[0], "in_out_lag_days"))
         assert lags == [2.0, 2.0]
 
     def test_invariant_ranges(self):
