@@ -398,7 +398,6 @@ def cmd_eval(args, config: dict, out_dir: Path) -> StageResult:
 
 @dataclass(frozen=True)
 class GridCell:
-    index: int
     algorithm: str
     min_instances: Optional[int]  # None means the algorithm default
     rep_flag: str  # "on" | "off" | "builtin"
@@ -408,16 +407,13 @@ class GridCell:
 def grid_cells(min_instances_options: Sequence[Optional[int]]) -> list[GridCell]:
     """The 30-run grid: {PART, tree, RIPPER} x min-instances x REP x split."""
     cells = []
-    index = 0
     for split_mode in (evaluation.HOLDOUT, evaluation.CROSS_VALIDATION):
         for algorithm in ("part", "tree"):
             for mi in min_instances_options:
                 for rep in ("off", "on"):
-                    cells.append(GridCell(index, algorithm, mi, rep, split_mode))
-                    index += 1
+                    cells.append(GridCell(algorithm, mi, rep, split_mode))
         for mi in min_instances_options:
-            cells.append(GridCell(index, "ripper", mi, "builtin", split_mode))
-            index += 1
+            cells.append(GridCell("ripper", mi, "builtin", split_mode))
     return cells
 
 
@@ -481,8 +477,8 @@ def cmd_grid(args, config: dict, out_dir: Path) -> StageResult:
     if args.sweep:
         smallest_cluster = int(np.bincount(y).min())
         steps = geometric_steps(2, max(smallest_cluster, 2), int(section.get("sweep_steps", 22)))
-        cells = [GridCell(index, algorithm, mi, "off", evaluation.HOLDOUT)
-                 for algorithm in ("part", "tree") for index, mi in enumerate(steps)]
+        cells = [GridCell(algorithm, mi, "off", evaluation.HOLDOUT)
+                 for algorithm in ("part", "tree") for mi in steps]
         out_name = f"grid_sweep_{kind}.csv"
         params = {"mode": "sweep", "steps": steps, "attribute_kind": kind}
     else:

@@ -185,9 +185,12 @@ def parse_amount_cents(text: str) -> int:
         return int(whole) * 100
     try:
         dec = Decimal(text.strip())
+        if not dec.is_finite():
+            raise InvalidOperation
+        # an exponent too large to write in cents also raises InvalidOperation
+        quantized = dec.quantize(Decimal("0.01"))
     except InvalidOperation:
         raise ValueError(f"unparseable amount {text!r}") from None
-    quantized = dec.quantize(Decimal("0.01"))
     if quantized != dec:
         raise ValueError(f"amount {text!r} has sub-cent precision")
     return int(quantized.scaleb(2))
@@ -402,7 +405,6 @@ class IngestConfig:
     column_mapping: ColumnMapping
     register_mapping: ColumnMapping
     filter_policy: FilterPolicy
-    window: Optional[Window]
     delimiter: str = ","
     error_cap: int = 100
 
@@ -416,7 +418,6 @@ class IngestConfig:
                 ColumnMapping(rm, CUSTOMER_FIELDS) if rm else ColumnMapping.identity(CUSTOMER_FIELDS)
             ),
             filter_policy=FilterPolicy.from_json(obj.get("filter_policy", {})),
-            window=Window.from_json(obj["window"]) if "window" in obj else None,
             delimiter=obj.get("delimiter", ","),
             error_cap=int(obj.get("error_cap", 100)),
         )

@@ -1,8 +1,10 @@
 """Rule and rule-set types shared by all inducers.
 
 A RuleSet is an ordered decision list: the first matching rule predicts,
-anything unmatched falls to the default class.  Rules keep their training
-class distribution so evaluation can derive Laplace-smoothed scores.  These
+anything unmatched falls to the default class.  ``covers`` is the one test
+of which rows satisfy a conjunction of conditions, for the inducers and the
+decision list alike.  Rules keep their training class distribution so
+evaluation can derive Laplace-smoothed scores (``laplace_table``).  These
 objects are also the exported knowledge base consumed by the screening
 agents, so their JSON shape is fixed.
 """
@@ -60,14 +62,40 @@ class Rule:
     coverage: int
     class_counts: tuple[int, ...]  # aligned with the rule set's class roster
 
-    def matches(self, row: Sequence[float]) -> bool:
-        return all(c.matches(row) for c in self.conditions)
 
-    def mask(self, X: np.ndarray) -> np.ndarray:
-        out = np.ones(X.shape[0], dtype=bool)
-        for c in self.conditions:
-            out &= c.mask(X)
-        return out
+def covers(X: np.ndarray, conditions: Sequence[Condition]) -> np.ndarray:
+    """Mask of the rows of ``X`` that satisfy every condition."""
+    mask = np.ones(X.shape[0], dtype=bool)
+    for c in conditions:
+        mask &= c.mask(X)
+    return mask
+
+
+def covered_rule(
+    conditions: Sequence[Condition], cls: int, y_covered: np.ndarray, k: int
+) -> Rule:
+    """The rule predicting ``cls`` whose covered training rows have the
+    roster positions ``y_covered`` (of ``k`` classes)."""
+    counts = np.bincount(y_covered, minlength=k)
+    return Rule(tuple(conditions), int(cls), int(y_covered.size), tuple(int(c) for c in counts))
+
+
+def encode_training_set(X, y) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
+    """Float features, the sorted class roster and each row's roster position.
+
+    An empty training set is a ``ValueError``.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.shape[0] == 0:
+        raise ValueError("cannot induce rules from an empty training set")
+    classes, y_pos = np.unique(np.asarray(y), return_inverse=True)
+    return X, tuple(int(c) for c in classes), y_pos
+
+
+def laplace_table(counts: Sequence[Sequence[float]]) -> np.ndarray:
+    """Laplace-smoothed class distribution of each count vector, one per row."""
+    c = np.asarray(counts, dtype=float)
+    return (c + 1.0) / (c.sum(axis=1, keepdims=True) + c.shape[1])
 
 
 def merge_conditions(conditions: Sequence[Condition]) -> tuple[Condition, ...]:
@@ -171,43 +199,27 @@ class RuleSet:
         """Rule count including the default rule, WEKA-report style."""
         return len(self.rules) + 1
 
-    def predict_row(self, row: Sequence[float]) -> int:
-        for rule in self.rules:
-            if rule.matches(row):
-                return rule.predicted_class
-        return self.default_class
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.full(X.shape[0], self.default_class, dtype=np.int64)
+    def _deciding_rule(self, X: np.ndarray) -> np.ndarray:
+        """Per row, the index of the first rule that matches it, or
+        ``len(rules)`` when the default decides."""
+        out = np.full(X.shape[0], len(self.rules), dtype=np.int64)
         undecided = np.ones(X.shape[0], dtype=bool)
-        for rule in self.rules:
-            hit = undecided & rule.mask(X)
-            out[hit] = rule.predicted_class
+        for i, rule in enumerate(self.rules):
+            hit = undecided & covers(X, rule.conditions)
+            out[hit] = i
             undecided &= ~hit
             if not undecided.any():
                 break
         return out
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        classes = [r.predicted_class for r in self.rules] + [self.default_class]
+        return np.asarray(classes, dtype=np.int64)[self._deciding_rule(X)]
 
     def class_scores(self, X: np.ndarray) -> np.ndarray:
         """Laplace-smoothed class distribution of the first matching rule."""
-        k = len(self.classes)
-        out = np.empty((X.shape[0], k))
-        default_scores = _laplace(self.default_counts, k)
-        out[:] = default_scores
-        undecided = np.ones(X.shape[0], dtype=bool)
-        for rule in self.rules:
-            hit = undecided & rule.mask(X)
-            if hit.any():
-                out[hit] = _laplace(rule.class_counts, k)
-            undecided &= ~hit
-            if not undecided.any():
-                break
-        return out
-
-
-def _laplace(counts: Sequence[int], k: int) -> np.ndarray:
-    c = np.asarray(counts, dtype=float)
-    return (c + 1.0) / (c.sum() + k)
+        counts = [r.class_counts for r in self.rules] + [self.default_counts]
+        return laplace_table(counts)[self._deciding_rule(X)]
 
 
 def structural_violations(ruleset: RuleSet) -> list[str]:

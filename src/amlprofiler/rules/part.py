@@ -18,7 +18,15 @@ from typing import Optional
 import numpy as np
 
 from ..profiling import AttributeSchema
-from .model import InductionParams, Rule, RuleSet, merge_conditions
+from .model import (
+    InductionParams,
+    Rule,
+    RuleSet,
+    covered_rule,
+    covers,
+    encode_training_set,
+    merge_conditions,
+)
 from .tree import (
     TreeNode,
     _choose_split,
@@ -128,12 +136,8 @@ def part_induce(
     params: InductionParams,
 ) -> RuleSet:
     """Decision list from repeated partial-tree construction."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    if X.shape[0] == 0:
-        raise ValueError("cannot induce rules from an empty training set")
-    classes, y_pos = np.unique(y, return_inverse=True)
-    n_classes = classes.size
+    X, classes, y_pos = encode_training_set(X, y)
+    n_classes = len(classes)
     global_counts = np.bincount(y_pos, minlength=n_classes)
     global_majority = int(np.argmax(global_counts))
 
@@ -162,15 +166,8 @@ def part_induce(
             node_counts = np.bincount(y_pos[remaining], minlength=n_classes)
             if np.count_nonzero(node_counts) == 1:
                 # Remainder is pure: one catch-all rule closes the list.
-                pure_pos = int(np.argmax(node_counts))
-                rules.append(
-                    Rule(
-                        conditions=(),
-                        predicted_class=int(classes[pure_pos]),
-                        coverage=int(remaining.size),
-                        class_counts=tuple(int(c) for c in node_counts),
-                    )
-                )
+                pure_cls = classes[int(np.argmax(node_counts))]
+                rules.append(covered_rule((), pure_cls, y_pos[remaining], n_classes))
                 remaining = np.empty(0, dtype=np.int64)
                 default_pos = global_majority
                 default_counts = global_counts
@@ -186,19 +183,9 @@ def part_induce(
             (lp for lp in leaf_paths(root) if lp[0].expanded), key=lambda lp: -lp[0].coverage
         )
         conditions = merge_conditions(path)
-        mask = np.ones(remaining.size, dtype=bool)
-        for cond in conditions:
-            mask &= cond.mask(X[remaining])
-        covered = remaining[mask]
-        counts = np.bincount(y_pos[covered], minlength=n_classes)
-        rules.append(
-            Rule(
-                conditions=conditions,
-                predicted_class=int(classes[leaf_node.class_pos]),
-                coverage=int(covered.size),
-                class_counts=tuple(int(c) for c in counts),
-            )
-        )
+        mask = covers(X[remaining], conditions)
+        cls = classes[leaf_node.class_pos]
+        rules.append(covered_rule(conditions, cls, y_pos[remaining[mask]], n_classes))
         remaining = remaining[~mask]
         iteration += 1
 
@@ -207,9 +194,9 @@ def part_induce(
         default_counts = global_counts
     return RuleSet(
         rules=rules,
-        default_class=int(classes[default_pos]),
-        default_counts=tuple(int(c) for c in np.asarray(default_counts)),
-        classes=tuple(int(c) for c in classes.tolist()),
+        default_class=classes[default_pos],
+        default_counts=tuple(int(c) for c in default_counts),
+        classes=classes,
         schema=schema,
         algorithm="part",
         params=params,

@@ -28,9 +28,12 @@ from .model import (
     InductionParams,
     Rule,
     RuleSet,
+    covered_rule,
+    covers,
+    encode_training_set,
     merge_conditions,
 )
-from .tree import stratified_two_way
+from .tree import stratified_two_way, threshold_scan
 
 log = logging.getLogger(__name__)
 
@@ -103,11 +106,12 @@ def _count_possible_conditions(X: np.ndarray, schema: AttributeSchema) -> int:
     return max(total, 1)
 
 
-def _select(X: np.ndarray, idx: np.ndarray, conditions: Sequence[Condition]) -> np.ndarray:
-    sel = idx
-    for cond in conditions:
-        sel = sel[cond.mask(X[sel])]
-    return sel
+def _covered_by_any(X: np.ndarray, rules_conditions: Sequence[Sequence[Condition]]) -> np.ndarray:
+    """Mask of the rows of ``X`` that at least one of the rules covers."""
+    mask = np.zeros(X.shape[0], dtype=bool)
+    for conditions in rules_conditions:
+        mask |= covers(X, conditions)
+    return mask
 
 
 def _gain_vector(p: np.ndarray, n: np.ndarray, p0: int, n0: int) -> np.ndarray:
@@ -119,19 +123,16 @@ def _gain_vector(p: np.ndarray, n: np.ndarray, p0: int, n0: int) -> np.ndarray:
 
 
 def _best_numeric_refinement(col, pos, p0, n0, min_coverage):
-    """Best (gain, op_rank, value, mask) over all thresholds of one column.
+    """Best (gain, op_rank, value) over all thresholds of one column.
 
     A single sorted scan yields the coverage of every '<= v' and '> v'
     refinement; ties prefer '<=' and then the lowest threshold, matching
     the scalar search order.
     """
-    order = np.argsort(col, kind="stable")
-    sv = col[order]
-    sp = np.cumsum(pos[order])
-    boundary = np.flatnonzero(sv[1:] != sv[:-1]) + 1  # prefix lengths
+    order, boundary, mids = threshold_scan(col)
     if boundary.size == 0:
         return None
-    mids = (sv[boundary - 1] + sv[boundary]) / 2.0
+    sp = np.cumsum(pos[order])
     n_cov = boundary.astype(float)
     p_le = sp[boundary - 1].astype(float)
     total_p = float(sp[-1])
@@ -164,7 +165,7 @@ def _grow_rule(
     covered on the growing set or nothing improves."""
     X, is_pos = stage.X, stage.is_pos
     conditions = list(start)
-    covered = _select(X, grow_idx, conditions)
+    covered = grow_idx[covers(X[grow_idx], conditions)]
     while covered.size:
         pos = is_pos[covered]
         p0 = int(pos.sum())
@@ -202,12 +203,12 @@ def _grow_rule(
         if best_cond is None:
             break
         conditions.append(best_cond)
-        covered = covered[best_cond.mask(X[covered])]
+        covered = covered[covers(X[covered], (best_cond,))]
     return merge_conditions(conditions)
 
 
 def _coverage(stage: _Stage, idx: np.ndarray, conditions: Sequence[Condition]) -> tuple[int, int]:
-    sel = _select(stage.X, idx, conditions)
+    sel = idx[covers(stage.X[idx], conditions)]
     p = int(stage.is_pos[sel].sum())
     return p, sel.size - p
 
@@ -252,12 +253,8 @@ def _grow_and_prune(
 
 def _ruleset_dl(stage: _Stage, rules_conditions: list[tuple[Condition, ...]]) -> float:
     """Description length of the class theory plus its exceptions."""
-    covered_mask = np.zeros(stage.X.shape[0], dtype=bool)
-    theory = 0.0
-    all_idx = np.arange(stage.X.shape[0])
-    for conditions in rules_conditions:
-        theory += _theory_dl(len(conditions), stage.m_possible)
-        covered_mask[_select(stage.X, all_idx, conditions)] = True
+    theory = sum(_theory_dl(len(conditions), stage.m_possible) for conditions in rules_conditions)
+    covered_mask = _covered_by_any(stage.X, rules_conditions)
     covered = float(covered_mask.sum())
     uncovered = float(stage.X.shape[0] - covered)
     fp = float((covered_mask & ~stage.is_pos).sum())
@@ -281,8 +278,8 @@ def _cover_class(
         rng = np.random.default_rng([params.seed, stage_no, attempt])
         attempt += 1
         conditions, prune_idx = _grow_and_prune(stage, uncovered, rng, params.min_instances)
-        p_full, n_full = _coverage(stage, uncovered, conditions)
-        if p_full + n_full < params.min_instances:
+        covered = covers(stage.X[uncovered], conditions)
+        if covered.sum() < params.min_instances:
             break  # coverage floor
         if prune_idx.size:
             p_pr, n_pr = _coverage(stage, prune_idx, conditions)
@@ -295,10 +292,7 @@ def _cover_class(
         if not conditions:
             break  # an unconditioned rule adds nothing a default cannot
         added.append(conditions)
-        mask = np.ones(uncovered.size, dtype=bool)
-        for cond in conditions:
-            mask &= cond.mask(stage.X[uncovered])
-        uncovered = uncovered[~mask]
+        uncovered = uncovered[~covered]
     return added
 
 
@@ -312,12 +306,7 @@ def _optimize_class(
     for opt_pass in range(params.optimization_passes):
         for i in range(len(accepted)):
             rng = np.random.default_rng([params.seed, stage_no, 1000 + opt_pass, i])
-            others_mask = np.zeros(stage.X.shape[0], dtype=bool)
-            all_idx = np.arange(stage.X.shape[0])
-            for j, conditions in enumerate(accepted):
-                if j != i:
-                    others_mask[_select(stage.X, all_idx, conditions)] = True
-            context = np.flatnonzero(~others_mask)
+            context = np.flatnonzero(~_covered_by_any(stage.X, accepted[:i] + accepted[i + 1 :]))
             if context.size == 0:
                 continue
             replacement, _ = _grow_and_prune(stage, context, rng, params.min_instances)
@@ -327,10 +316,7 @@ def _optimize_class(
             variants = [accepted[i], revision, replacement]
             dls = [_ruleset_dl(stage, accepted[:i] + [v] + accepted[i + 1 :]) for v in variants]
             accepted[i] = variants[int(np.argmin(dls))]  # ties keep the original
-        uncovered_mask = np.ones(stage.X.shape[0], dtype=bool)
-        all_idx = np.arange(stage.X.shape[0])
-        for conditions in accepted:
-            uncovered_mask[_select(stage.X, all_idx, conditions)] = False
+        uncovered_mask = ~_covered_by_any(stage.X, accepted)
         if stage.is_pos[uncovered_mask].sum() > 0:
             accepted = accepted + _cover_class(
                 stage,
@@ -350,14 +336,11 @@ def ripper_induce(
     params: InductionParams,
 ) -> RuleSet:
     """Induce an ordered rule list with RIPPER's grow/prune/optimize cycle."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    if X.shape[0] == 0:
-        raise ValueError("cannot induce rules from an empty training set")
-    classes, y_pos = np.unique(y, return_inverse=True)
+    X, classes, y_pos = encode_training_set(X, y)
+    k = len(classes)
     counts = np.bincount(y_pos)
     # rarest first; the most frequent class becomes the default, no rules
-    order = sorted(range(classes.size), key=lambda c: (counts[c], c))
+    order = sorted(range(k), key=lambda c: (counts[c], c))
     default_pos = order[-1]
 
     remaining = np.arange(X.shape[0])
@@ -380,30 +363,19 @@ def ripper_induce(
         accepted = _optimize_class(stage, accepted, params, stage_no)
 
         for conditions in accepted:
-            sel = _select(X, remaining, conditions)
-            rule_counts = np.bincount(y_pos[sel], minlength=classes.size)
-            rules.append(
-                Rule(
-                    conditions=conditions,
-                    predicted_class=int(classes[class_pos]),
-                    coverage=int(sel.size),
-                    class_counts=tuple(int(c) for c in rule_counts),
-                )
-            )
-            mask = np.ones(remaining.size, dtype=bool)
-            for cond in conditions:
-                mask &= cond.mask(X[remaining])
+            mask = covers(X[remaining], conditions)
+            rules.append(covered_rule(conditions, classes[class_pos], y_pos[remaining[mask]], k))
             remaining = remaining[~mask]
 
     if remaining.size:
-        default_counts = np.bincount(y_pos[remaining], minlength=classes.size)
+        default_counts = np.bincount(y_pos[remaining], minlength=k)
     else:
-        default_counts = np.bincount(y_pos, minlength=classes.size)
+        default_counts = np.bincount(y_pos, minlength=k)
     return RuleSet(
         rules=rules,
-        default_class=int(classes[default_pos]),
+        default_class=classes[default_pos],
         default_counts=tuple(int(c) for c in default_counts),
-        classes=tuple(int(c) for c in classes.tolist()),
+        classes=classes,
         schema=schema,
         algorithm="ripper",
         params=params,

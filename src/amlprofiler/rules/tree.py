@@ -31,6 +31,8 @@ from .model import (
     InductionParams,
     Rule,
     RuleSet,
+    encode_training_set,
+    laplace_table,
     merge_conditions,
 )
 
@@ -63,21 +65,27 @@ class _Candidate:
     levels: tuple[int, ...] = ()  # nominal splits: levels present at the node
 
 
+def threshold_scan(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stable sort order of ``values``, the prefix lengths of the sorted
+    values at which the value changes, and the midpoint threshold at each."""
+    order = np.argsort(values, kind="stable")
+    sv = values[order]
+    boundary = np.flatnonzero(sv[1:] != sv[:-1]) + 1
+    return order, boundary, (sv[boundary - 1] + sv[boundary]) / 2.0
+
+
 def _numeric_candidate(
     values: np.ndarray, y_pos: np.ndarray, n_classes: int, min_instances: int, parent_h: float
 ) -> Optional[_Candidate]:
     n = values.shape[0]
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    sy = y_pos[order]
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), sy] = 1.0
-    cum = np.cumsum(onehot, axis=0)
-    pos = np.arange(1, n)
-    ok = (sv[1:] != sv[:-1]) & (pos >= min_instances) & ((n - pos) >= min_instances)
-    idxs = pos[ok]
+    order, boundary, mids = threshold_scan(values)
+    ok = (boundary >= min_instances) & ((n - boundary) >= min_instances)
+    idxs = boundary[ok]
     if idxs.size == 0:
         return None
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), y_pos[order]] = 1.0
+    cum = np.cumsum(onehot, axis=0)
     left = cum[idxs - 1]
     right = cum[-1] - left
     nl = idxs.astype(float)
@@ -86,7 +94,7 @@ def _numeric_candidate(
     best = int(np.argmax(gains))  # first max: lowest threshold wins ties
     i = int(idxs[best])
     gain = float(gains[best])
-    threshold = (float(sv[i - 1]) + float(sv[i])) / 2.0
+    threshold = float(mids[ok][best])
     split_h = entropy(np.array([i, n - i], dtype=float))
     ratio = gain / split_h if split_h > _EPS else 0.0
     return _Candidate(attr=-1, gain=gain, ratio=ratio, threshold=threshold)
@@ -171,45 +179,24 @@ def split_score(
 ) -> tuple[float, float]:
     """(information gain, gain ratio) of one split on the given instances.
 
-    Numeric attributes need an explicit threshold; nominal ones branch on
-    every level present.  A constant attribute scores zero.
+    Numeric attributes need an explicit threshold and are scored as a
+    two-level branch (``<=`` versus ``>``); nominal ones branch on every
+    level present.  A split with fewer than two non-empty branches scores
+    zero.
     """
     if X.shape[0] < 2:
         raise ValueError("need at least 2 instances to score a split")
     classes, y_pos = np.unique(y, return_inverse=True)
-    counts = np.bincount(y_pos, minlength=classes.size).astype(float)
-    parent_h = entropy(counts)
+    parent_h = entropy(np.bincount(y_pos).astype(float))
     col = X[:, attr]
-    kind = schema.attributes[attr].kind
-    if kind == NUMERIC:
+    if schema.attributes[attr].kind == NUMERIC:
         if threshold is None:
             raise ValueError("numeric splits need a threshold")
-        left = col <= threshold
-        sizes = np.array([left.sum(), (~left).sum()], dtype=float)
-        if (sizes == 0).any():
-            return 0.0, 0.0
-        h = np.array(
-            [
-                entropy(np.bincount(y_pos[left], minlength=classes.size).astype(float)),
-                entropy(np.bincount(y_pos[~left], minlength=classes.size).astype(float)),
-            ]
-        )
+        col, n_levels = ~(col <= threshold), 2
     else:
         n_levels = len(schema.attributes[attr].levels)
-        lv = col.astype(np.int64)
-        table = np.zeros((n_levels, classes.size))
-        np.add.at(table, (lv, y_pos), 1.0)
-        sizes = table.sum(axis=1)
-        present = sizes > 0
-        if present.sum() < 2:
-            return 0.0, 0.0
-        sizes = sizes[present]
-        h = _entropy_rows(table[present])
-    n = X.shape[0]
-    gain = parent_h - float((sizes * h).sum()) / n
-    split_h = entropy(sizes)
-    ratio = gain / split_h if split_h > _EPS else 0.0
-    return gain, ratio
+    cand = _nominal_candidate(col, y_pos, classes.size, n_levels, 1, parent_h)
+    return (0.0, 0.0) if cand is None else (cand.gain, cand.ratio)
 
 
 @dataclass
@@ -297,39 +284,31 @@ class DecisionTree:
     def leaves(self) -> Iterator[TreeNode]:
         return (leaf for leaf, _ in leaf_paths(self.root))
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0], dtype=np.int64)
-        self._fill(X, np.arange(X.shape[0]), out, scores=None)
-        return out
-
-    def class_scores(self, X: np.ndarray) -> np.ndarray:
-        k = len(self.classes)
-        scores = np.empty((X.shape[0], k))
-        out = np.empty(X.shape[0], dtype=np.int64)
-        self._fill(X, np.arange(X.shape[0]), out, scores=scores)
-        return scores
-
-    def _fill(self, X, idx_all, out, scores) -> None:
-        k = len(self.classes)
-        fallback = self.global_majority_pos
-        fallback_scores = (self.root.class_counts + 1.0) / (self.root.coverage + k)
-        stack = [(self.root, idx_all)]
+    def _deciding_leaf(self, X: np.ndarray) -> tuple[list[TreeNode], np.ndarray]:
+        """The tree's leaves and, per row, the index of the leaf it reaches,
+        or ``len(leaves)`` when a nominal level with no branch on its path
+        leaves it to the global majority."""
+        leaves = [node for node in _bfs(self.root) if node.is_leaf]
+        slot = {id(leaf): i for i, leaf in enumerate(leaves)}
+        out = np.full(X.shape[0], len(leaves), dtype=np.int64)
+        stack = [(self.root, np.arange(X.shape[0]))]
         while stack:
             node, idx = stack.pop()
-            if idx.size == 0:
-                continue
             if node.is_leaf:
-                out[idx] = self.classes[node.class_pos]
-                if scores is not None:
-                    scores[idx] = (node.class_counts + 1.0) / (node.coverage + k)
-                continue
-            parts, miss = node.partition(X, idx)
-            stack.extend(zip(node.children, parts))
-            if miss.size:
-                # level unseen on this path during training: global majority
-                out[miss] = self.classes[fallback]
-                if scores is not None:
-                    scores[miss] = fallback_scores
+                out[idx] = slot[id(node)]
+            elif idx.size:
+                stack.extend(zip(node.children, node.partition(X, idx)[0]))
+        return leaves, out
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        leaves, slots = self._deciding_leaf(X)
+        positions = [leaf.class_pos for leaf in leaves] + [self.global_majority_pos]
+        return np.asarray(self.classes, dtype=np.int64)[positions][slots]
+
+    def class_scores(self, X: np.ndarray) -> np.ndarray:
+        leaves, slots = self._deciding_leaf(X)
+        counts = [leaf.class_counts for leaf in leaves] + [self.root.class_counts]
+        return laplace_table(counts)[slots]
 
 
 def _grow_tree(
@@ -437,15 +416,14 @@ def _rep_prune(
             errors[id(node)] = subtree_err
 
 
-def refresh_counts(tree: DecisionTree, X: np.ndarray, y: np.ndarray) -> None:
-    """Recompute per-node class counts by routing the given instances.
+def refresh_counts(tree: DecisionTree, X: np.ndarray, y_pos: np.ndarray) -> None:
+    """Recompute per-node class counts by routing the given instances, whose
+    classes are given as positions in ``tree.classes``.
 
     Used after reduced-error pruning so stored distributions describe the
     whole training set, not just the growing partition.  Leaf classes are
     not changed.
     """
-    roster = {c: i for i, c in enumerate(tree.classes)}
-    y_pos = np.asarray([roster[v] for v in y], dtype=np.int64)
     k = len(tree.classes)
     stack = [(tree.root, np.arange(X.shape[0]))]
     while stack:
@@ -472,13 +450,8 @@ def build_tree(
     params: InductionParams,
 ) -> DecisionTree:
     """Grow and prune a decision tree over cluster-labeled instances."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    if X.shape[0] == 0:
-        raise ValueError("cannot build a tree from an empty training set")
-    classes, y_pos = np.unique(y, return_inverse=True)
-    n_classes = classes.size
-    all_idx = np.arange(X.shape[0])
+    X, classes, y_pos = encode_training_set(X, y)
+    n_classes = len(classes)
 
     if params.reduced_error_pruning and X.shape[0] >= params.folds_for_rep:
         rng = np.random.default_rng(params.seed)
@@ -487,13 +460,13 @@ def build_tree(
         global_majority = int(np.argmax(np.bincount(y_pos[grow_idx], minlength=n_classes)))
         if prune_idx.size:
             _rep_prune(root, X[prune_idx], y_pos[prune_idx], global_majority)
-        tree = DecisionTree(root, tuple(classes.tolist()), schema, params)
-        refresh_counts(tree, X, y)
+        tree = DecisionTree(root, classes, schema, params)
+        refresh_counts(tree, X, y_pos)
         return tree
 
-    root = _grow_tree(X, y_pos, all_idx, schema, n_classes, params.min_instances)
+    root = _grow_tree(X, y_pos, np.arange(X.shape[0]), schema, n_classes, params.min_instances)
     _pessimistic_prune(root, params.pruning_confidence)
-    return DecisionTree(root, tuple(classes.tolist()), schema, params)
+    return DecisionTree(root, classes, schema, params)
 
 
 def tree_to_rules(tree: DecisionTree) -> RuleSet:

@@ -21,7 +21,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .ingest import ConfigError, Window
+from .ingest import CUSTOMER_FIELDS, TRANSACTION_FIELDS, ConfigError, Window, format_amount
 
 AMOUNT_LOGNORMAL = "lognormal"
 AMOUNT_BELOW_THRESHOLD = "just_below_threshold"
@@ -264,20 +264,9 @@ def generate(
         assignment.extend([a_idx] * count)
 
     tx_writer = csv.writer(transactions, lineterminator="\n")
-    tx_writer.writerow(
-        [
-            "customer_id",
-            "account_id",
-            "timestamp",
-            "amount",
-            "direction",
-            "service_code",
-            "txn_type_code",
-            "counterparty_bank",
-        ]
-    )
+    tx_writer.writerow(TRANSACTION_FIELDS)
     reg_writer = csv.writer(register, lineterminator="\n")
-    reg_writer.writerow(["customer_id", "account_open_date"])
+    reg_writer.writerow(CUSTOMER_FIELDS)
     gt_writer = csv.writer(ground_truth, lineterminator="\n")
     gt_writer.writerow(["customer_id", "archetype"])
 
@@ -301,7 +290,7 @@ def generate(
                     customer_id,
                     account_id,
                     ts.isoformat(),
-                    f"{cents // 100}.{cents % 100:02d}",
+                    format_amount(cents),
                     direction,
                     svc,
                     ttype,

@@ -123,9 +123,18 @@ class TestGrid:
         assert all(r["attribute_kind"] == "nominal" for r in rows)
 
     def test_cell_layout(self):
-        cells = grid_cells([None, 100, 1000])
-        assert len(cells) == 30
-        assert [c.index for c in cells] == list(range(30))
+        options = [None, 100, 1000]
+        cells = grid_cells(options)
+        expected = [
+            (algorithm, mi, rep, split_mode)
+            for split_mode in ("holdout", "cross_validation")
+            for algorithm, reps in (("part", ("off", "on")), ("tree", ("off", "on")),
+                                    ("ripper", ("builtin",)))
+            for mi in options
+            for rep in reps
+        ]
+        assert len(expected) == 30
+        assert [(c.algorithm, c.min_instances, c.rep_flag, c.split_mode) for c in cells] == expected
 
 
 class TestParallelGrid:

@@ -71,6 +71,14 @@ class TestParseTransactions:
         assert len(records) == 2
         assert reader.errors[0].line_no == 3
 
+    def test_non_finite_amount_is_row_error(self):
+        text = HEADER + make_row() + make_row(amount="Infinity") + make_row(amount="12.00")
+        records, reader = read_all(text)
+        assert [r.amount_cents for r in records] == [1000, 1200]
+        assert [(e.line_no, e.reason) for e in reader.errors] == [
+            (3, "unparseable amount 'Infinity'")
+        ]
+
     def test_missing_header_column_is_config_error(self):
         bad = HEADER.replace("amount,", "amt,")
         with pytest.raises(ConfigError, match="amount"):
@@ -134,8 +142,9 @@ class TestAmountParsing:
             parse_amount_cents("1.005")
 
     def test_garbage_rejected(self):
-        with pytest.raises(ValueError):
-            parse_amount_cents("12,50")
+        for text in ("12,50", "NaN", "Infinity", "-inf", "sNaN", "1e400"):
+            with pytest.raises(ValueError, match="unparseable amount"):
+                parse_amount_cents(text)
 
     @given(st.integers(min_value=1, max_value=10**12))
     def test_format_roundtrip(self, cents):

@@ -1,4 +1,5 @@
 import contextlib
+import io
 import math
 import os
 import random
@@ -10,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amlprofiler.ingest import CustomerRecord, TransactionRecord, Window
+from amlprofiler.ingest import (
+    CustomerRecord,
+    TransactionRecord,
+    Window,
+    parse_transactions,
+    write_transactions,
+)
 from amlprofiler.profiling import (
     Attribute,
     AttributeSchema,
@@ -238,11 +245,15 @@ class TestPhase2:
     def test_permutation_invariance(self, ledger):
         txns, shuffled = ledger
         register = self.register("A", "B")
+        ledger_csv = io.StringIO()
+        write_transactions(shuffled, ledger_csv)
         with host_zone("UTC"):
             _, base = build_profiles_phase2(txns, register, EPOCH_WINDOW)
         for zone in ("UTC", "EST5EDT,M3.2.0,M11.1.0"):
             with host_zone(zone):
-                _, again = build_profiles_phase2(shuffled, register, EPOCH_WINDOW)
+                reader = parse_transactions(io.StringIO(ledger_csv.getvalue()), window=EPOCH_WINDOW)
+                _, again = build_profiles_phase2(reader, register, EPOCH_WINDOW)
+            assert reader.rejected == 0
             assert [p.values for p in again] == [p.values for p in base]
 
     def test_credit_matches_before_debit_at_equal_timestamps(self):

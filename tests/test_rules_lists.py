@@ -184,11 +184,11 @@ class TestDecisionListSemantics:
     def test_first_match_wins(self):
         rs = tiny_ruleset()
         # matches rule 0 (a0 <= 1) and rule 1 (a1 > 2): rule 0 fires
-        assert rs.predict_row([0.5, 3.0]) == 1
+        assert rs.predict(np.array([[0.5, 3.0]])).tolist() == [1]
 
     def test_unmatched_goes_to_default(self):
         rs = tiny_ruleset()
-        assert rs.predict_row([3.0, 1.0]) == 0
+        assert rs.predict(np.array([[3.0, 1.0]])).tolist() == [0]
 
     def test_batch_predict_matches_naive_scan(self):
         rs = tiny_ruleset()

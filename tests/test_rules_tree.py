@@ -216,8 +216,9 @@ class TestTreeToRules:
     def test_equivalence_on_ten_thousand_instances(self):
         rng = np.random.default_rng(7)
         schema = AttributeSchema(
-            (Attribute("x0"), Attribute("x1"), Attribute("c", NOMINAL, ("a", "b", "c")))
+            (Attribute("x0"), Attribute("x1"), Attribute("c", NOMINAL, ("a", "b", "c", "d")))
         )
+        # level "d" never occurs in training, so no node has a branch for it
         X_train = np.column_stack(
             [rng.normal(size=800), rng.normal(size=800), rng.integers(0, 3, 800).astype(float)]
         )
@@ -226,9 +227,12 @@ class TestTreeToRules:
         rs = tree_to_rules(tree)
         X_test = np.column_stack(
             [rng.normal(size=10_000), rng.normal(size=10_000),
-             rng.integers(0, 3, 10_000).astype(float)]
+             rng.integers(0, 4, 10_000).astype(float)]
         )
+        leaves, slots = tree._deciding_leaf(X_test)
+        assert (slots == len(leaves)).sum() > 1000  # the global-majority fallback is exercised
         assert np.array_equal(rs.predict(X_test), tree.predict(X_test))
+        assert np.array_equal(rs.class_scores(X_test), tree.class_scores(X_test))
 
     def test_no_contradictory_bounds(self):
         rng = np.random.default_rng(8)
