@@ -161,10 +161,14 @@ class ConfusionMatrix:
         if classes is None:
             classes = np.unique(np.concatenate([y_true, y_pred])).tolist()
         classes = tuple(int(c) for c in classes)
-        pos = {c: i for i, c in enumerate(classes)}
-        counts = np.zeros((len(classes), len(classes)), dtype=np.int64)
-        for t, p in zip(y_true, y_pred):
-            counts[pos[int(t)], pos[int(p)]] += 1
+        k = len(classes)
+        labels, ids = np.unique(np.concatenate([classes, y_true, y_pred]), return_inverse=True)
+        pos = np.full(labels.size, -1)
+        pos[ids[:k]] = np.arange(k)
+        pos_true, pos_pred = pos[ids[k:]].reshape(2, -1)
+        if (pos_true < 0).any() or (pos_pred < 0).any():
+            raise ValueError("a label is not in the class roster")
+        counts = np.bincount(pos_true * k + pos_pred, minlength=k * k).reshape(k, k)
         return ConfusionMatrix(classes, counts)
 
     @property

@@ -33,6 +33,8 @@ TRANSACTION_FIELDS = (
 )
 
 CUSTOMER_FIELDS = ("customer_id", "account_open_date")
+# Profiling logs each row's signed cents in a 64-bit integer array.
+MAX_AMOUNT_CENTS = 2**63 - 1
 
 
 class ConfigError(ValueError):
@@ -211,6 +213,8 @@ def _parse_row(
     cents = parse_amount_cents(row[idx["amount"]])
     if cents <= 0:
         raise ValueError(f"amount must be > 0, got {row[idx['amount']]!r}")
+    if cents > MAX_AMOUNT_CENTS:
+        raise ValueError(f"amount out of range, got {row[idx['amount']]!r}")
     direction = row[idx["direction"]].strip().lower()
     if direction not in (CREDIT, DEBIT):
         raise ValueError(f"direction must be credit or debit, got {row[idx['direction']]!r}")
@@ -316,15 +320,22 @@ def parse_customers(
     except StopIteration:
         raise ConfigError("empty register: no header row") from None
     idx = mapping.resolve(header)
+    n_cols = max(idx.values()) + 1
     customers: dict[str, CustomerRecord] = {}
     errors: list[RowError] = []
     for line_no, row in enumerate(reader, start=2):
         if not row:
             continue
-        try:
-            open_date = date.fromisoformat(row[idx["account_open_date"]])
-        except (ValueError, IndexError):
-            errors.append(RowError(line_no, f"unparseable account_open_date in {row!r}"))
+        message = None
+        if len(row) < n_cols:
+            message = f"expected at least {n_cols} columns, got {len(row)}"
+        else:
+            try:
+                open_date = date.fromisoformat(row[idx["account_open_date"]])
+            except ValueError:
+                message = f"unparseable account_open_date in {row!r}"
+        if message:
+            errors.append(RowError(line_no, message))
             if len(errors) > error_cap:
                 raise TooManyRowErrors(errors, error_cap)
             continue

@@ -7,6 +7,9 @@ order of increasing entropy, and as soon as one child keeps a real subtree
 the remaining siblings are left unexplored.  A node whose children all
 collapsed to leaves may itself collapse under the pessimistic error
 estimate, which is what keeps the extracted rules short.
+
+Numeric columns are sorted once per induction; every partial tree takes
+its nodes' orders from that one sort (see ``tree.restrict``).
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from .tree import (
     added_errors,
     entropy,
     leaf_paths,
+    presort,
+    restrict,
     stratified_two_way,
 )
 
@@ -43,6 +48,7 @@ log = logging.getLogger(__name__)
 @dataclass
 class _Frame:
     idx: np.ndarray
+    orders: np.ndarray  # idx in each numeric column's sorted order
     node: Optional[TreeNode] = None
     partitions: Optional[list[np.ndarray]] = None
     expansion_order: Optional[list[int]] = None
@@ -54,6 +60,7 @@ def _partial_tree(
     X: np.ndarray,
     y_pos: np.ndarray,
     idx: np.ndarray,
+    orders: np.ndarray,
     schema: AttributeSchema,
     n_classes: int,
     params: InductionParams,
@@ -63,7 +70,10 @@ def _partial_tree(
     keeps a real subtree.  Unexplored siblings stay as placeholder leaves.
     A node whose children all collapsed to leaves is itself collapsed when
     the pessimistic error estimate does not favour the split.
+
+    ``orders`` is the presorted numeric columns of all rows of ``X``.
     """
+    n_rows = X.shape[0]
 
     def node_for(node_idx: np.ndarray, split=None, expanded: bool = True) -> TreeNode:
         counts = np.bincount(y_pos[node_idx], minlength=n_classes).astype(float)
@@ -76,7 +86,7 @@ def _partial_tree(
         e = n - float(node.class_counts[node.class_pos])
         return e + added_errors(n, e, params.pruning_confidence)
 
-    stack = [_Frame(idx)]
+    stack = [_Frame(idx, restrict(orders, n_rows, idx))]
     finished: Optional[TreeNode] = None
     while stack:
         frame = stack[-1]
@@ -84,7 +94,7 @@ def _partial_tree(
             split = None
             if frame.idx.size >= 2 * params.min_instances:
                 split = _choose_split(
-                    X, y_pos, frame.idx, schema, n_classes, params.min_instances
+                    X, y_pos, frame.idx, frame.orders, schema, n_classes, params.min_instances
                 )
             if split is None:
                 finished = node_for(frame.idx)
@@ -108,8 +118,8 @@ def _partial_tree(
                 frame.blocked = True
 
         if not frame.blocked and frame.next_child < len(frame.partitions):
-            branch = frame.expansion_order[frame.next_child]
-            stack.append(_Frame(frame.partitions[branch]))
+            part = frame.partitions[frame.expansion_order[frame.next_child]]
+            stack.append(_Frame(part, restrict(frame.orders, n_rows, part)))
             continue
 
         # no more children to expand: placeholders for unexplored siblings
@@ -140,6 +150,7 @@ def part_induce(
     n_classes = len(classes)
     global_counts = np.bincount(y_pos, minlength=n_classes)
     global_majority = int(np.argmax(global_counts))
+    orders = presort(X, np.flatnonzero(schema.numeric_mask()))
 
     remaining = np.arange(X.shape[0])
     rules: list[Rule] = []
@@ -158,7 +169,7 @@ def part_induce(
             grow_idx = remaining
             prune_idx = np.empty(0, dtype=np.int64)
 
-        root = _partial_tree(X, y_pos, grow_idx, schema, n_classes, params)
+        root = _partial_tree(X, y_pos, grow_idx, orders, schema, n_classes, params)
         if not root.is_leaf and params.reduced_error_pruning and prune_idx.size:
             _rep_prune(root, X[prune_idx], y_pos[prune_idx], global_majority)
 

@@ -8,6 +8,12 @@ final condition sequences to maximize (p - n) / (p + n) on the remaining
 slack of the best seen.  Two optimization passes then re-grow each rule as
 a replacement and a revision, keeping whichever variant describes the data
 most cheaply.
+
+Each induction argsorts every numeric column once; a class's stage, and
+each refinement step within it, filters that order down to the rows still
+in play instead of sorting again.  A step scores every threshold of every
+numeric attribute, on both sides, from one cumulative positive count, and
+counts every nominal level in one table.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..profiling import NOMINAL, NUMERIC, AttributeSchema
+from ..profiling import NOMINAL, AttributeSchema
 from .model import (
     OP_EQ,
     OP_GT,
@@ -33,7 +39,15 @@ from .model import (
     encode_training_set,
     merge_conditions,
 )
-from .tree import stratified_two_way, threshold_scan
+from .tree import (
+    first_max_per_group,
+    level_table,
+    midpoint,
+    presort,
+    restrict,
+    stratified_two_way,
+    value_changes,
+)
 
 log = logging.getLogger(__name__)
 
@@ -91,19 +105,19 @@ class _Stage:
 
     X: np.ndarray
     is_pos: np.ndarray
+    orders: np.ndarray  # row ids in each numeric column's sorted order
     schema: AttributeSchema
     m_possible: int
     exp_fp_over_err: float
 
 
-def _count_possible_conditions(X: np.ndarray, schema: AttributeSchema) -> int:
-    total = 0
-    for j, attr in enumerate(schema.attributes):
-        if attr.kind == NOMINAL:
-            total += len(attr.levels)
-        else:
-            total += 2 * np.unique(X[:, j]).size
-    return max(total, 1)
+def _count_possible_conditions(X: np.ndarray, schema: AttributeSchema, orders: np.ndarray) -> int:
+    """Every level of each nominal attribute, plus both sides of every
+    distinct value of each numeric one (one more than its value changes)."""
+    numeric = np.flatnonzero(schema.numeric_mask())
+    changes = value_changes(X, numeric, orders)[1].size
+    total = sum(len(attr.levels) for attr in schema.attributes if attr.kind == NOMINAL)
+    return max(total + 2 * (changes + numeric.size), 1)
 
 
 def _covered_by_any(X: np.ndarray, rules_conditions: Sequence[Sequence[Condition]]) -> np.ndarray:
@@ -122,37 +136,53 @@ def _gain_vector(p: np.ndarray, n: np.ndarray, p0: int, n0: int) -> np.ndarray:
     return np.where(p > 0, gains, -math.inf)
 
 
-def _best_numeric_refinement(col, pos, p0, n0, min_coverage):
-    """Best (gain, op_rank, value) over all thresholds of one column.
+def _best_refinement(
+    stage: _Stage,
+    rows: np.ndarray,
+    orders: np.ndarray,
+    p0: int,
+    n0: int,
+    min_coverage: int,
+) -> Optional[Condition]:
+    """The refinement of highest positive FOIL gain covering at least
+    ``min_coverage`` of ``rows``, or None.
 
-    A single sorted scan yields the coverage of every '<= v' and '> v'
-    refinement; ties prefer '<=' and then the lowest threshold, matching
-    the scalar search order.
+    ``orders`` holds ``rows`` in each numeric column's sorted order, so one
+    cumulative positive count gives the coverage of every '<= v' and '> v'
+    refinement of every numeric attribute, scored with one ``_gain_vector``
+    call per side.  One (level, class) table gives every '= level' one.
+    Ties go to the lowest attribute, then '<=', '>', '=', then the lowest
+    value.
     """
-    order, boundary, mids = threshold_scan(col)
-    if boundary.size == 0:
+    X, is_pos, schema = stage.X, stage.is_pos, stage.schema
+    numeric = schema.numeric_mask()
+    ranked: list[tuple[tuple[float, int, int, float], Condition]] = []
+    columns = np.flatnonzero(numeric)
+    values, att, size = value_changes(X, columns, orders)
+    if att.size:
+        p_le = np.cumsum(is_pos[orders], axis=1)[att, size - 1].astype(float)
+        n_cov = size.astype(float)
+        for op_rank, (p_vec, cov) in enumerate(((p_le, n_cov), (p0 - p_le, rows.size - n_cov))):
+            gains = _gain_vector(p_vec, cov - p_vec, p0, n0)
+            ok = np.flatnonzero((cov >= min_coverage) & (gains > 0))
+            for i in ok[first_max_per_group(att[ok], gains[ok])].tolist():
+                j, value = int(columns[att[i]]), float(midpoint(values, att[i], size[i]))
+                key = (float(gains[i]), -j, -op_rank, -value)
+                ranked.append((key, Condition(j, (OP_LE, OP_GT)[op_rank], value)))
+    nominal = np.flatnonzero(~numeric)
+    if nominal.size:
+        n_levels = [len(schema.attributes[j].levels) for j in nominal]
+        table, bounds = level_table(X[np.ix_(rows, nominal)], is_pos[rows], 2, n_levels)
+        sizes = table.sum(axis=1)
+        for flat in np.flatnonzero((sizes >= min_coverage) & (table[:, 1] > 0)).tolist():
+            gain = foil_gain(p0, n0, int(table[flat, 1]), int(table[flat, 0]))
+            if gain > 0:
+                col = int(np.searchsorted(bounds, flat, side="right")) - 1
+                j, level = int(nominal[col]), float(flat - bounds[col])
+                ranked.append(((gain, -j, -2, -level), Condition(j, OP_EQ, level)))
+    if not ranked:
         return None
-    sp = np.cumsum(pos[order])
-    n_cov = boundary.astype(float)
-    p_le = sp[boundary - 1].astype(float)
-    total_p = float(sp[-1])
-    total = float(col.size)
-    best = None
-    for op_rank, (p_vec, cov) in enumerate(
-        ((p_le, n_cov), (total_p - p_le, total - n_cov))
-    ):
-        gains = _gain_vector(p_vec, cov - p_vec, p0, n0)
-        gains = np.where(cov >= min_coverage, gains, -math.inf)
-        i = int(np.argmax(gains))  # first max: lowest threshold wins ties
-        if gains[i] <= 0:
-            continue
-        cand = (float(gains[i]), -op_rank, -float(mids[i]), i)
-        if best is None or cand[:3] > best[0][:3]:
-            best = (cand, op_rank, float(mids[i]))
-    if best is None:
-        return None
-    (gain, _, _, _), op_rank, value = best
-    return gain, op_rank, value
+    return max(ranked, key=lambda kc: kc[0])[1]
 
 
 def _grow_rule(
@@ -166,44 +196,18 @@ def _grow_rule(
     X, is_pos = stage.X, stage.is_pos
     conditions = list(start)
     covered = grow_idx[covers(X[grow_idx], conditions)]
+    orders = restrict(stage.orders, X.shape[0], covered)
     while covered.size:
-        pos = is_pos[covered]
-        p0 = int(pos.sum())
+        p0 = int(is_pos[covered].sum())
         n0 = covered.size - p0
         if n0 == 0 or p0 == 0:
             break
-        # maximize (gain, then lowest attr, op order <=,>,=, lowest value)
-        best_key: Optional[tuple[float, int, int, float]] = None
-        best_cond: Optional[Condition] = None
-        for j, attr in enumerate(stage.schema.attributes):
-            col = X[covered, j]
-            if attr.kind == NUMERIC:
-                found = _best_numeric_refinement(col, pos, p0, n0, min_coverage)
-                if found is None:
-                    continue
-                gain, op_rank, value = found
-                key = (gain, -j, -op_rank, -value)
-                if best_key is None or key > best_key:
-                    best_key = key
-                    best_cond = Condition(j, (OP_LE, OP_GT)[op_rank], value)
-            else:
-                for level in range(len(attr.levels)):
-                    sel_mask = col == level
-                    size = int(sel_mask.sum())
-                    if size < min_coverage:
-                        continue
-                    p = int(pos[sel_mask].sum())
-                    gain = foil_gain(p0, n0, p, size - p)
-                    if gain <= 0:
-                        continue
-                    key = (gain, -j, -2, -float(level))
-                    if best_key is None or key > best_key:
-                        best_key = key
-                        best_cond = Condition(j, OP_EQ, float(level))
-        if best_cond is None:
+        best = _best_refinement(stage, covered, orders, p0, n0, min_coverage)
+        if best is None:
             break
-        conditions.append(best_cond)
-        covered = covered[covers(X[covered], (best_cond,))]
+        conditions.append(best)
+        covered = covered[covers(X[covered], (best,))]
+        orders = restrict(orders, X.shape[0], covered)
     return merge_conditions(conditions)
 
 
@@ -343,6 +347,7 @@ def ripper_induce(
     order = sorted(range(k), key=lambda c: (counts[c], c))
     default_pos = order[-1]
 
+    orders = presort(X, np.flatnonzero(schema.numeric_mask()))
     remaining = np.arange(X.shape[0])
     rules: list[Rule] = []
     for stage_no, class_pos in enumerate(order[:-1]):
@@ -352,11 +357,15 @@ def ripper_induce(
         stage_is_pos = y_pos[remaining] == class_pos
         if not stage_is_pos.any():
             continue
+        stage_row = np.empty(X.shape[0], dtype=np.int64)
+        stage_row[remaining] = np.arange(remaining.size)
+        stage_orders = stage_row[restrict(orders, X.shape[0], remaining)]
         stage = _Stage(
             X=stage_X,
             is_pos=stage_is_pos,
+            orders=stage_orders,
             schema=schema,
-            m_possible=_count_possible_conditions(stage_X, schema),
+            m_possible=_count_possible_conditions(stage_X, schema, stage_orders),
             exp_fp_over_err=float(stage_is_pos.sum()) / stage_is_pos.size,
         )
         accepted = _cover_class(stage, params, stage_no, [], np.arange(stage_X.shape[0]), 0)

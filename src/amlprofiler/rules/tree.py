@@ -7,6 +7,16 @@ information gain is at least the candidate average.  Pruning is bottom-up
 subtree replacement, either pessimistic (confidence-bound error estimates)
 or reduced-error against a held-out slice of the training data.
 
+The split search never sorts at a node.  Each induction argsorts every
+numeric column once (``presort``); a node's rows in each column's order are
+its parent's orders filtered by membership (``restrict``), which is what a
+stable argsort of the node's own values would give.  All numeric attributes
+of a node are then scored in one pass: one cumulative class count over the
+(attribute, position) grid and one entropy call over every admissible
+boundary.  Nominal attributes share one (level, class) table per node,
+built with a single ``bincount``.  This is the attribute-list scheme of
+SLIQ and SPRINT.
+
 Growth and pruning are iterative (explicit work lists), so tree depth is
 not limited by the interpreter recursion limit.
 """
@@ -17,7 +27,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -49,11 +59,11 @@ def entropy(counts: np.ndarray) -> float:
 
 
 def _entropy_rows(counts: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of each row of a count table."""
     totals = counts.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = counts / np.where(totals > 0, totals, 1)
-        logs = np.where(counts > 0, np.log2(np.where(counts > 0, frac, 1.0)), 0.0)
-    return -(frac * logs).sum(axis=1)
+    frac = counts / np.where(totals > 0, totals, 1)
+    # an absent class takes log2(0 + 1) = 0 exactly, so it adds 0 * 0
+    return -(frac * np.log2(frac + (counts == 0))).sum(axis=1)
 
 
 @dataclass
@@ -65,103 +75,187 @@ class _Candidate:
     levels: tuple[int, ...] = ()  # nominal splits: levels present at the node
 
 
-def threshold_scan(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stable sort order of ``values``, the prefix lengths of the sorted
-    values at which the value changes, and the midpoint threshold at each."""
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    boundary = np.flatnonzero(sv[1:] != sv[:-1]) + 1
-    return order, boundary, (sv[boundary - 1] + sv[boundary]) / 2.0
+def presort(X: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Row ids of ``X`` in the stable ascending order of each listed column,
+    one row per column: a (len(columns), N) matrix."""
+    return np.argsort(X[:, columns].T, axis=1, kind="stable")
 
 
-def _numeric_candidate(
-    values: np.ndarray, y_pos: np.ndarray, n_classes: int, min_instances: int, parent_h: float
-) -> Optional[_Candidate]:
-    n = values.shape[0]
-    order, boundary, mids = threshold_scan(values)
-    ok = (boundary >= min_instances) & ((n - boundary) >= min_instances)
-    idxs = boundary[ok]
-    if idxs.size == 0:
-        return None
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y_pos[order]] = 1.0
-    cum = np.cumsum(onehot, axis=0)
-    left = cum[idxs - 1]
-    right = cum[-1] - left
-    nl = idxs.astype(float)
-    nr = n - nl
-    gains = parent_h - (nl * _entropy_rows(left) + nr * _entropy_rows(right)) / n
-    best = int(np.argmax(gains))  # first max: lowest threshold wins ties
-    i = int(idxs[best])
-    gain = float(gains[best])
-    threshold = float(mids[ok][best])
-    split_h = entropy(np.array([i, n - i], dtype=float))
-    ratio = gain / split_h if split_h > _EPS else 0.0
-    return _Candidate(attr=-1, gain=gain, ratio=ratio, threshold=threshold)
+def restrict(orders: np.ndarray, n_rows: int, rows: np.ndarray) -> np.ndarray:
+    """The presorted ``orders`` filtered to ``rows``, a subset of their ids.
+
+    Filtering keeps each column's sorted order, so for ascending ``rows``
+    every row of the result is the stable argsort of that column over
+    ``rows``, found without sorting.
+    """
+    member = np.zeros(n_rows, dtype=bool)
+    member[rows] = True
+    return orders.compress(member[orders].ravel()).reshape(orders.shape[0], rows.size)
 
 
-def _nominal_candidate(
-    values: np.ndarray,
+def value_changes(
+    X: np.ndarray, columns: np.ndarray, orders: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A presorted scan of ``columns`` over a node's rows: their sorted
+    values, one row per column, and every point where a column's value
+    changes, as the row of its column and the number of sorted values at
+    or below it.  Changes run by column, then ascending."""
+    values = X[orders, columns[:, None]]
+    att, last = np.nonzero(values[:, 1:] != values[:, :-1])
+    return values, att, last + 1
+
+
+def midpoint(values: np.ndarray, att, size):
+    """The threshold of a value change found by ``value_changes``."""
+    return (values[att, size - 1] + values[att, size]) / 2.0
+
+
+def first_max_per_group(groups: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Index of the first maximum of ``scores`` within each run of equal,
+    ascending ``groups``."""
+    if groups.size == 0:
+        return groups
+    starts = np.flatnonzero(np.r_[True, groups[1:] != groups[:-1]])
+    peaks = np.repeat(np.maximum.reduceat(scores, starts), np.diff(np.r_[starts, scores.size]))
+    hits = np.flatnonzero(scores == peaks)
+    return hits[np.r_[True, groups[hits[1:]] != groups[hits[:-1]]]]
+
+
+def level_table(
+    codes: np.ndarray, labels: np.ndarray, n_labels: int, n_levels: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(level, label) counts of every nominal column at once.
+
+    ``codes`` holds one column per attribute; column j takes levels
+    ``range(n_levels[j])``.  Row ``bounds[j] + v`` of the table counts the
+    rows whose column j is level v, by label.
+    """
+    bounds = np.concatenate(([0], np.cumsum(n_levels, dtype=np.int64)))
+    keys = (codes.astype(np.int64) + bounds[:-1]) * n_labels + labels[:, None]
+    table = np.bincount(keys.ravel(), minlength=int(bounds[-1]) * n_labels)
+    return table.reshape(-1, n_labels), bounds
+
+
+def _numeric_splits(
+    X: np.ndarray,
     y_pos: np.ndarray,
-    n_classes: int,
-    n_levels: int,
+    orders: np.ndarray,
+    columns: np.ndarray,
+    counts: np.ndarray,
     min_instances: int,
     parent_h: float,
-) -> Optional[_Candidate]:
-    lv = values.astype(np.int64)
-    table = np.zeros((n_levels, n_classes))
-    np.add.at(table, (lv, y_pos), 1.0)
+) -> list[_Candidate]:
+    """The best admissible threshold of every numeric attribute at a node.
+
+    ``orders`` holds the node's rows in each column's sorted order and
+    ``counts`` its class counts.  Within an attribute the first maximum
+    wins, so ties go to the lowest threshold.
+    """
+    n = orders.shape[1]
+    values, att, size = value_changes(X, columns, orders)
+    ok = (size >= min_instances) & (n - size >= min_instances)
+    att, size = att[ok], size[ok]
+    if att.size == 0:
+        return []
+    # class counts of every sorted prefix: (attribute, position, class)
+    cum = np.zeros((*orders.shape, counts.size), dtype=np.int32)
+    cum.reshape(orders.size, -1)[np.arange(orders.size), y_pos[orders].ravel()] = 1
+    np.cumsum(cum, axis=1, out=cum)
+    left = cum[att, size - 1].astype(float)
+    right = counts - left
+    nl = size.astype(float)
+    nr = n - nl
+    gains = parent_h - (nl * _entropy_rows(left) + nr * _entropy_rows(right)) / n
+    best = first_max_per_group(att, gains)
+    split_h = _entropy_rows(np.stack([nl[best], nr[best]], axis=1))
+    return [
+        _Candidate(
+            attr=int(columns[att[i]]),
+            gain=float(gains[i]),
+            ratio=float(gains[i]) / h if h > _EPS else 0.0,
+            threshold=float(midpoint(values, att[i], size[i])),
+        )
+        for i, h in zip(best, split_h.tolist())
+    ]
+
+
+def _nominal_splits(
+    codes: np.ndarray,
+    y_pos: np.ndarray,
+    n_classes: int,
+    n_levels: Sequence[int],
+    min_instances: int,
+    parent_h: float,
+) -> list[_Candidate]:
+    """The one-branch-per-present-level split of every column of ``codes``
+    that has at least two levels present, none below ``min_instances``.
+    A candidate's ``attr`` is its column position in ``codes``."""
+    n = codes.shape[0]
+    table, bounds = level_table(codes, y_pos, n_classes, n_levels)
+    table = table.astype(float)
     sizes = table.sum(axis=1)
     present = sizes > 0
-    if present.sum() < 2:
-        return None
-    if (sizes[present] < min_instances).any():
-        return None
-    n = values.shape[0]
-    child_h = _entropy_rows(table[present])
-    gain = parent_h - float((sizes[present] * child_h).sum()) / n
-    split_h = entropy(sizes[present])
-    ratio = gain / split_h if split_h > _EPS else 0.0
-    return _Candidate(
-        attr=-1, gain=gain, ratio=ratio, levels=tuple(int(i) for i in np.flatnonzero(present))
-    )
+
+    def per_column(flags: np.ndarray) -> np.ndarray:
+        running = np.concatenate(([0], np.cumsum(flags)))
+        return running[bounds[1:]] - running[bounds[:-1]]
+
+    ok = (per_column(present) >= 2) & (per_column(present & (sizes < min_instances)) == 0)
+    rows = present & np.repeat(ok, n_levels)
+    weighted = sizes[rows] * _entropy_rows(table[rows])
+    p = sizes[rows] / n
+    terms = p * np.log2(p)
+    out = []
+    start = 0
+    for j in np.flatnonzero(ok).tolist():
+        levels = np.flatnonzero(present[bounds[j] : bounds[j + 1]])
+        stop = start + levels.size
+        gain = parent_h - float(weighted[start:stop].sum()) / n
+        split_h = float(-terms[start:stop].sum())
+        ratio = gain / split_h if split_h > _EPS else 0.0
+        out.append(_Candidate(attr=j, gain=gain, ratio=ratio, levels=tuple(levels.tolist())))
+        start = stop
+    return out
 
 
 def _choose_split(
     X: np.ndarray,
     y_pos: np.ndarray,
     idx: np.ndarray,
+    orders: np.ndarray,
     schema: AttributeSchema,
     n_classes: int,
     min_instances: int,
 ) -> Optional[_Candidate]:
     """Best admissible split at a node, or None.
 
-    Per attribute the best threshold is found first; across attributes the
-    winner maximizes gain ratio among candidates with info gain at least the
-    candidate average (and strictly positive).  Ties break to the lowest
-    attribute index.
+    ``orders`` holds the node's rows ``idx`` in each numeric column's sorted
+    order.  Per attribute the best threshold is found first; across
+    attributes the winner maximizes gain ratio among candidates with info
+    gain at least the candidate average (and strictly positive).  Ties break
+    to the lowest attribute index.
     """
     y_node = y_pos[idx]
     counts = np.bincount(y_node, minlength=n_classes).astype(float)
     parent_h = entropy(counts)
     if parent_h <= _EPS:
         return None
-    candidates: list[_Candidate] = []
-    for j, attr in enumerate(schema.attributes):
-        col = X[idx, j]
-        if attr.kind == NUMERIC:
-            cand = _numeric_candidate(col, y_node, n_classes, min_instances, parent_h)
-        else:
-            cand = _nominal_candidate(
-                col, y_node, n_classes, len(attr.levels), min_instances, parent_h
-            )
-        if cand is not None:
-            cand.attr = j
-            cand.gain = max(cand.gain, 0.0)
+    numeric = schema.numeric_mask()
+    candidates = _numeric_splits(
+        X, y_pos, orders, np.flatnonzero(numeric), counts, min_instances, parent_h
+    )
+    nominal = np.flatnonzero(~numeric)
+    if nominal.size:
+        n_levels = [len(schema.attributes[j].levels) for j in nominal]
+        codes = X[np.ix_(idx, nominal)]
+        for cand in _nominal_splits(codes, y_node, n_classes, n_levels, min_instances, parent_h):
+            cand.attr = int(nominal[cand.attr])
             candidates.append(cand)
     if not candidates:
         return None
+    candidates.sort(key=lambda c: c.attr)
+    for cand in candidates:
+        cand.gain = max(cand.gain, 0.0)
     # A zero-gain split stays admissible when nothing beats it (an xor-style
     # attribute pair needs one); the average-gain filter removes it whenever
     # any informative candidate exists.
@@ -195,8 +289,8 @@ def split_score(
         col, n_levels = ~(col <= threshold), 2
     else:
         n_levels = len(schema.attributes[attr].levels)
-    cand = _nominal_candidate(col, y_pos, classes.size, n_levels, 1, parent_h)
-    return (0.0, 0.0) if cand is None else (cand.gain, cand.ratio)
+    cand = _nominal_splits(col[:, None], y_pos, classes.size, [n_levels], 1, parent_h)
+    return (cand[0].gain, cand[0].ratio) if cand else (0.0, 0.0)
 
 
 @dataclass
@@ -319,18 +413,25 @@ def _grow_tree(
     n_classes: int,
     min_instances: int,
 ) -> TreeNode:
+    """Grow an unpruned tree over the rows ``idx`` of ``X``, sorting each
+    numeric column once."""
+    n_rows = X.shape[0]
+    orders = restrict(presort(X, np.flatnonzero(schema.numeric_mask())), n_rows, idx)
     holder: list[Optional[TreeNode]] = [None]
-    work = [(idx, holder, 0)]
+    work = [(idx, orders, holder, 0)]
     while work:
-        node_idx, container, pos = work.pop()
+        node_idx, orders, container, pos = work.pop()
         counts = np.bincount(y_pos[node_idx], minlength=n_classes).astype(float)
         split = None
         if node_idx.size >= 2 * min_instances:
-            split = _choose_split(X, y_pos, node_idx, schema, n_classes, min_instances)
+            split = _choose_split(X, y_pos, node_idx, orders, schema, n_classes, min_instances)
         node = container[pos] = TreeNode.for_split(counts, split)
         if split is not None:
             parts, _ = node.partition(X, node_idx)
-            work.extend((sub, node.children, b) for b, sub in enumerate(parts))
+            work.extend(
+                (sub, restrict(orders, n_rows, sub), node.children, b)
+                for b, sub in enumerate(parts)
+            )
     return holder[0]
 
 

@@ -64,27 +64,20 @@ def silhouette(
     if pairwise is None:
         pairwise = clustering.pairwise_distances(X, kind, schema)
 
-    uniq = np.unique(labels)
-    masks = {c: labels == c for c in uniq}
-    sizes = {c: int(masks[c].sum()) for c in uniq}
-    # Sum of distances from every point to each cluster, one matvec per cluster.
-    sums = {c: pairwise[:, masks[c]].sum(axis=1) for c in uniq}
-
-    total = 0.0
-    for c in uniq:
-        members = np.flatnonzero(masks[c])
-        if sizes[c] == 1:
-            continue  # convention: singleton points contribute 0
-        a = sums[c][members] / (sizes[c] - 1)
-        b = np.full(members.shape, np.inf)
-        for other in uniq:
-            if other == c:
-                continue
-            np.minimum(b, sums[other][members] / sizes[other], out=b)
-        denom = np.maximum(a, b)
-        s = np.where(denom > 0, (b - a) / np.where(denom > 0, denom, 1.0), 0.0)
-        total += float(s.sum())
-    return total / n
+    uniq, member = np.unique(labels, return_inverse=True)
+    sizes = np.bincount(member)
+    # Sum of distances from every point to each cluster, one product for all.
+    sums = pairwise @ np.eye(uniq.size)[member]
+    rows = np.arange(n)
+    own = sizes[member]
+    a = sums[rows, member] / np.maximum(own - 1, 1)
+    means = sums / sizes
+    means[rows, member] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    # convention: points alone in their cluster contribute 0
+    s = np.where((own > 1) & (denom > 0), (b - a) / np.where(denom > 0, denom, 1.0), 0.0)
+    return float(s.sum()) / n
 
 
 def sse(

@@ -187,6 +187,23 @@ class TestDiagnostics:
         assert "offset" in rejected[0]["reason"]
         assert len(csv_rows(tmp_path / "profiles.csv")) == 1
 
+    def test_amount_beyond_int64_cents_is_rejected_row(self, tmp_path):
+        (tmp_path / "register.csv").write_text("customer_id,account_open_date\nc1,2010-01-01\n")
+        (tmp_path / "transactions.csv").write_text(
+            "customer_id,account_id,timestamp,amount,direction,service_code,txn_type_code,"
+            "counterparty_bank\n"
+            "c1,a1,2014-03-08T12:00:00,10.00,credit,1,1,\n"
+            "c1,a1,2014-03-09T12:00:00,99999999999999999999.00,debit,1,1,\n"
+            "c1,a1,2014-03-10T12:00:00,92233720368547758.07,debit,1,1,\n"
+        )
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"window": {"start": "2014-01-01", "end": "2014-12-31"}}))
+        assert main(["--config", str(cfg_path), "--out-dir", str(tmp_path), "profile"]) == 0
+        rejected = csv_rows(tmp_path / "rejected_rows.csv")
+        assert [r["line_no"] for r in rejected] == ["3"]
+        assert "amount out of range" in rejected[0]["reason"]
+        assert len(csv_rows(tmp_path / "profiles.csv")) == 1
+
     @pytest.mark.parametrize("window", [
         {"start": "2014-01-01T00:00:00+02:00", "end": "2014-12-31"},
         {"start": "2014-01-01T00:00:00+02:00", "end": "2014-12-31T23:59:59+02:00"},

@@ -143,6 +143,19 @@ class TestConfusionMatrix:
         assert m.percent_correct == pytest.approx(100.0 * (y_true == y_pred).mean())
         assert m.total == 200
 
+    def test_counts_match_row_loop_in_roster_order(self):
+        rng = np.random.default_rng(2)
+        roster = (7, 2, 5, 3)
+        y_true = rng.choice(roster, 300)
+        y_pred = rng.choice(roster, 300)
+        expected = np.zeros((4, 4), dtype=np.int64)
+        for t, p in zip(y_true, y_pred):
+            expected[roster.index(t), roster.index(p)] += 1
+        m = ConfusionMatrix.from_predictions(y_true, y_pred, roster)
+        assert np.array_equal(m.counts, expected)
+        with pytest.raises(ValueError):
+            ConfusionMatrix.from_predictions(np.array([9]), np.array([2]), roster)
+
 
 class TestRoc:
     def test_perfect_ranking(self):

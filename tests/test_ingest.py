@@ -229,3 +229,12 @@ class TestRegister:
         customers, errors = parse_customers(io.StringIO(text))
         assert customers == {}
         assert errors[0].line_no == 2
+
+    def test_row_too_short_for_customer_id_is_rejected(self):
+        # customer_id comes after account_open_date, so a one-field row
+        # holds a date but no id
+        text = "account_open_date,customer_id\n2010-05-01,c1\n2011-01-01\n2012-02-02,c3\n"
+        customers, errors = parse_customers(io.StringIO(text))
+        assert set(customers) == {"c1", "c3"}
+        assert [e.line_no for e in errors] == [3]
+        assert "expected at least 2 columns" in errors[0].reason
