@@ -168,6 +168,18 @@ def _load_profiles(out_dir: Path, labeled: Optional[str] = None):
     return csv_path, schema_path, schema, profiles
 
 
+def _induction(args, config: dict) -> tuple[str, InductionParams]:
+    """The algorithm and induction parameters of ``rules`` and ``eval``."""
+    algorithm = args.algorithm or config.get("rules", {}).get("algorithm", "part")
+    params = _from_config(InductionParams, config, "rules", ("algorithm",), seed=args.seed,
+                          min_instances=args.min_instances,
+                          reduced_error_pruning=args.reduced_error_pruning or None)
+    if algorithm == "ripper" and params.reduced_error_pruning:
+        raise StageError("--reduced-error-pruning (rules.reduced_error_pruning) does not apply "
+                         "to ripper, which always prunes on its own pruning set")
+    return algorithm, params
+
+
 def _inducer(algorithm: str, schema: AttributeSchema, params: InductionParams):
     if algorithm == "part":
         return lambda X, y: part_induce(X, y, schema, params)
@@ -231,6 +243,7 @@ def cmd_profile(args, config: dict, out_dir: Path) -> StageResult:
             fh,
             ingest_cfg.column_mapping,
             window=window,
+            register=register,
             error_cap=ingest_cfg.error_cap,
             delimiter=ingest_cfg.delimiter,
         )
@@ -343,10 +356,7 @@ def cmd_cluster(args, config: dict, out_dir: Path) -> StageResult:
 
 def cmd_rules(args, config: dict, out_dir: Path) -> StageResult:
     path, _, schema, profiles = _load_profiles(out_dir, labeled=args.attribute_kind)
-    algorithm = args.algorithm or config.get("rules", {}).get("algorithm", "part")
-    params = _from_config(InductionParams, config, "rules", ("algorithm",), seed=args.seed,
-                          min_instances=args.min_instances,
-                          reduced_error_pruning=args.reduced_error_pruning or None)
+    algorithm, params = _induction(args, config)
     model = _inducer(algorithm, schema, params)(profile_matrix(profiles), profile_labels(profiles))
     ruleset = tree_to_rules(model) if algorithm == "tree" else model
     write_json(out_dir / RULESET_JSON, ruleset_to_json(ruleset))
@@ -363,10 +373,7 @@ def cmd_rules(args, config: dict, out_dir: Path) -> StageResult:
 
 def cmd_eval(args, config: dict, out_dir: Path) -> StageResult:
     path, _, schema, profiles = _load_profiles(out_dir, labeled=args.attribute_kind)
-    algorithm = args.algorithm or config.get("rules", {}).get("algorithm", "part")
-    params = _from_config(InductionParams, config, "rules", ("algorithm",), seed=args.seed,
-                          min_instances=args.min_instances,
-                          reduced_error_pruning=args.reduced_error_pruning or None)
+    algorithm, params = _induction(args, config)
     spec = _from_config(evaluation.SplitSpec, config, "split", mode=args.split_mode, seed=args.seed)
     report = evaluation.evaluate_inducer(
         _inducer(algorithm, schema, params), profile_matrix(profiles), profile_labels(profiles), spec

@@ -49,7 +49,7 @@ def load_ledger(out_dir, window):
     with open(out_dir / "register.csv", newline="") as fh:
         customers, _ = parse_customers(fh)
     with open(out_dir / "transactions.csv", newline="") as fh:
-        reader = parse_transactions(fh, window=window, error_cap=100)
+        reader = parse_transactions(fh, window=window, register=customers, error_cap=100)
         stream = filter_insignificant(reader, FILTER)
         schema, profiles = build_profiles_phase2(stream, customers, window)
     return schema, profiles

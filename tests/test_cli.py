@@ -236,6 +236,23 @@ class TestDiagnostics:
         assert f"unknown {section} options in config: {sorted(options)}" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["rules", "eval"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_ripper_refuses_reduced_error_pruning(self, pipeline_dir, tmp_path, capsys,
+                                                  command, source):
+        out, _ = pipeline_dir
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(
+            {"rules": {"reduced_error_pruning": True}} if source == "config" else {}))
+        argv = ["--config", str(cfg_path), "--out-dir", str(out), command, "--algorithm", "ripper"]
+        if source == "flag":
+            argv.append("--reduced-error-pruning")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--reduced-error-pruning" in capsys.readouterr().err
+
+
 class TestRuntimeDependencies:
     def test_cli_import_loads_no_scipy(self):
         src = str(Path(amlprofiler.__file__).resolve().parent.parent)

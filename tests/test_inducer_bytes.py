@@ -17,7 +17,8 @@ from amlprofiler.manifest import sha256_file
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "pipeline.example.json"
 
 # sha256 of ruleset.json, knowledge_base.json and evaluation.json (10-fold
-# cross-validation), keyed by (algorithm, attribute kind, reduced-error pruning)
+# cross-validation), keyed by (algorithm, attribute kind, reduced-error pruning
+# with --min-instances 5; for ripper only --min-instances 5)
 DIGESTS = {
     ("part", "nominal", False): (
         "a0537ec8d964e127cfcc849c4939eabcd9ff515cad0b97401a93b8bcc1331186",
@@ -45,8 +46,8 @@ DIGESTS = {
         "7ccfa1acd5e3938a6cdf1b51308952fc35d1b9c89f784b8055c48799993354dd",
     ),
     ("ripper", "nominal", True): (
-        "f1a58756b7c93abfefd853c961ec246ad101a6d489d96b7947a782e6e0bff87b",
-        "de413b2d2f964a2c8203c94bc5d2d5d9de0f2932023f43c75a9306bbd0ffce58",
+        "e86078c5de8d36ded473208e9bda2941fdb0fd7d53933303759275b27a95037e",
+        "90b6bdea4617506cee59f4cf7932c50b5f016c34603b50240860f5538c81bed1",
         "7ccfa1acd5e3938a6cdf1b51308952fc35d1b9c89f784b8055c48799993354dd",
     ),
     ("ripper", "numeric", False): (
@@ -55,8 +56,8 @@ DIGESTS = {
         "9a9293cc3ca20f5fc6c7d515735e763f1253bce62701fe235628808bce3f8467",
     ),
     ("ripper", "numeric", True): (
-        "b823abb052ea28973cedc683f6886c351f7cc0ce73e2c1785723145cb2b54280",
-        "d20fd2a1f3bbf2cdecb4b7446cbf84cebc746cdf59ac8a9f7022a5ff9005a3e3",
+        "5e22b63a0a5dd95e0f40f7933cf85c3bd5a2e90b540eb36a1b7797072422e778",
+        "c2c573156b9d88a437455af62652597361b6c415d3b128df408c731e365277d5",
         "9a9293cc3ca20f5fc6c7d515735e763f1253bce62701fe235628808bce3f8467",
     ),
     ("tree", "nominal", False): (
@@ -97,7 +98,10 @@ def test_artifacts_match_recorded_digests(labeled_dir, algorithm, kind, rep):
     out, args = labeled_dir
     induction = ["--algorithm", algorithm, "--attribute-kind", kind]
     if rep:
-        induction += ["--reduced-error-pruning", "--min-instances", "5"]
+        # RIPPER prunes on its own pruning set and refuses the flag
+        induction += ["--min-instances", "5"]
+        if algorithm != "ripper":
+            induction.append("--reduced-error-pruning")
     assert main([*args, "rules", *induction]) == 0
     assert main([*args, "export-kb"]) == 0
     assert main([*args, "eval", *induction, "--split-mode", "cross_validation"]) == 0

@@ -1,23 +1,29 @@
+import csv
 import io
 from datetime import datetime
-from decimal import Decimal
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amlprofiler import ingest
 from amlprofiler.ingest import (
+    TRANSACTION_FIELDS,
     ColumnMapping,
     ConfigError,
     FilterPolicy,
     FilterStats,
+    RowError,
     TooManyRowErrors,
+    TransactionChunk,
     TransactionRecord,
     Window,
     filter_insignificant,
     format_amount,
     parse_amount_cents,
     parse_customers,
+    _parse_row,
     parse_transactions,
     write_transactions,
 )
@@ -38,26 +44,36 @@ def make_row(
     return f"{cid},acc1,{ts},{amount},{direction},{service},{ttype},{counterparty}\n"
 
 
-def read_all(text, **kw):
-    reader = parse_transactions(io.StringIO(text), **kw)
-    return list(reader), reader
+def read_all(text, register=frozenset({"c1"}), **kw):
+    """All accepted rows as one chunk, and the reader."""
+    reader = parse_transactions(io.StringIO(text), register=register, **kw)
+    return concat(list(reader)), reader
+
+
+def concat(chunks):
+    return TransactionChunk.concat([TransactionChunk.from_records([]), *chunks])
+
+
+def assert_chunks_equal(a, b):
+    for name in ("customer_id", "timestamp", "month", "cents", "service_code",
+                 "txn_type_code", "interbank"):
+        assert getattr(a, name).tolist() == getattr(b, name).tolist(), name
 
 
 class TestParseTransactions:
     def test_well_formed_row(self):
-        records, reader = read_all(HEADER + make_row())
-        assert len(records) == 1
-        r = records[0]
-        assert r.customer_id == "c1"
-        assert r.amount == Decimal("10.00")
-        assert r.amount_cents == 1000
-        assert r.direction == "credit"
-        assert r.counterparty_bank is None
+        chunk, reader = read_all(HEADER + make_row())
+        assert len(chunk) == 1
+        assert chunk.customer_id.tolist() == ["c1"]
+        assert chunk.cents.tolist() == [1000]  # credits are positive
+        assert chunk.timestamp.tolist() == [(datetime(2014, 3, 5, 10) - datetime(1970, 1, 1)).total_seconds()]
+        assert chunk.month.tolist() == [(2014 - 1970) * 12 + 2]
+        assert chunk.interbank.tolist() == [False]
         assert reader.accepted == 1 and reader.rejected == 0
 
     def test_zero_amount_is_row_error(self):
-        records, reader = read_all(HEADER + make_row(amount="0.00"))
-        assert records == []
+        chunk, reader = read_all(HEADER + make_row(amount="0.00"))
+        assert len(chunk) == 0
         assert reader.rejected == 1
         assert "amount" in reader.errors[0].reason
 
@@ -67,14 +83,14 @@ class TestParseTransactions:
 
     def test_bad_timestamp_reported_with_line_number(self):
         text = HEADER + make_row() + make_row(ts="not-a-date") + make_row()
-        records, reader = read_all(text)
-        assert len(records) == 2
+        chunk, reader = read_all(text)
+        assert len(chunk) == 2
         assert reader.errors[0].line_no == 3
 
     def test_non_finite_amount_is_row_error(self):
         text = HEADER + make_row() + make_row(amount="Infinity") + make_row(amount="12.00")
-        records, reader = read_all(text)
-        assert [r.amount_cents for r in records] == [1000, 1200]
+        chunk, reader = read_all(text)
+        assert chunk.cents.tolist() == [1000, 1200]
         assert [(e.line_no, e.reason) for e in reader.errors] == [
             (3, "unparseable amount 'Infinity'")
         ]
@@ -97,8 +113,9 @@ class TestParseTransactions:
                 parts.append(make_row(amount="bogus"))
             else:
                 parts.append(make_row(cid=f"c{i % 50}", amount=f"{(i % 90) + 1}.25"))
-        reader = parse_transactions(io.StringIO("".join(parts)), error_cap=10)
-        count = sum(1 for _ in reader)
+        register = {f"c{i}" for i in range(50)}
+        reader = parse_transactions(io.StringIO("".join(parts)), register=register, error_cap=10)
+        count = sum(len(chunk) for chunk in reader)
         assert count == n_rows - 3 == 999_997
         assert reader.accepted == 999_997
         assert reader.rejected == 3
@@ -125,8 +142,8 @@ class TestParseTransactions:
             }
         )
         text = "cust,acct,when,value,dir,svc,typ,bank\n" + make_row()
-        records, _ = read_all(text, mapping=mapping)
-        assert records[0].customer_id == "c1"
+        chunk, _ = read_all(text, mapping=mapping)
+        assert chunk.customer_id.tolist() == ["c1"]
 
 
 class TestAmountParsing:
@@ -153,41 +170,49 @@ class TestAmountParsing:
 
 class TestRoundTrip:
     def test_serialize_reparse_identity(self):
-        text = HEADER + "".join(
-            make_row(cid=f"c{i}", amount=f"{i + 1}.3{i % 10}", service=i % 5,
-                     ttype=i % 3, counterparty="BANK_01" if i % 2 else "")
+        records = [
+            TransactionRecord(f"c{i}", "a", datetime(2014, 1 + i % 12, 1 + i, i % 24, i, 59 - i),
+                              (i + 1) * 100 + 30 + i % 10, ("credit", "debit")[i % 2], i % 5,
+                              i % 3, "BANK_01" if i % 3 else None)
             for i in range(25)
-        )
-        records, _ = read_all(text)
+        ]
         buf = io.StringIO()
         write_transactions(records, buf)
-        buf.seek(0)
-        again, _ = read_all(buf.getvalue())
-        assert again == records
+        rows = csv.reader(io.StringIO(buf.getvalue()))
+        idx = ColumnMapping.identity().resolve(next(rows))
+        assert [_parse_row(row, idx, None) for row in rows] == records
+        chunk, reader = read_all(buf.getvalue(), register={r.customer_id for r in records})
+        assert reader.rejected == 0
+        assert_chunks_equal(chunk, TransactionChunk.from_records(records))
 
 
 class TestFilter:
-    def records(self, codes):
-        return [
+    def chunks(self, codes):
+        """Two chunks holding rows with the given type codes."""
+        records = [
             TransactionRecord(f"c{i}", "a", datetime(2014, 1, 2), 100, "credit", 1, code, None)
             for i, code in enumerate(codes)
         ]
+        half = len(records) // 2
+        return [TransactionChunk.from_records(records[:half]),
+                TransactionChunk.from_records(records[half:])]
 
     def test_excludes_codes(self):
-        out = list(filter_insignificant(self.records([1, 99, 2]), FilterPolicy(frozenset({99}))))
-        assert [r.txn_type_code for r in out] == [1, 2]
+        out = list(filter_insignificant(self.chunks([1, 99, 2]), FilterPolicy(frozenset({99}))))
+        assert concat(out).txn_type_code.tolist() == [1, 2]
+        assert concat(out).customer_id.tolist() == ["c0", "c2"]
 
     def test_empty_policy_is_identity(self):
-        records = self.records([1, 2, 3])
-        assert list(filter_insignificant(records, FilterPolicy())) == records
+        chunks = self.chunks([1, 2, 3])
+        assert list(filter_insignificant(chunks, FilterPolicy())) == chunks
 
     def test_all_filtered_warns(self, caplog):
         stats = FilterStats()
         with caplog.at_level("WARNING"):
             out = list(
-                filter_insignificant(self.records([9, 9]), FilterPolicy(frozenset({9})), stats)
+                filter_insignificant(self.chunks([9, 9]), FilterPolicy(frozenset({9})), stats)
             )
-        assert out == []
+        assert len(concat(out)) == 0
         assert stats.dropped == 2 and stats.kept == 0
         assert any("removed all" in m for m in caplog.messages)
 
@@ -196,9 +221,9 @@ class TestFilter:
     @settings(max_examples=50)
     def test_idempotent(self, codes, excluded):
         policy = FilterPolicy(frozenset(excluded))
-        once = list(filter_insignificant(self.records(codes), policy))
+        once = list(filter_insignificant(self.chunks(codes), policy))
         twice = list(filter_insignificant(iter(once), policy))
-        assert twice == once
+        assert_chunks_equal(concat(twice), concat(once))
 
 
 class TestWindow:
@@ -238,3 +263,147 @@ class TestRegister:
         assert set(customers) == {"c1", "c3"}
         assert [e.line_no for e in errors] == [3]
         assert "expected at least 2 columns" in errors[0].reason
+
+
+class TestRegisterDuplicates:
+    def test_duplicate_customer_is_rejected_row_naming_first_line(self):
+        text = ("customer_id,account_open_date\n"
+                "c1,2010-05-01\nc2,2011-01-01\nc1,2012-02-02\nc1,2013-03-03\n")
+        customers, errors = parse_customers(io.StringIO(text))
+        assert customers["c1"].account_open_date.year == 2010
+        assert set(customers) == {"c1", "c2"}
+        assert [(e.line_no, e.reason) for e in errors] == [
+            (4, "duplicate customer_id 'c1', first on line 2"),
+            (5, "duplicate customer_id 'c1', first on line 2"),
+        ]
+
+
+# ---------------------------------------------------------------------------
+# The columnar reader against the row-at-a-time parse it replaced
+
+DIFF_WINDOW = Window(datetime(2014, 1, 1), datetime(2016, 12, 31, 23, 59, 59))
+REGISTER_IDS = frozenset({"c1", "c2", "c3"})
+
+
+def row_at_a_time(text, window, register, error_cap):
+    """Accepted records and errors of a sequential parse with ``_parse_row``,
+    or the errors and ``TooManyRowErrors`` when it aborts."""
+    records, errors = [], []
+    reader = csv.reader(io.StringIO(text))
+    idx = ColumnMapping.identity().resolve(next(reader))
+    n_cols = max(idx.values()) + 1
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) < n_cols:
+            reason = f"expected at least {n_cols} columns, got {len(row)}"
+        else:
+            try:
+                record = _parse_row(row, idx, window)
+            except ValueError as exc:
+                reason = str(exc)
+            else:
+                if record.customer_id in register:
+                    records.append(record)
+                    continue
+                reason = f"customer {record.customer_id!r} not in register"
+        errors.append(RowError(line_no, reason))
+        if len(errors) > error_cap:
+            return None, errors
+    return records, errors
+
+
+def row_tuples(chunk):
+    columns = (chunk.customer_id, chunk.timestamp, chunk.month, chunk.cents,
+               chunk.service_code, chunk.txn_type_code, chunk.interbank)
+    return sorted(zip(*(c.tolist() for c in columns)))
+
+
+FIELD_MUTATIONS = {
+    "customer_id": ["c1 ", "C1", "GHOST", "", "c\x001"],
+    "timestamp": [
+        "2014-02-29T10:00:00", "2016-02-29T10:00:00", "2014-03-05T24:00:00",
+        "2014-03-05T23:59:60", "2014-03-05T10:00:00.123456", "2014-03-05T10:00:00Z",
+        "2014-03-05T10:00:00+02:00", "2014-03-05 10:00:00", "2014-03-05", " 2014-03-05T10:00:00",
+        "2014-03-05T10:00", "٢٠١٤-03-05T10:00:00", "2014-13-05T10:00:00", "0000-01-01T00:00:00",
+        "2013-12-31T23:59:59", "2017-01-01T00:00:00", "2014-03-05T10:00:00\x00", "",
+    ],
+    "amount": [
+        "1.005", "12345678901234567890", "99999999999999999999.00", "92233720368547758.07",
+        "92233720368547758.08", "7", "3.5", " 10.00", "10.00 ", "+10.00", "1_0.00", "١٠.00",
+        "1².00", "１0.00", "-3.00", "0.00", "00.50", "1e3", "NaN", ".50", "10.", "10.0\x00", "",
+        "123456789012345.001", "123456789012345.00x", "1234567890123456.00",
+    ],
+    "direction": ["Credit", "DEBIT", "credit ", " debit", "credits", "cred", ""],
+    "service_code": ["+3", " 3", "3 ", "1_0", "٣", "²", "-4", "1234567890", "99999999999999999999", ""],
+    "txn_type_code": ["+99", "99 ", "٩٩", "0099", ""],
+    "counterparty_bank": [" ", "BANK,01", "BANK\n01", "\x00"],
+}
+
+
+@st.composite
+def mutated_ledgers(draw):
+    """A ledger text of canonical rows, some with a mutated field, some with
+    an extra or a missing field, some quoted, some empty."""
+    canonical = st.fixed_dictionaries({
+        "customer_id": st.sampled_from(["c1", "c2", "c3"]),
+        "account_id": st.just("a1"),
+        "timestamp": st.datetimes(datetime(2013, 12, 31, 23), datetime(2017, 1, 1, 1)).map(
+            lambda t: t.replace(microsecond=0).isoformat()),
+        "amount": st.integers(1, 10**15).map(format_amount),
+        "direction": st.sampled_from(["credit", "debit"]),
+        "service_code": st.integers(0, 10**9).map(str),
+        "txn_type_code": st.sampled_from(["1", "4", "99"]),
+        "counterparty_bank": st.sampled_from(["", "BANK_01"]),
+    })
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(TRANSACTION_FIELDS))
+    for fields in draw(st.lists(canonical, max_size=40)):
+        row = [fields[f] for f in TRANSACTION_FIELDS]
+        for field in draw(st.lists(st.sampled_from(sorted(FIELD_MUTATIONS)), max_size=2)):
+            row[TRANSACTION_FIELDS.index(field)] = draw(st.sampled_from(FIELD_MUTATIONS[field]))
+        shape = draw(st.sampled_from(["plain"] * 6 + ["extra", "missing", "empty", "quoted"]))
+        if shape == "extra":
+            row.append("x")
+        elif shape == "missing":
+            row = row[: draw(st.integers(1, len(row) - 1))]
+        elif shape == "empty":
+            row = []
+        if shape == "quoted":
+            buf.write(",".join(f'"{v}"' for v in row) + "\n")
+        else:
+            writer.writerow(row)
+    return buf.getvalue()
+
+
+class TestColumnarReader:
+    @given(
+        mutated_ledgers(),
+        st.sampled_from([REGISTER_IDS, REGISTER_IDS | set(FIELD_MUTATIONS["customer_id"])]),
+        st.sampled_from([0, 2, 5, 1000]),
+        st.sampled_from([3, 7, 2048]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_row_at_a_time_parse(self, text, register, error_cap, chunk_rows):
+        expected, expected_errors = row_at_a_time(text, DIFF_WINDOW, register, error_cap)
+        reader = parse_transactions(io.StringIO(text), window=DIFF_WINDOW, register=register,
+                                    error_cap=error_cap)
+        with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
+            if expected is None:
+                with pytest.raises(TooManyRowErrors) as exc:
+                    list(reader)
+                assert exc.value.errors == expected_errors
+                return
+            chunks = list(reader)
+        assert reader.errors == expected_errors
+        assert reader.rejected == len(expected_errors)
+        assert reader.accepted == len(expected)
+        assert row_tuples(concat(chunks)) == row_tuples(TransactionChunk.from_records(expected))
+
+    def test_canonical_rows_take_the_array_path(self):
+        text = HEADER + make_row() + make_row(direction="debit", counterparty="B")
+        with mock.patch.object(ingest, "_parse_row", side_effect=AssertionError):
+            chunk, reader = read_all(text, window=WINDOW, register={"c1"})
+        assert chunk.cents.tolist() == [1000, -1000]
+        assert chunk.interbank.tolist() == [False, True]

@@ -4,6 +4,7 @@ import math
 import os
 import random
 import time
+from collections import deque
 from datetime import date, datetime
 
 import numpy as np
@@ -12,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amlprofiler.ingest import (
+    MAX_AMOUNT_CENTS,
     CustomerRecord,
+    TransactionChunk,
     TransactionRecord,
     Window,
     parse_transactions,
@@ -22,11 +25,11 @@ from amlprofiler.profiling import (
     Attribute,
     AttributeSchema,
     CustomerProfile,
-    UnknownCustomerError,
     apply_discretization,
     bin_index,
     build_profiles_phase1,
     build_profiles_phase2,
+    fifo_lag,
     fit_discretization,
 )
 
@@ -37,6 +40,10 @@ def txn(cid, month, day, amount_cents, direction, svc=1, ttype=1, cp=None, hour=
     return TransactionRecord(
         cid, f"acc_{cid}", datetime(2014, month, day, hour), amount_cents, direction, svc, ttype, cp
     )
+
+
+def chunked(txns):
+    return [TransactionChunk.from_records(txns)]
 
 
 def by_name(schema, profile, name):
@@ -99,6 +106,43 @@ def epoch_ledgers(draw):
     return txns, draw(st.permutations(txns))
 
 
+def fifo_walk(timestamp, cents):
+    """The queue walk the vectorised ``fifo_lag`` replaced: each debit takes
+    the oldest outstanding credits first, piece by piece."""
+    queue = deque()
+    weighted, matched = 0.0, 0
+    for ts, c in zip(timestamp.tolist(), cents.tolist()):
+        if c > 0:
+            queue.append([c, ts])
+            continue
+        remaining = -c
+        while remaining > 0 and queue:
+            entry = queue[0]
+            take = entry[0] if entry[0] <= remaining else remaining
+            weighted += take * (ts - entry[1])
+            matched += take
+            remaining -= take
+            entry[0] -= take
+            if entry[0] == 0:
+                queue.popleft()
+    return weighted, matched
+
+
+@st.composite
+def event_logs(draw):
+    """One customer's events in FIFO order, with repeated timestamps and
+    amounts; sometimes amounts near the int64 limit."""
+    big = draw(st.booleans())
+    amounts = (st.integers(MAX_AMOUNT_CENTS - 10**6, MAX_AMOUNT_CENTS) if big
+               else st.sampled_from([1, 7, 100, 250, 1000]) | st.integers(1, 10**6))
+    times = st.sampled_from([0.0, 60.0, 86400.0, 86401.0]) | st.integers(0, 10**8).map(float)
+    events = draw(st.lists(st.tuples(times, amounts, st.booleans()), max_size=40))
+    ts = np.array([t for t, _, _ in events], dtype=np.float64)
+    cents = np.array([c if credit else -c for _, c, credit in events], dtype=np.int64)
+    fifo = np.lexsort((np.abs(cents), cents < 0, ts))
+    return ts[fifo], cents[fifo]
+
+
 class TestPhase1:
     def ledger(self):
         txns = []
@@ -122,7 +166,7 @@ class TestPhase1:
 
     def test_monthly_average_forced(self):
         txns, register = self.ledger()
-        schema, profiles = build_profiles_phase1(txns, register, Q1)
+        schema, profiles = build_profiles_phase1(chunked(txns), register, Q1)
         a = next(p for p in profiles if p.customer_id == "A")
         assert by_name(schema, a, "monthly_txns_avg") == 2.0
         assert by_name(schema, a, "monthly_credits_avg") == 2.0
@@ -131,7 +175,7 @@ class TestPhase1:
 
     def test_zero_variance_customer(self):
         txns, register = self.ledger()
-        schema, profiles = build_profiles_phase1(txns, register, Q1)
+        schema, profiles = build_profiles_phase1(chunked(txns), register, Q1)
         a = next(p for p in profiles if p.customer_id == "A")
         for name in schema.names:
             if name.endswith("_std"):
@@ -140,7 +184,7 @@ class TestPhase1:
     def test_constructed_ledger_exact_table(self):
         # expectations hand-aggregated from the ledger definition
         txns, register = self.ledger()
-        schema, profiles = build_profiles_phase1(txns, register, Q1)
+        schema, profiles = build_profiles_phase1(chunked(txns), register, Q1)
         b = next(p for p in profiles if p.customer_id == "B")
         assert by_name(schema, b, "monthly_txns_avg") == pytest.approx(4 / 3)
         assert by_name(schema, b, "monthly_txns_std") == pytest.approx(math.sqrt(14) / 3)
@@ -158,14 +202,23 @@ class TestPhase1:
 
     def test_profile_count_equals_distinct_customers(self):
         txns, register = self.ledger()
-        _, profiles = build_profiles_phase1(txns, register, Q1)
+        _, profiles = build_profiles_phase1(chunked(txns), register, Q1)
         assert sorted(p.customer_id for p in profiles) == ["A", "B", "C"]
 
     def test_unknown_customer_rejected(self):
         txns, register = self.ledger()
         txns.append(txn("GHOST", 1, 5, 100, "credit"))
-        with pytest.raises(UnknownCustomerError, match="GHOST"):
-            build_profiles_phase1(txns, register, Q1)
+        ledger = io.StringIO()
+        write_transactions(txns, ledger)
+        reader = parse_transactions(io.StringIO(ledger.getvalue()), window=Q1, register=register)
+        _, profiles = build_profiles_phase1(reader, register, Q1)
+        # the header is line 1, so the last of len(txns) rows is on line len(txns) + 1
+        assert [(e.line_no, e.reason) for e in reader.errors] == [
+            (len(txns) + 1, "customer 'GHOST' not in register")
+        ]
+        assert sorted(p.customer_id for p in profiles) == ["A", "B", "C"]
+        with pytest.raises(ValueError, match="GHOST"):
+            build_profiles_phase1(chunked(txns), register, Q1)
 
 
 class TestPhase2:
@@ -177,7 +230,7 @@ class TestPhase2:
             txn("P", 1, 5, 100000, "credit"),
             txn("P", 1, 5, 100000, "debit", cp="BANK_02"),
         ]
-        schema, profiles = build_profiles_phase2(txns, self.register("P"), Q1)
+        schema, profiles = build_profiles_phase2(chunked(txns), self.register("P"), Q1)
         assert by_name(schema, profiles[0], "in_out_lag_days") == 0.0
 
     def test_all_interbank_debits_ratio_one(self):
@@ -186,7 +239,7 @@ class TestPhase2:
             txn("P", 1, 8, 3000, "debit", cp="BANK_01"),
             txn("P", 2, 9, 2000, "debit", cp="BANK_07"),
         ]
-        schema, profiles = build_profiles_phase2(txns, self.register("P"), Q1)
+        schema, profiles = build_profiles_phase2(chunked(txns), self.register("P"), Q1)
         assert by_name(schema, profiles[0], "interbank_outflow_ratio") == 1.0
         assert by_name(schema, profiles[0], "intrabank_transfer_ratio") == 0.0
 
@@ -198,12 +251,12 @@ class TestPhase2:
             txn("F", 1, 10, 10000, "credit"),
             txn("F", 1, 11, 20000, "debit"),
         ]
-        schema, profiles = build_profiles_phase2(txns, self.register("F"), Q1)
+        schema, profiles = build_profiles_phase2(chunked(txns), self.register("F"), Q1)
         assert by_name(schema, profiles[0], "in_out_lag_days") == pytest.approx(5.5)
 
     def test_zero_debit_sentinel_is_window_length(self):
         txns = [txn("S", 1, 5, 1000, "credit")]
-        schema, profiles = build_profiles_phase2(txns, self.register("S"), Q1)
+        schema, profiles = build_profiles_phase2(chunked(txns), self.register("S"), Q1)
         assert by_name(schema, profiles[0], "in_out_lag_days") == pytest.approx(Q1.days)
 
     def test_totals_and_share(self):
@@ -212,7 +265,7 @@ class TestPhase2:
             txn("T", 1, 20, 10000, "debit"),
             txn("T", 2, 3, 10000, "debit", cp="BANK_01"),
         ]
-        schema, profiles = build_profiles_phase2(txns, self.register("T"), Q1)
+        schema, profiles = build_profiles_phase2(chunked(txns), self.register("T"), Q1)
         p = profiles[0]
         assert by_name(schema, p, "total_credited") == 300.0
         assert by_name(schema, p, "total_debited") == 200.0
@@ -248,18 +301,19 @@ class TestPhase2:
         ledger_csv = io.StringIO()
         write_transactions(shuffled, ledger_csv)
         with host_zone("UTC"):
-            _, base = build_profiles_phase2(txns, register, EPOCH_WINDOW)
+            _, base = build_profiles_phase2(chunked(txns), register, EPOCH_WINDOW)
         for zone in ("UTC", "EST5EDT,M3.2.0,M11.1.0"):
             with host_zone(zone):
-                reader = parse_transactions(io.StringIO(ledger_csv.getvalue()), window=EPOCH_WINDOW)
+                reader = parse_transactions(io.StringIO(ledger_csv.getvalue()), window=EPOCH_WINDOW,
+                                            register=register)
                 _, again = build_profiles_phase2(reader, register, EPOCH_WINDOW)
             assert reader.rejected == 0
             assert [p.values for p in again] == [p.values for p in base]
 
     def test_credit_matches_before_debit_at_equal_timestamps(self):
         credit, debit = txn("T", 2, 5, 100, "credit"), txn("T", 2, 5, 100, "debit")
-        schema, credit_first = build_profiles_phase2([credit, debit], self.register("T"), Q1)
-        _, debit_first = build_profiles_phase2([debit, credit], self.register("T"), Q1)
+        schema, credit_first = build_profiles_phase2(chunked([credit, debit]), self.register("T"), Q1)
+        _, debit_first = build_profiles_phase2(chunked([debit, credit]), self.register("T"), Q1)
         assert debit_first[0].values == credit_first[0].values
         assert by_name(schema, debit_first[0], "in_out_lag_days") == 0.0
 
@@ -270,7 +324,7 @@ class TestPhase2:
             TransactionRecord("P", "acc_P", datetime(1965, 1, 7, 10), 100, "debit", 1, 1, None),
         ]
         register = {"P": CustomerRecord("P", date(1960, 1, 1))}
-        schema, profiles = build_profiles_phase2(txns, register, window)
+        schema, profiles = build_profiles_phase2(chunked(txns), register, window)
         assert by_name(schema, profiles[0], "in_out_lag_days") == 2.0
 
     def test_host_time_zone_does_not_change_lag(self):
@@ -280,14 +334,36 @@ class TestPhase2:
         lags = []
         for zone in ("UTC", "EST5EDT,M3.2.0,M11.1.0"):
             with host_zone(zone):
-                schema, profiles = build_profiles_phase2(txns, self.register("T"), Q1)
+                schema, profiles = build_profiles_phase2(chunked(txns), self.register("T"), Q1)
             lags.append(by_name(schema, profiles[0], "in_out_lag_days"))
         assert lags == [2.0, 2.0]
+
+    @given(event_logs())
+    @settings(max_examples=300, deadline=None)
+    def test_vectorised_fifo_equals_queue_walk(self, log):
+        ts, cents = log
+        weighted, matched = fifo_lag(ts, cents)
+        assert (weighted, matched) == fifo_walk(ts, cents)
+        assert type(weighted) is float and type(matched) is int
+
+    def test_amounts_near_int64_limit_keep_exact_std(self):
+        # the cents squared sum far beyond int64: amount_std must come from
+        # the exact integers
+        amounts = [MAX_AMOUNT_CENTS, MAX_AMOUNT_CENTS - 1, MAX_AMOUNT_CENTS // 3, 12345]
+        txns = [txn("T", 1, 1 + i, c, ("credit", "debit")[i % 2]) for i, c in enumerate(amounts)]
+        schema, profiles = build_profiles_phase2(chunked(txns), self.register("T"), Q1)
+        n, total, sqsum = len(amounts), sum(amounts), sum(c * c for c in amounts)
+        assert sqsum > 2**63
+        p = profiles[0]
+        assert by_name(schema, p, "amount_avg") == total / (n * 100)
+        assert by_name(schema, p, "amount_std") == math.sqrt(n * sqsum - total * total) / (n * 100)
+        assert by_name(schema, p, "total_credited") == (amounts[0] + amounts[2]) / 100
+        assert by_name(schema, p, "total_debited") == (amounts[1] + amounts[3]) / 100
 
     def test_invariant_ranges(self):
         rng = random.Random(11)
         txns, register = self.ledger_many(rng)
-        schema, profiles = build_profiles_phase2(txns, register, Q1)
+        schema, profiles = build_profiles_phase2(chunked(txns), register, Q1)
         for p in profiles:
             for name in ("interbank_outflow_ratio", "intrabank_transfer_ratio", "outflow_share"):
                 assert 0.0 <= by_name(schema, p, name) <= 1.0

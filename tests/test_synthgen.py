@@ -9,6 +9,7 @@ from amlprofiler import synthgen, validity
 from amlprofiler.ingest import (
     ConfigError,
     FilterPolicy,
+    TransactionChunk,
     filter_insignificant,
     parse_customers,
     parse_transactions,
@@ -24,7 +25,8 @@ def generate_to_strings(config):
 
 def profile_ledger(tx_text, reg_text, window):
     customers, _ = parse_customers(io.StringIO(reg_text))
-    reader = parse_transactions(io.StringIO(tx_text), window=window, error_cap=50)
+    reader = parse_transactions(io.StringIO(tx_text), window=window, register=customers,
+                                error_cap=50)
     stream = filter_insignificant(reader, FilterPolicy(frozenset({synthgen.BANK_CHARGE_TYPE_CODE})))
     return build_profiles_phase2(stream, customers, window)
 
@@ -89,16 +91,18 @@ class TestGeneratedLedgerQuality:
     def test_rows_parse_cleanly_and_in_customer_order(self):
         cfg = synthgen.default_config(n_customers=50, seed=3)
         _, tx, reg, _ = generate_to_strings(cfg)
-        reader = parse_transactions(io.StringIO(tx), window=cfg.window, error_cap=1)
-        records = list(reader)
+        customers, _ = parse_customers(io.StringIO(reg))
+        reader = parse_transactions(io.StringIO(tx), window=cfg.window, register=customers,
+                                    error_cap=1)
+        chunk = TransactionChunk.concat(list(reader))
         assert reader.rejected == 0
-        assert len(records) > 0
-        # per-customer chronological order (the sorted fast path relies on it)
+        assert len(chunk) > 0
+        # per-customer chronological order
         last = {}
-        for r in records:
-            if r.customer_id in last:
-                assert r.timestamp >= last[r.customer_id]
-            last[r.customer_id] = r.timestamp
+        for cid, ts in zip(chunk.customer_id.tolist(), chunk.timestamp.tolist()):
+            if cid in last:
+                assert ts >= last[cid]
+            last[cid] = ts
 
     def test_passthrough_archetype_lag_below_one_day(self):
         base = synthgen.default_config(n_customers=1000, seed=4)
