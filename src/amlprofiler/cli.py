@@ -31,10 +31,11 @@ from .ingest import (
     ConfigError,
     FilterStats,
     IngestConfig,
+    TooManyRowErrors,
+    TransactionReader,
     Window,
     filter_insignificant,
     parse_customers,
-    parse_transactions,
     write_rejections,
 )
 from .manifest import write_json, write_manifest
@@ -168,6 +169,12 @@ def _load_profiles(out_dir: Path, labeled: Optional[str] = None):
     return csv_path, schema_path, schema, profiles
 
 
+def _write_rejected(out_dir: Path, errors: list) -> Path:
+    with open(out_dir / REJECTED_CSV, "w", encoding="utf-8", newline="") as fh:
+        write_rejections(errors, fh)
+    return out_dir / REJECTED_CSV
+
+
 def _induction(args, config: dict) -> tuple[str, InductionParams]:
     """The algorithm and induction parameters of ``rules`` and ``eval``."""
     algorithm = args.algorithm or config.get("rules", {}).get("algorithm", "part")
@@ -233,25 +240,29 @@ def cmd_profile(args, config: dict, out_dir: Path) -> StageResult:
     ingest_cfg = IngestConfig.from_json(config)
     phase = args.phase or int(config.get("phase", 2))
 
-    with open(reg_path, "r", encoding="utf-8", newline="") as fh:
-        register, reg_errors = parse_customers(
-            fh, ingest_cfg.register_mapping, error_cap=ingest_cfg.error_cap
-        )
+    reg_errors: list = []
     stats = FilterStats()
-    with open(tx_path, "r", encoding="utf-8", newline="") as fh:
-        reader = parse_transactions(
-            fh,
-            ingest_cfg.column_mapping,
-            window=window,
-            register=register,
-            error_cap=ingest_cfg.error_cap,
-            delimiter=ingest_cfg.delimiter,
-        )
-        stream = filter_insignificant(reader, ingest_cfg.filter_policy, stats)
-        if phase == 1:
-            schema, profiles = build_profiles_phase1(stream, register, window)
-        else:
-            schema, profiles = build_profiles_phase2(stream, register, window)
+    try:
+        with open(reg_path, "r", encoding="utf-8", newline="") as fh:
+            register, reg_errors = parse_customers(
+                fh, ingest_cfg.register_mapping, window=window, error_cap=ingest_cfg.error_cap
+            )
+        with open(tx_path, "r", encoding="utf-8", newline="") as fh:
+            reader = TransactionReader(
+                fh,
+                ingest_cfg.column_mapping,
+                window=window,
+                register=register,
+                error_cap=ingest_cfg.error_cap,
+                delimiter=ingest_cfg.delimiter,
+            )
+            stream = filter_insignificant(reader, ingest_cfg.filter_policy, stats)
+            build = build_profiles_phase1 if phase == 1 else build_profiles_phase2
+            schema, profiles = build(stream, register, window)
+    except TooManyRowErrors as exc:
+        # keep the rows that tripped the cap visible
+        _write_rejected(out_dir, reg_errors + exc.errors)
+        raise StageError(str(exc)) from None
     outputs = [out_dir / PROFILES_CSV, out_dir / PROFILES_SCHEMA]
     with open(out_dir / PROFILES_CSV, "w", encoding="utf-8", newline="") as fh:
         write_profiles(fh, schema, profiles)
@@ -264,12 +275,12 @@ def cmd_profile(args, config: dict, out_dir: Path) -> StageResult:
     }
     write_schema_sidecar(out_dir / PROFILES_SCHEMA, schema, meta=meta)
     if reader.errors or reg_errors:
-        with open(out_dir / REJECTED_CSV, "w", encoding="utf-8", newline="") as fh:
-            write_rejections(list(reg_errors) + list(reader.errors), fh)
-        outputs.append(out_dir / REJECTED_CSV)
+        outputs.append(_write_rejected(out_dir, reg_errors + reader.errors))
 
     discretize = bool(config.get("discretize", False)) or args.discretize
     if discretize:
+        if not profiles:
+            raise StageError("no customer has an accepted ledger row; nothing to discretize")
         dschema = fit_discretization(profiles, schema)
         nominal_schema, nominal_profiles = apply_discretization(profiles, schema, dschema)
         with open(out_dir / PROFILES_NOMINAL_CSV, "w", encoding="utf-8", newline="") as fh:
@@ -298,7 +309,7 @@ def cmd_sweep(args, config: dict, out_dir: Path) -> StageResult:
     seed = args.seed if args.seed is not None else int(section.get("seed", 1))
     kind = section.get("distance", clustering.EUCLIDEAN)
     result = validity.k_sweep(
-        profiles,
+        profile_matrix(profiles),
         schema,
         range(k_lo, k_hi + 1),
         runs=runs,
@@ -325,10 +336,11 @@ def cmd_cluster(args, config: dict, out_dir: Path) -> StageResult:
     kind = section.get("distance", clustering.EUCLIDEAN)
     max_iter = int(section.get("max_iter", 500))
     runs = args.runs or int(section.get("runs", 10))
+    X = profile_matrix(profiles)
     model = clustering.kmeans_best_of(
-        profiles, schema, k, runs=runs, kind=kind, base_seed=seed, max_iter=max_iter
+        X, schema, k, runs=runs, kind=kind, base_seed=seed, max_iter=max_iter
     )
-    labels = clustering.assign(model, profiles)
+    labels = clustering.assign(model, X)
     for p, label in zip(profiles, labels):
         p.label = int(label)
     model.save(out_dir / MODEL_JSON)

@@ -13,12 +13,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .manifest import write_json
-from .profiling import AttributeSchema, CustomerProfile, profile_matrix
+from .profiling import AttributeSchema
 
 EUCLIDEAN = "euclidean"
 MANHATTAN = "manhattan"
@@ -45,10 +45,6 @@ class Normalization:
         mins[numeric_mask] = col_min
         ranges[numeric_mask] = col_max - col_min
         return Normalization(mins, ranges)
-
-    @staticmethod
-    def identity(n_cols: int) -> "Normalization":
-        return Normalization(np.zeros(n_cols), np.ones(n_cols))
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         safe = np.where(self.ranges > 0, self.ranges, 1.0)
@@ -111,15 +107,6 @@ class ClusterModel:
             return ClusterModel.from_json(json.load(fh))
 
 
-def normalize(
-    profiles: Sequence[CustomerProfile] | np.ndarray,
-    normalization: Normalization,
-) -> np.ndarray:
-    """Apply a fitted normalization to profiles (or a raw value matrix)."""
-    X = profiles if isinstance(profiles, np.ndarray) else profile_matrix(profiles)
-    return normalization.apply(X)
-
-
 def _diffs(X: np.ndarray, center: np.ndarray, nominal_cols: np.ndarray) -> np.ndarray:
     d = np.abs(X - center)
     if nominal_cols.size:
@@ -136,16 +123,6 @@ def distances_to(
     if kind == MANHATTAN:
         return d.sum(axis=1)
     raise ValueError(f"unknown distance kind {kind!r}")
-
-
-def distance(a: Sequence[float], b: Sequence[float], kind: str, schema: AttributeSchema) -> float:
-    """Distance between two profile value vectors (numeric parts normalized)."""
-    av = np.asarray(a, dtype=float)
-    bv = np.asarray(b, dtype=float)
-    if av.shape != bv.shape or av.shape[0] != len(schema):
-        raise ValueError("profile vectors do not match the schema")
-    nominal_cols = np.flatnonzero(~schema.numeric_mask())
-    return float(distances_to(av[None, :], bv, kind, nominal_cols)[0])
 
 
 def pairwise_distances(X: np.ndarray, kind: str, schema: AttributeSchema) -> np.ndarray:
@@ -214,14 +191,13 @@ def centroid(X: np.ndarray, numeric_mask: np.ndarray) -> np.ndarray:
 
 
 def kmeans_fit(
-    profiles: Sequence[CustomerProfile] | np.ndarray,
+    X: np.ndarray,
     schema: AttributeSchema,
     k: int,
     *,
     kind: str = EUCLIDEAN,
     seed: int = 1,
     max_iter: int = 500,
-    normalize_numeric: bool = True,
 ) -> ClusterModel:
     """Lloyd iterations from a k-means++ start until assignments stabilize.
 
@@ -230,7 +206,6 @@ def kmeans_fit(
     centroid.  SSE is the sum of squared distances of the configured kind.
     A k above the number of distinct profiles fails in the seeding.
     """
-    X = profiles if isinstance(profiles, np.ndarray) else profile_matrix(profiles)
     if not np.isfinite(X).all():
         raise ValueError("profiles contain non-finite values")
     if k < 1:
@@ -240,7 +215,7 @@ def kmeans_fit(
 
     numeric_mask = schema.numeric_mask()
     nominal_cols = np.flatnonzero(~numeric_mask)
-    norm = Normalization.fit(X, numeric_mask) if normalize_numeric else Normalization.identity(X.shape[1])
+    norm = Normalization.fit(X, numeric_mask)
     Xn = norm.apply(X)
 
     rng = np.random.default_rng(seed)
@@ -281,7 +256,7 @@ def kmeans_fit(
 
 
 def kmeans_best_of(
-    profiles: Sequence[CustomerProfile] | np.ndarray,
+    X: np.ndarray,
     schema: AttributeSchema,
     k: int,
     *,
@@ -289,7 +264,6 @@ def kmeans_best_of(
     kind: str = EUCLIDEAN,
     base_seed: int = 1,
     max_iter: int = 500,
-    normalize_numeric: bool = True,
 ) -> ClusterModel:
     """Fit ``runs`` seeded models and keep the lowest-SSE one.
 
@@ -297,26 +271,16 @@ def kmeans_best_of(
     base_seed..base_seed+runs-1 and keeping the best is the standard remedy
     and stays fully deterministic.
     """
-    X = profiles if isinstance(profiles, np.ndarray) else profile_matrix(profiles)
     best: Optional[ClusterModel] = None
     for r in range(runs):
-        model = kmeans_fit(
-            X,
-            schema,
-            k,
-            kind=kind,
-            seed=base_seed + r,
-            max_iter=max_iter,
-            normalize_numeric=normalize_numeric,
-        )
+        model = kmeans_fit(X, schema, k, kind=kind, seed=base_seed + r, max_iter=max_iter)
         if best is None or model.sse < best.sse:
             best = model
     return best
 
 
-def assign(model: ClusterModel, profiles: Sequence[CustomerProfile] | np.ndarray) -> np.ndarray:
-    """Label profiles with their nearest centroid (lowest index wins ties)."""
-    X = profiles if isinstance(profiles, np.ndarray) else profile_matrix(profiles)
+def assign(model: ClusterModel, X: np.ndarray) -> np.ndarray:
+    """Label profile rows with their nearest centroid (lowest index wins ties)."""
     if X.shape[1] != len(model.schema):
         raise ValueError("profiles do not match the model schema")
     Xn = model.normalization.apply(X)

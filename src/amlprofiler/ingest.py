@@ -483,32 +483,19 @@ class TransactionReader:
             raise TooManyRowErrors(self.errors, self._error_cap)
 
 
-def parse_transactions(
-    source: IO[str],
-    mapping: Optional[ColumnMapping] = None,
-    *,
-    register: Collection[str],
-    window: Optional[Window] = None,
-    error_cap: int = 100,
-    delimiter: str = ",",
-) -> TransactionReader:
-    """Open a streaming reader over a transaction CSV."""
-    return TransactionReader(
-        source, mapping, window=window, register=register, error_cap=error_cap,
-        delimiter=delimiter,
-    )
-
-
 def parse_customers(
     source: IO[str],
     mapping: Optional[ColumnMapping] = None,
     *,
+    window: Window,
     error_cap: int = 100,
     delimiter: str = ",",
 ) -> tuple[dict[str, CustomerRecord], list[RowError]]:
     """Parse the customer register into a lookup keyed by customer id.
 
-    A repeated customer id is a rejected row; the first row is kept.
+    An account opened after the window end is a rejected row: its age at
+    the window end would be negative.  A repeated customer id is a rejected
+    row; the first row is kept.
     """
     mapping = mapping or ColumnMapping.identity(CUSTOMER_FIELDS)
     reader = csv.reader(source, delimiter=delimiter)
@@ -534,7 +521,10 @@ def parse_customers(
             except ValueError:
                 message = f"unparseable account_open_date in {row!r}"
             else:
-                if cid in first_lines:
+                if open_date > window.end.date():
+                    message = (f"account_open_date {open_date.isoformat()} is after the window "
+                               f"end {window.end.date().isoformat()}")
+                elif cid in first_lines:
                     message = f"duplicate customer_id {cid!r}, first on line {first_lines[cid]}"
         if message:
             errors.append(RowError(line_no, message))
@@ -582,7 +572,7 @@ def write_transactions(
     *,
     delimiter: str = ",",
 ) -> int:
-    """Serialize records back to CSV; inverse of parse_transactions."""
+    """Serialize records back to CSV; ``TransactionReader`` reads them."""
     mapping = mapping or ColumnMapping.identity()
     writer = csv.writer(dest, delimiter=delimiter, lineterminator="\n")
     writer.writerow([mapping.columns[f] for f in mapping.fields])

@@ -45,8 +45,3 @@ def write_manifest(
     path = Path(out_dir) / f"{stage}.manifest.json"
     write_json(path, manifest)
     return path
-
-
-def read_manifest(out_dir: Path | str, stage: str) -> dict:
-    with open(Path(out_dir) / f"{stage}.manifest.json", "r", encoding="utf-8") as fh:
-        return json.load(fh)

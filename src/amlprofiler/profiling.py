@@ -141,13 +141,20 @@ def _mean_std(n: int, total: int, sqsum: int, scale: int = 1) -> tuple[float, fl
     return mean, std
 
 
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries that start a run of equal values."""
+    starts = np.ones(len(values), dtype=bool)
+    starts[1:] = values[1:] != values[:-1]
+    return starts
+
+
 def _distinct(values: np.ndarray) -> np.ndarray:
     """Sorted distinct values.  Plain ``np.unique`` takes a hash-table path
     in numpy 2 when it returns no inverse or counts; on these int64 keys it
     is several times slower than one sort, and it raised the peak RSS of
     profiling a 400k-row ledger by about 3 MB."""
     values = np.sort(values)
-    return values[np.r_[True, values[1:] != values[:-1]]]
+    return values[_run_starts(values)]
 
 
 def fifo_lag(timestamp: np.ndarray, cents: np.ndarray) -> tuple[float, int]:
@@ -225,12 +232,12 @@ class _Totals:
         order = np.argsort(cell, kind="stable")
         cell = cell[order]
         cents = chunk.cents[order]
-        head = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+        head = np.flatnonzero(_run_starts(cell))
         self.txns[cell[head]] += np.diff(np.r_[head, len(cell)])
         self.debits[cell[head]] += np.add.reduceat((cents < 0).astype(np.int64), head)
 
         customer = cell[head] // self.slots
-        first = np.r_[True, customer[1:] != customer[:-1]]
+        first = _run_starts(customer)
         customer, start = customer[first], head[first]
         amount = np.abs(cents)
         if float(amount.max()) ** 2 * len(amount) >= 2.0**63:
@@ -267,7 +274,7 @@ class _Totals:
         per_cell = np.bincount(keys % self.cells, minlength=self.cells)
         # key // slots is service * customers + customer, sorted like the keys
         pairs = keys // self.slots
-        pairs = pairs[np.r_[True, pairs[1:] != pairs[:-1]]]
+        pairs = pairs[_run_starts(pairs)]
         return per_cell, np.bincount(pairs % len(self.index), minlength=len(self.index))
 
     def lags(self) -> tuple[list, list]:
@@ -361,22 +368,18 @@ def _phase2_extras(
     return [total_credited, total_debited, interbank, intrabank, lag_days, outflow_share]
 
 
-def _register(register) -> Mapping[str, CustomerRecord]:
-    return register if isinstance(register, Mapping) else {c.customer_id: c for c in register}
-
-
 def build_profiles_phase1(
     chunks: Iterable[TransactionChunk],
-    register: Mapping[str, CustomerRecord] | Iterable[CustomerRecord],
+    register: Mapping[str, CustomerRecord],
     window: Window,
 ) -> tuple[AttributeSchema, list[CustomerProfile]]:
     """General activity profiles: monthly usage averages, dispersions, account age."""
-    return _aggregate(chunks, _register(register), window, flows=False)
+    return _aggregate(chunks, register, window, flows=False)
 
 
 def build_profiles_phase2(
     chunks: Iterable[TransactionChunk],
-    register: Mapping[str, CustomerRecord] | Iterable[CustomerRecord],
+    register: Mapping[str, CustomerRecord],
     window: Window,
 ) -> tuple[AttributeSchema, list[CustomerProfile]]:
     """Flow-oriented profiles: the general roster plus money-movement attributes.
@@ -386,7 +389,7 @@ def build_profiles_phase2(
     once the stream ends, so any row order gives identical output.  At equal
     timestamps credits match before debits.
     """
-    return _aggregate(chunks, _register(register), window, flows=True)
+    return _aggregate(chunks, register, window, flows=True)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import clustering
 from .clustering import EUCLIDEAN, ClusterModel, Normalization
-from .profiling import AttributeSchema, CustomerProfile, profile_matrix
+from .profiling import AttributeSchema
 
 log = logging.getLogger(__name__)
 
@@ -29,7 +29,7 @@ DEFAULT_SILHOUETTE_SAMPLE = 2000
 
 
 def silhouette(
-    profiles: Sequence[CustomerProfile] | np.ndarray,
+    X: np.ndarray,
     labels: np.ndarray,
     schema: AttributeSchema,
     *,
@@ -45,7 +45,6 @@ def silhouette(
     their cluster contribute 0.  Above ``sample_size`` points, a seeded
     subsample is scored instead (exact when sample_size >= n).
     """
-    X = profiles if isinstance(profiles, np.ndarray) else profile_matrix(profiles)
     labels = np.asarray(labels)
     n = X.shape[0]
     if n != labels.shape[0]:
@@ -80,12 +79,8 @@ def silhouette(
     return float(s.sum()) / n
 
 
-def sse(
-    profiles: Sequence[CustomerProfile] | np.ndarray,
-    model: ClusterModel,
-) -> float:
+def sse(X: np.ndarray, model: ClusterModel) -> float:
     """Sum of squared distances to the assigned centroid (model's metric)."""
-    X = profiles if isinstance(profiles, np.ndarray) else profile_matrix(profiles)
     Xn = model.normalization.apply(X)
     nominal_cols = np.flatnonzero(~model.schema.numeric_mask())
     labels = clustering.assign(model, X)
@@ -98,11 +93,7 @@ def sse(
     return total
 
 
-def vrc(
-    profiles: Sequence[CustomerProfile] | np.ndarray,
-    labels: np.ndarray,
-    schema: AttributeSchema,
-) -> float:
+def vrc(X: np.ndarray, labels: np.ndarray, schema: AttributeSchema) -> float:
     """Variance ratio criterion [B/(k-1)] / [W/(n-k)].
 
     Between- and within-cluster dispersions use squared Euclidean distance
@@ -110,7 +101,6 @@ def vrc(
     space.  W = 0 (every point equals its centroid) returns +inf as a
     perfect-separation sentinel.
     """
-    X = profiles if isinstance(profiles, np.ndarray) else profile_matrix(profiles)
     labels = np.asarray(labels)
     n = X.shape[0]
     uniq = np.unique(labels)
@@ -181,10 +171,6 @@ class ValidityReport:
         return float(np.mean(self.sse_values))
 
     @property
-    def sse_best(self) -> float:
-        return float(np.min(self.sse_values))
-
-    @property
     def silhouette_mean(self) -> float:
         return float(np.mean(self.silhouette_values))
 
@@ -210,7 +196,7 @@ class SweepResult:
 
 
 def k_sweep(
-    profiles: Sequence[CustomerProfile] | np.ndarray,
+    X: np.ndarray,
     schema: AttributeSchema,
     k_range: Sequence[int],
     *,
@@ -227,7 +213,6 @@ def k_sweep(
     and the stabilities, the point of maximum positive second difference
     (the elbow) for SSE.
     """
-    X = profiles if isinstance(profiles, np.ndarray) else profile_matrix(profiles)
     ks = sorted(set(int(k) for k in k_range))
     if runs < 2:
         raise ValueError("stability metrics need runs >= 2")

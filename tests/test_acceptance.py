@@ -20,7 +20,7 @@ import pytest
 from amlprofiler import clustering, evaluation, synthgen, validity
 from amlprofiler.cli import geometric_steps, main
 from amlprofiler.evaluation import SplitSpec, classes_to_clusters, cv_folds, holdout_split
-from amlprofiler.ingest import FilterPolicy, filter_insignificant, parse_customers, parse_transactions
+from amlprofiler.ingest import FilterPolicy, TransactionReader, filter_insignificant, parse_customers
 from amlprofiler.manifest import sha256_file
 from amlprofiler.profiling import (
     apply_discretization,
@@ -47,9 +47,9 @@ def report(criterion, message):
 
 def load_ledger(out_dir, window):
     with open(out_dir / "register.csv", newline="") as fh:
-        customers, _ = parse_customers(fh)
+        customers, _ = parse_customers(fh, window=window)
     with open(out_dir / "transactions.csv", newline="") as fh:
-        reader = parse_transactions(fh, window=window, register=customers, error_cap=100)
+        reader = TransactionReader(fh, window=window, register=customers, error_cap=100)
         stream = filter_insignificant(reader, FILTER)
         schema, profiles = build_profiles_phase2(stream, customers, window)
     return schema, profiles
@@ -123,12 +123,11 @@ def test_criterion_1_classes_to_clusters(bundled_ledger):
 
 def test_criterion_2_k_selection(six_dataset):
     schema, profiles = six_dataset
+    X = profile_matrix(profiles)
     started = time.perf_counter()
     hits = {"silhouette": 0, "vrc": 0}
     for rep in range(10):
-        result = validity.k_sweep(
-            profiles, schema, range(2, 11), runs=10, base_seed=100 + 10 * rep
-        )
+        result = validity.k_sweep(X, schema, range(2, 11), runs=10, base_seed=100 + 10 * rep)
         for metric in hits:
             hits[metric] += result.recommended[metric] == 6
     elapsed = time.perf_counter() - started

@@ -10,7 +10,7 @@ import pytest
 import amlprofiler
 
 from amlprofiler.cli import geometric_steps, grid_cells, main
-from amlprofiler.manifest import read_manifest, sha256_file
+from amlprofiler.manifest import sha256_file
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +45,7 @@ class TestStages:
         out, _ = pipeline_dir
         for name in ("transactions.csv", "register.csv", "ground_truth.csv"):
             assert (out / name).exists()
-        manifest = read_manifest(out, "synth")
+        manifest = json.loads((out / "synth.manifest.json").read_text())
         assert manifest["outputs"]["transactions.csv"] == sha256_file(out / "transactions.csv")
 
     def test_profile_artifacts(self, pipeline_dir):
@@ -203,6 +203,72 @@ class TestDiagnostics:
         assert [r["line_no"] for r in rejected] == ["3"]
         assert "amount out of range" in rejected[0]["reason"]
         assert len(csv_rows(tmp_path / "profiles.csv")) == 1
+
+    @pytest.mark.parametrize("bad_file", ["transactions.csv", "register.csv"])
+    def test_error_cap_abort_writes_rejections_and_exits_two(self, tmp_path, capsys, bad_file):
+        register = "customer_id,account_open_date\nc1,2010-01-01\n"
+        ledger = ("customer_id,account_id,timestamp,amount,direction,service_code,txn_type_code,"
+                  "counterparty_bank\nc1,a1,2014-03-08T12:00:00,10.00,credit,1,1,\n")
+        if bad_file == "register.csv":
+            register += "c2,yesterday\nc3,today\nc4,tomorrow\n"
+        else:
+            ledger += "".join(f"c1,a1,2014-03-0{d}T12:00:00,bogus,debit,1,1,\n" for d in (1, 2, 3))
+        (tmp_path / "register.csv").write_text(register)
+        (tmp_path / "transactions.csv").write_text(ledger)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"window": {"start": "2014-01-01", "end": "2014-12-31"},
+                                        "error_cap": 2}))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg_path), "--out-dir", str(tmp_path), "profile"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err == "error: aborted after 3 malformed rows (cap 2)\n"
+        assert [r["line_no"] for r in csv_rows(tmp_path / "rejected_rows.csv")] == ["3", "4", "5"]
+        assert not (tmp_path / "profiles.csv").exists()
+        assert not (tmp_path / "profile.manifest.json").exists()
+
+    def test_account_opened_after_window_is_rejected_register_row(self, tmp_path):
+        (tmp_path / "register.csv").write_text(
+            "customer_id,account_open_date\nc1,2010-01-01\nc2,2015-06-01\n")
+        (tmp_path / "transactions.csv").write_text(
+            "customer_id,account_id,timestamp,amount,direction,service_code,txn_type_code,"
+            "counterparty_bank\n"
+            "c1,a1,2014-03-08T12:00:00,10.00,credit,1,1,\n"
+            "c2,a2,2014-03-09T12:00:00,10.00,credit,1,1,\n"
+        )
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"window": {"start": "2014-01-01", "end": "2014-12-31"}}))
+        assert main(["--config", str(cfg_path), "--out-dir", str(tmp_path), "profile"]) == 0
+        rejected = [(r["line_no"], r["reason"]) for r in csv_rows(tmp_path / "rejected_rows.csv")]
+        assert rejected == [
+            ("3", "account_open_date 2015-06-01 is after the window end 2014-12-31"),
+            ("3", "customer 'c2' not in register"),
+        ]
+        profiles = csv_rows(tmp_path / "profiles.csv")
+        assert [p["customer_id"] for p in profiles] == ["c1"]
+        assert float(profiles[0]["account_age_years"]) >= 0
+
+    @pytest.mark.parametrize("discretize", [False, True])
+    def test_ledger_with_no_accepted_row(self, tmp_path, capsys, discretize):
+        (tmp_path / "register.csv").write_text("customer_id,account_open_date\nc1,2010-01-01\n")
+        (tmp_path / "transactions.csv").write_text(
+            "customer_id,account_id,timestamp,amount,direction,service_code,txn_type_code,"
+            "counterparty_bank\n"
+            "GHOST,a1,2014-03-08T12:00:00,10.00,credit,1,1,\n"
+        )
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"window": {"start": "2014-01-01", "end": "2014-12-31"},
+                                        "discretize": discretize}))
+        argv = ["--config", str(cfg_path), "--out-dir", str(tmp_path), "profile"]
+        if discretize:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "nothing to discretize" in capsys.readouterr().err
+        else:
+            assert main(argv) == 0
+            assert csv_rows(tmp_path / "profiles.csv") == []
+        assert len(csv_rows(tmp_path / "rejected_rows.csv")) == 1
 
     @pytest.mark.parametrize("window", [
         {"start": "2014-01-01T00:00:00+02:00", "end": "2014-12-31"},

@@ -5,10 +5,9 @@ from amlprofiler.clustering import (
     ClusterModel,
     Normalization,
     assign,
-    distance,
+    distances_to,
     kmeans_best_of,
     kmeans_fit,
-    normalize,
     pairwise_distances,
     seed_indices,
 )
@@ -46,8 +45,13 @@ class TestNormalization:
         schema = AttributeSchema((Attribute("n", NOMINAL, ("a", "b")), Attribute("x")))
         X = np.array([[1.0, 0.0], [0.0, 10.0]])
         norm = Normalization.fit(X, schema.numeric_mask())
-        Xn = normalize(X, norm)
+        Xn = norm.apply(X)
         assert Xn[0, 0] == 1.0 and Xn[1, 0] == 0.0
+
+
+def distance(a, b, kind, schema):
+    """Distance of two value vectors: one off-diagonal pairwise entry."""
+    return pairwise_distances(np.array([a, b], dtype=float), kind, schema)[0, 1]
 
 
 class TestDistance:
@@ -66,10 +70,6 @@ class TestDistance:
         schema = numeric_schema(2)
         assert distance([0.2, 0.9], [0.5, 0.9], "euclidean", schema) == pytest.approx(0.3)
 
-    def test_schema_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            distance([1, 2], [1, 2, 3], "euclidean", numeric_schema(2))
-
     def test_pairwise_matrix(self):
         schema = numeric_schema(2)
         X = np.array([[0.0, 0.0], [3.0, 4.0]])
@@ -81,11 +81,16 @@ class TestDistance:
 class TestKMeansFit:
     def test_symmetric_four_points(self):
         schema = numeric_schema(2)
-        X = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
-        model = kmeans_fit(X, schema, 2, seed=0, normalize_numeric=False)
+        # two pairs on a line; min-max scaling would make four corner points a
+        # square, where both pairings tie
+        X = np.array([[0.0, 3.0], [1.0, 3.0], [10.0, 3.0], [11.0, 3.0]])
+        model = kmeans_fit(X, schema, 2, seed=0)
         got = sorted(model.centroids.tolist())
-        assert got == [[0.0, 0.5], [10.0, 0.5]]
-        assert model.sse == pytest.approx(1.0)
+        # the raw centroids (0.5, 3) and (10.5, 3), and the raw SSE 1.0 over a
+        # range of 11, in normalised space
+        expected = model.normalization.apply(np.array([[0.5, 3.0], [10.5, 3.0]]))
+        np.testing.assert_allclose(got, expected, rtol=1e-15)
+        assert model.sse == pytest.approx(1.0 / 11.0**2)
 
     def test_k_equals_n_gives_zero_sse(self):
         schema = numeric_schema(2)
@@ -183,9 +188,9 @@ class TestAssign:
     def test_training_point_on_centroid(self):
         schema = numeric_schema(1)
         X = np.array([[0.0], [10.0]])
-        model = kmeans_fit(X, schema, 2, seed=0, normalize_numeric=False)
+        model = kmeans_fit(X, schema, 2, seed=0)
         labels = assign(model, X)
-        for x, lab in zip(X, labels):
+        for x, lab in zip(model.normalization.apply(X), labels):
             assert model.centroids[lab, 0] == x[0]
 
     def test_equidistant_goes_to_lowest_index(self):
@@ -194,7 +199,7 @@ class TestAssign:
             k=2,
             centroids=np.array([[0.0], [1.0]]),
             distance_kind="euclidean",
-            normalization=Normalization.identity(1),
+            normalization=Normalization(np.zeros(1), np.ones(1)),
             schema=schema,
             seed=0,
             iterations_run=1,
@@ -209,9 +214,10 @@ class TestAssign:
         model = kmeans_fit(X, schema, 9, seed=13)
         labels = assign(model, X)
         Xn = model.normalization.apply(X)
+        no_nominal = np.zeros(0, dtype=np.int64)
         for i in range(X.shape[0]):
             dists = [
-                distance(Xn[i], model.centroids[j], model.distance_kind, schema)
+                distances_to(Xn[i][None, :], model.centroids[j], model.distance_kind, no_nominal)[0]
                 for j in range(model.k)
             ]
             assert labels[i] == int(np.argmin(dists))

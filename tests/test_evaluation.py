@@ -259,7 +259,7 @@ class TestCrossValidate:
 
 class TestClassesToClusters:
     def fit(self, X, k, schema):
-        return clustering.kmeans_fit(X, schema, k, seed=0, normalize_numeric=False)
+        return clustering.kmeans_fit(X, schema, k, seed=0)
 
     def test_identity_clusters(self):
         X = np.array([[0.0], [0.1], [10.0], [10.1]])

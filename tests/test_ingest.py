@@ -17,6 +17,7 @@ from amlprofiler.ingest import (
     RowError,
     TooManyRowErrors,
     TransactionChunk,
+    TransactionReader,
     TransactionRecord,
     Window,
     filter_insignificant,
@@ -24,7 +25,6 @@ from amlprofiler.ingest import (
     parse_amount_cents,
     parse_customers,
     _parse_row,
-    parse_transactions,
     write_transactions,
 )
 
@@ -46,7 +46,7 @@ def make_row(
 
 def read_all(text, register=frozenset({"c1"}), **kw):
     """All accepted rows as one chunk, and the reader."""
-    reader = parse_transactions(io.StringIO(text), register=register, **kw)
+    reader = TransactionReader(io.StringIO(text), register=register, **kw)
     return concat(list(reader)), reader
 
 
@@ -114,7 +114,7 @@ class TestParseTransactions:
             else:
                 parts.append(make_row(cid=f"c{i % 50}", amount=f"{(i % 90) + 1}.25"))
         register = {f"c{i}" for i in range(50)}
-        reader = parse_transactions(io.StringIO("".join(parts)), register=register, error_cap=10)
+        reader = TransactionReader(io.StringIO("".join(parts)), register=register, error_cap=10)
         count = sum(len(chunk) for chunk in reader)
         assert count == n_rows - 3 == 999_997
         assert reader.accepted == 999_997
@@ -244,14 +244,14 @@ class TestWindow:
 class TestRegister:
     def test_parse(self):
         text = "customer_id,account_open_date\nc1,2010-05-01\nc2,2013-12-31\n"
-        customers, errors = parse_customers(io.StringIO(text))
+        customers, errors = parse_customers(io.StringIO(text), window=WINDOW)
         assert set(customers) == {"c1", "c2"}
         assert customers["c1"].account_open_date.year == 2010
         assert errors == []
 
     def test_bad_date_collected(self):
         text = "customer_id,account_open_date\nc1,yesterday\n"
-        customers, errors = parse_customers(io.StringIO(text))
+        customers, errors = parse_customers(io.StringIO(text), window=WINDOW)
         assert customers == {}
         assert errors[0].line_no == 2
 
@@ -259,17 +259,36 @@ class TestRegister:
         # customer_id comes after account_open_date, so a one-field row
         # holds a date but no id
         text = "account_open_date,customer_id\n2010-05-01,c1\n2011-01-01\n2012-02-02,c3\n"
-        customers, errors = parse_customers(io.StringIO(text))
+        customers, errors = parse_customers(io.StringIO(text), window=WINDOW)
         assert set(customers) == {"c1", "c3"}
         assert [e.line_no for e in errors] == [3]
         assert "expected at least 2 columns" in errors[0].reason
+
+
+    def test_account_opened_after_window_end_is_rejected(self):
+        text = ("customer_id,account_open_date\n"
+                "c1,2014-12-31\nc2,2015-01-01\nc2,2013-01-01\n")
+        customers, errors = parse_customers(io.StringIO(text), window=WINDOW)
+        # opened on the last day: age 0; the day after: rejected, and the
+        # later row for the same id is then the first accepted one
+        assert customers["c1"].account_open_date.isoformat() == "2014-12-31"
+        assert customers["c2"].account_open_date.isoformat() == "2013-01-01"
+        assert [(e.line_no, e.reason) for e in errors] == [
+            (3, "account_open_date 2015-01-01 is after the window end 2014-12-31"),
+        ]
+
+    def test_post_window_rows_count_against_error_cap(self):
+        text = "customer_id,account_open_date\n" + "".join(f"c{i},2016-01-01\n" for i in range(3))
+        with pytest.raises(TooManyRowErrors) as exc:
+            parse_customers(io.StringIO(text), window=WINDOW, error_cap=2)
+        assert [e.line_no for e in exc.value.errors] == [2, 3, 4]
 
 
 class TestRegisterDuplicates:
     def test_duplicate_customer_is_rejected_row_naming_first_line(self):
         text = ("customer_id,account_open_date\n"
                 "c1,2010-05-01\nc2,2011-01-01\nc1,2012-02-02\nc1,2013-03-03\n")
-        customers, errors = parse_customers(io.StringIO(text))
+        customers, errors = parse_customers(io.StringIO(text), window=WINDOW)
         assert customers["c1"].account_open_date.year == 2010
         assert set(customers) == {"c1", "c2"}
         assert [(e.line_no, e.reason) for e in errors] == [
@@ -387,8 +406,8 @@ class TestColumnarReader:
     @settings(max_examples=300, deadline=None)
     def test_matches_row_at_a_time_parse(self, text, register, error_cap, chunk_rows):
         expected, expected_errors = row_at_a_time(text, DIFF_WINDOW, register, error_cap)
-        reader = parse_transactions(io.StringIO(text), window=DIFF_WINDOW, register=register,
-                                    error_cap=error_cap)
+        reader = TransactionReader(io.StringIO(text), window=DIFF_WINDOW, register=register,
+                                   error_cap=error_cap)
         with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
             if expected is None:
                 with pytest.raises(TooManyRowErrors) as exc:

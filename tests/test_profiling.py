@@ -17,8 +17,8 @@ from amlprofiler.ingest import (
     CustomerRecord,
     TransactionChunk,
     TransactionRecord,
+    TransactionReader,
     Window,
-    parse_transactions,
     write_transactions,
 )
 from amlprofiler.profiling import (
@@ -210,7 +210,7 @@ class TestPhase1:
         txns.append(txn("GHOST", 1, 5, 100, "credit"))
         ledger = io.StringIO()
         write_transactions(txns, ledger)
-        reader = parse_transactions(io.StringIO(ledger.getvalue()), window=Q1, register=register)
+        reader = TransactionReader(io.StringIO(ledger.getvalue()), window=Q1, register=register)
         _, profiles = build_profiles_phase1(reader, register, Q1)
         # the header is line 1, so the last of len(txns) rows is on line len(txns) + 1
         assert [(e.line_no, e.reason) for e in reader.errors] == [
@@ -304,8 +304,8 @@ class TestPhase2:
             _, base = build_profiles_phase2(chunked(txns), register, EPOCH_WINDOW)
         for zone in ("UTC", "EST5EDT,M3.2.0,M11.1.0"):
             with host_zone(zone):
-                reader = parse_transactions(io.StringIO(ledger_csv.getvalue()), window=EPOCH_WINDOW,
-                                            register=register)
+                reader = TransactionReader(io.StringIO(ledger_csv.getvalue()), window=EPOCH_WINDOW,
+                                           register=register)
                 _, again = build_profiles_phase2(reader, register, EPOCH_WINDOW)
             assert reader.rejected == 0
             assert [p.values for p in again] == [p.values for p in base]

@@ -10,11 +10,11 @@ from amlprofiler.ingest import (
     ConfigError,
     FilterPolicy,
     TransactionChunk,
+    TransactionReader,
     filter_insignificant,
     parse_customers,
-    parse_transactions,
 )
-from amlprofiler.profiling import build_profiles_phase2
+from amlprofiler.profiling import build_profiles_phase2, profile_matrix
 
 
 def generate_to_strings(config):
@@ -24,9 +24,9 @@ def generate_to_strings(config):
 
 
 def profile_ledger(tx_text, reg_text, window):
-    customers, _ = parse_customers(io.StringIO(reg_text))
-    reader = parse_transactions(io.StringIO(tx_text), window=window, register=customers,
-                                error_cap=50)
+    customers, _ = parse_customers(io.StringIO(reg_text), window=window)
+    reader = TransactionReader(io.StringIO(tx_text), window=window, register=customers,
+                               error_cap=50)
     stream = filter_insignificant(reader, FilterPolicy(frozenset({synthgen.BANK_CHARGE_TYPE_CODE})))
     return build_profiles_phase2(stream, customers, window)
 
@@ -91,9 +91,9 @@ class TestGeneratedLedgerQuality:
     def test_rows_parse_cleanly_and_in_customer_order(self):
         cfg = synthgen.default_config(n_customers=50, seed=3)
         _, tx, reg, _ = generate_to_strings(cfg)
-        customers, _ = parse_customers(io.StringIO(reg))
-        reader = parse_transactions(io.StringIO(tx), window=cfg.window, register=customers,
-                                    error_cap=1)
+        customers, _ = parse_customers(io.StringIO(reg), window=cfg.window)
+        reader = TransactionReader(io.StringIO(tx), window=cfg.window, register=customers,
+                                   error_cap=1)
         chunk = TransactionChunk.concat(list(reader))
         assert reader.rejected == 0
         assert len(chunk) > 0
@@ -139,7 +139,8 @@ class TestGeneratedLedgerQuality:
         )
         _, tx, reg, _ = generate_to_strings(cfg)
         schema, profiles = profile_ledger(tx, reg, cfg.window)
-        result = validity.k_sweep(profiles, schema, range(2, 6), runs=3, base_seed=1)
+        X = profile_matrix(profiles)
+        result = validity.k_sweep(X, schema, range(2, 6), runs=3, base_seed=1)
         assert result.recommended["silhouette"] == 2
 
     def test_noise_customers_blend(self):

@@ -23,6 +23,12 @@ def numeric_schema(width):
     return AttributeSchema(tuple(Attribute(f"a{i}") for i in range(width)))
 
 
+def distance(a, b, schema):
+    """Euclidean distance of two value vectors under the schema's 0/1 nominal rule."""
+    nominal_cols = np.flatnonzero(~schema.numeric_mask())
+    return clustering.distances_to(a[None, :], b, "euclidean", nominal_cols)[0]
+
+
 def silhouette_oracle(X, labels, schema):
     """Direct all-pairs silhouette, one point at a time."""
     n = X.shape[0]
@@ -32,10 +38,10 @@ def silhouette_oracle(X, labels, schema):
         same = [j for j in range(n) if labels[j] == labels[i] and j != i]
         if not same:
             continue
-        a = np.mean([clustering.distance(X[i], X[j], "euclidean", schema) for j in same])
+        a = np.mean([distance(X[i], X[j], schema) for j in same])
         b = min(
             np.mean(
-                [clustering.distance(X[i], X[j], "euclidean", schema)
+                [distance(X[i], X[j], schema)
                  for j in range(n) if labels[j] == c]
             )
             for c in uniq
@@ -121,9 +127,10 @@ class TestSse:
     def test_forced_arithmetic(self):
         schema = numeric_schema(1)
         X = np.array([[0.0], [2.0]])
-        model = kmeans_fit(X, schema, 1, seed=0, normalize_numeric=False)
-        assert model.centroids[0, 0] == 1.0
-        assert sse(X, model) == pytest.approx(2.0)
+        model = kmeans_fit(X, schema, 1, seed=0)
+        # raw centroid 1.0 and raw SSE 2.0, in normalised space (range 2)
+        assert model.centroids[0, 0] == model.normalization.apply(np.array([[1.0]]))[0, 0]
+        assert sse(X, model) == pytest.approx(2.0 / 2.0**2)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
@@ -133,7 +140,7 @@ class TestSse:
         labels = clustering.assign(model, X)
         Xn = model.normalization.apply(X)
         brute = sum(
-            clustering.distance(Xn[i], model.centroids[labels[i]], "euclidean", schema) ** 2
+            distance(Xn[i], model.centroids[labels[i]], schema) ** 2
             for i in range(X.shape[0])
         )
         assert sse(X, model) == pytest.approx(brute, rel=1e-9)
@@ -284,7 +291,7 @@ class TestKSweep:
         X = rng.normal(size=(120, 3))
         schema = numeric_schema(3)
         result = k_sweep(X, schema, range(2, 9), runs=4, base_seed=3)
-        best = [r.sse_best for r in result.reports]
+        best = [min(r.sse_values) for r in result.reports]
         assert all(b <= a + 1e-9 for a, b in zip(best, best[1:]))
 
     def test_runs_below_two_rejected(self):
