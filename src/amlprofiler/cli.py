@@ -18,15 +18,13 @@ import dataclasses
 import json
 import logging
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import clustering, evaluation, synthgen, validity
+from . import clustering, evaluation, parallel, synthgen, validity
 from .ingest import (
     ConfigError,
     FilterStats,
@@ -276,6 +274,8 @@ def cmd_profile(args, config: dict, out_dir: Path) -> StageResult:
     write_schema_sidecar(out_dir / PROFILES_SCHEMA, schema, meta=meta)
     if reader.errors or reg_errors:
         outputs.append(_write_rejected(out_dir, reg_errors + reader.errors))
+    else:  # a rejections file from an earlier run no longer describes this one
+        (out_dir / REJECTED_CSV).unlink(missing_ok=True)
 
     discretize = bool(config.get("discretize", False)) or args.discretize
     if discretize:
@@ -301,6 +301,10 @@ def cmd_profile(args, config: dict, out_dir: Path) -> StageResult:
     )
 
 
+def _distinct_rows(X: np.ndarray) -> int:
+    return len(np.unique(X, axis=0))
+
+
 def cmd_sweep(args, config: dict, out_dir: Path) -> StageResult:
     csv_path, schema_path, schema, profiles = _load_profiles(out_dir)
     section = config.get("clustering", {})
@@ -308,8 +312,13 @@ def cmd_sweep(args, config: dict, out_dir: Path) -> StageResult:
     runs = args.runs or int(section.get("runs", 10))
     seed = args.seed if args.seed is not None else int(section.get("seed", 1))
     kind = section.get("distance", clustering.EUCLIDEAN)
+    X = profile_matrix(profiles)
+    limit = min(len(X) - 1, _distinct_rows(X))  # silhouettes need k <= n-1, seeding k distinct rows
+    if k_lo < 2 or k_hi > limit:
+        raise StageError(f"cannot sweep k in {k_lo}..{k_hi} over {len(X)} profiles: "
+                         f"k must lie within [2, {limit}]")
     result = validity.k_sweep(
-        profile_matrix(profiles),
+        X,
         schema,
         range(k_lo, k_hi + 1),
         runs=runs,
@@ -337,6 +346,9 @@ def cmd_cluster(args, config: dict, out_dir: Path) -> StageResult:
     max_iter = int(section.get("max_iter", 500))
     runs = args.runs or int(section.get("runs", 10))
     X = profile_matrix(profiles)
+    distinct = _distinct_rows(X)
+    if k > distinct:
+        raise StageError(f"cannot cluster {len(X)} profiles into k={k}: only {distinct} are distinct")
     model = clustering.kmeans_best_of(
         X, schema, k, runs=runs, kind=kind, base_seed=seed, max_iter=max_iter
     )
@@ -508,12 +520,7 @@ def cmd_grid(args, config: dict, out_dir: Path) -> StageResult:
         params = {"mode": "grid", "min_instances": [o if o is not None else "default" for o in options],
                   "attribute_kind": kind}
     base = _from_config(InductionParams, config, "rules", ("algorithm",), seed=args.seed)
-    run = partial(_run_cell, X=X, y=y, schema=schema, attribute_kind=kind, base=base)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(run, cells))
-    else:
-        rows = [run(cell) for cell in cells]
+    rows = parallel.pmap(lambda cell: _run_cell(cell, X, y, schema, kind, base), cells)
     with open(out_dir / out_name, "w", encoding="utf-8", newline="") as fh:
         evaluation.write_report_rows(fh, rows)
     return StageResult(
@@ -560,7 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="pipeline config JSON", default=None)
     parser.add_argument("--out-dir", default="runs/default", help="artifact directory")
     parser.add_argument("--seed", type=int, default=None, help="override configured seeds")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for grid cells")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -640,5 +646,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The ``amlprofiler`` command.  The process is the program's own, so
+    ``pmap`` may fork it; a host that calls ``main`` keeps it serial."""
+    parallel.fork_allowed = True
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -9,7 +9,8 @@ import pytest
 
 import amlprofiler
 
-from amlprofiler.cli import geometric_steps, grid_cells, main
+from amlprofiler import parallel
+from amlprofiler.cli import build_parser, geometric_steps, grid_cells, main
 from amlprofiler.manifest import sha256_file
 
 
@@ -138,11 +139,22 @@ class TestGrid:
 
 
 class TestParallelGrid:
-    def test_jobs_flag_gives_identical_rows(self, pipeline_dir, tmp_path):
+    def test_jobs_flag_gives_identical_rows(self, pipeline_dir, monkeypatch):
+        # the affinity mask sets the workers: every CPU, then one (serial)
         out, args = pipeline_dir
-        serial = (out / "grid_numeric.csv").read_text()
-        assert main(["--jobs", "2", *args, "grid", "--attribute-kind", "numeric"]) == 0
-        assert (out / "grid_numeric.csv").read_text() == serial
+        monkeypatch.setattr(parallel, "fork_allowed", True)  # as the amlprofiler command does
+        assert main([*args, "grid", "--attribute-kind", "numeric"]) == 0
+        forked = (out / "grid_numeric.csv").read_text()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert main([*args, "grid", "--attribute-kind", "numeric"]) == 0
+        assert (out / "grid_numeric.csv").read_text() == forked
+
+    def test_jobs_flag_is_gone(self, pipeline_dir):
+        _, args = pipeline_dir
+        assert "--jobs" not in build_parser().format_help()
+        with pytest.raises(SystemExit) as exc:
+            main(["--jobs", "2", *args, "grid"])
+        assert exc.value.code == 2
 
 
 class TestGeometricSteps:
@@ -269,6 +281,47 @@ class TestDiagnostics:
             assert main(argv) == 0
             assert csv_rows(tmp_path / "profiles.csv") == []
         assert len(csv_rows(tmp_path / "rejected_rows.csv")) == 1
+
+    def test_rerun_without_rejections_removes_stale_file(self, tmp_path):
+        (tmp_path / "register.csv").write_text("customer_id,account_open_date\nc1,2010-01-01\n")
+        header = ("customer_id,account_id,timestamp,amount,direction,service_code,txn_type_code,"
+                  "counterparty_bank\nc1,a1,2014-03-08T12:00:00,10.00,credit,1,1,\n")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"window": {"start": "2014-01-01", "end": "2014-12-31"}}))
+        argv = ["--config", str(cfg_path), "--out-dir", str(tmp_path), "profile"]
+        good = header + "c1,a1,2014-03-09T12:00:00,5.00,debit,1,1,\n"
+        (tmp_path / "transactions.csv").write_text(good)
+        assert main(argv) == 0
+        assert not (tmp_path / "rejected_rows.csv").exists()
+        (tmp_path / "transactions.csv").write_text(header + "c1,a1,2014-03-09T12:00:00,bogus,debit,1,1,\n")
+        assert main(argv) == 0
+        assert len(csv_rows(tmp_path / "rejected_rows.csv")) == 1
+        (tmp_path / "transactions.csv").write_text(good)
+        assert main(argv) == 0
+        assert not (tmp_path / "rejected_rows.csv").exists()
+        manifest = json.loads((tmp_path / "profile.manifest.json").read_text())
+        assert "rejected_rows.csv" not in manifest["outputs"]
+
+    @pytest.mark.parametrize("stage, message", [
+        (["sweep"], "error: cannot sweep k in 2..10 over 1 profiles: k must lie within [2, 0]\n"),
+        (["cluster", "--k", "2"], "error: cannot cluster 1 profiles into k=2: only 1 are distinct\n"),
+    ])
+    def test_too_few_profiles_is_one_line_diagnostic(self, tmp_path, capsys, stage, message):
+        (tmp_path / "register.csv").write_text("customer_id,account_open_date\nc1,2010-01-01\n")
+        (tmp_path / "transactions.csv").write_text(
+            "customer_id,account_id,timestamp,amount,direction,service_code,txn_type_code,"
+            "counterparty_bank\n"
+            "c1,a1,2014-03-08T12:00:00,10.00,credit,1,1,\n"
+        )
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"window": {"start": "2014-01-01", "end": "2014-12-31"}}))
+        args = ["--config", str(cfg_path), "--out-dir", str(tmp_path)]
+        assert main([*args, "profile"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*args, *stage])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == message
 
     @pytest.mark.parametrize("window", [
         {"start": "2014-01-01T00:00:00+02:00", "end": "2014-12-31"},
