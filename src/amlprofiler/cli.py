@@ -2,33 +2,37 @@
 
 Subcommands map to pipeline stages (synth, profile, sweep, cluster, rules,
 eval, grid, export-kb).  Every stage function takes ``(args, config,
-out_dir)``, writes its artifacts under --out-dir and returns a
-``StageResult``: the parameters, inputs and outputs of its manifest and its
-summary line.  ``main`` writes the manifest, which records parameter values,
-seeds and content hashes so reruns can be verified byte for byte, and prints
-the summary.  Downstream commands read the upstream artifacts by their
-conventional names and fail with a "run stage X first" diagnostic when they
-are missing.
+out_dir)``, where ``config`` is the checked config file, writes its
+artifacts under --out-dir and returns a ``StageResult``: the parameters,
+inputs and outputs of its manifest and its summary line.  ``main`` writes
+the manifest, which records parameter values, seeds and content hashes so
+reruns can be verified byte for byte, and prints the summary.  Downstream
+commands read the upstream artifacts by their conventional names and fail
+with a "run stage X first" diagnostic when they are missing.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import clustering, evaluation, parallel, synthgen, validity
 from .ingest import (
+    CUSTOMER_FIELDS,
+    TRANSACTION_FIELDS,
+    ColumnMapping,
     ConfigError,
+    FilterPolicy,
     FilterStats,
-    IngestConfig,
     TooManyRowErrors,
     TransactionReader,
     Window,
@@ -36,7 +40,7 @@ from .ingest import (
     parse_customers,
     write_rejections,
 )
-from .manifest import write_json, write_manifest
+from .manifest import check_keys, checked, from_json, write_json, write_manifest
 from .profiling import (
     AttributeSchema,
     apply_discretization,
@@ -110,38 +114,126 @@ def _require(path: Path, producer: str) -> Path:
     return path
 
 
-def _load_config(path: Optional[str]) -> dict:
+# ---------------------------------------------------------------------------
+# The config file: one frozen dataclass per section, read by
+# ``manifest.from_json``, which checks every key and value.
+
+
+def _override(obj, section: str, **overrides):
+    """``obj`` with the command-line overrides that are not None, checked as
+    a config value is."""
+    given = {k: v for k, v in overrides.items() if v is not None}
+    return checked(functools.partial(dataclasses.replace, obj), section, **given)
+
+
+@dataclass(frozen=True)
+class ClusteringOptions:
+    """The ``clustering`` section of ``sweep`` (k_range) and ``cluster`` (k);
+    ``max_iter`` caps the Lloyd iterations of every fit of both."""
+
+    k: int = 7
+    k_range: tuple[int, ...] = (2, 10)
+    runs: int = 10
+    distance: str = clustering.EUCLIDEAN
+    seed: int = 1
+    max_iter: int = 500
+
+    def __post_init__(self) -> None:
+        if self.k < 1 or self.runs < 1 or self.max_iter < 1 or self.seed < 0:
+            raise ValueError("k, runs and max_iter must be >= 1 and seed >= 0")
+        if len(self.k_range) != 2 or not 2 <= self.k_range[0] <= self.k_range[1]:
+            raise ValueError(f"k_range must be [lo, hi] with 2 <= lo <= hi, "
+                             f"got {list(self.k_range)}")
+        kinds = (clustering.EUCLIDEAN, clustering.MANHATTAN)
+        if self.distance not in kinds:
+            raise ValueError(f"distance must be one of {kinds}, got {self.distance!r}")
+
+
+@dataclass(frozen=True)
+class GridOptions:
+    """The ``grid`` section: the min-instances options of the 30-run grid
+    (null or "default" is the algorithm default) and the steps of ``grid --sweep``."""
+
+    min_instances: tuple[Union[int, str, None], ...] = (None, 100, 1000)
+    sweep_steps: int = 22
+
+    def __post_init__(self) -> None:
+        options = tuple(None if v == "default" else v for v in self.min_instances)
+        if not options or any(isinstance(v, str) or (v is not None and v < 1) for v in options):
+            raise ValueError('min_instances must list integers >= 1, null or "default"')
+        if self.sweep_steps < 1:
+            raise ValueError("sweep_steps must be >= 1")
+        object.__setattr__(self, "min_instances", options)
+
+
+@dataclass(frozen=True)
+class RulesOptions(InductionParams):
+    """The ``rules`` section: the induction parameters and the algorithm of
+    ``rules`` and ``eval``."""
+
+    algorithm: str = "part"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {self.algorithm!r} (choose from {ALGORITHMS})")
+
+    def params(self) -> InductionParams:
+        return InductionParams(**{k: v for k, v in vars(self).items() if k != "algorithm"})
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """The whole config file; a key that no stage reads is an error."""
+
+    out_dir: Optional[str] = None
+    generator: Optional[synthgen.GeneratorConfig] = None  # synth
+    transactions: Optional[str] = None  # profile, through error_cap
+    register: Optional[str] = None
+    window: Optional[Window] = None  # else the window of generator_config.json
+    phase: int = 2
+    discretize: bool = False
+    filter_policy: FilterPolicy = FilterPolicy()
+    column_mapping: Optional[dict[str, str]] = None
+    register_mapping: Optional[dict[str, str]] = None
+    delimiter: str = ","
+    error_cap: int = 100
+    clustering: ClusteringOptions = ClusteringOptions()  # sweep, cluster
+    rules: RulesOptions = RulesOptions()  # rules, eval, grid
+    split: evaluation.SplitSpec = evaluation.SplitSpec()  # eval
+    grid: GridOptions = GridOptions()  # grid
+
+    def __post_init__(self) -> None:
+        if self.phase not in (1, 2):
+            raise ValueError(f"phase must be 1 or 2, got {self.phase}")
+        if self.error_cap < 0:
+            raise ValueError("error_cap must be >= 0")
+        if len(self.delimiter) != 1 or self.delimiter in '\r\n"':
+            raise ValueError("delimiter must be one character other than a quote or newline")
+        check_keys(self.column_mapping or {}, TRANSACTION_FIELDS, "column_mapping")
+        check_keys(self.register_mapping or {}, CUSTOMER_FIELDS, "register_mapping")
+
+
+def _load_config(path: Optional[str]) -> PipelineConfig:
+    """The config file at ``path``; every default when there is none."""
     if path is None:
-        return {}
+        return PipelineConfig()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise StageError(f"cannot read config {path}: {exc}")
+            values = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    return from_json(PipelineConfig, values, "")
 
 
-def _resolve_window(config: dict, out_dir: Path) -> Window:
-    if "window" in config:
-        return Window.from_json(config["window"])
+def _resolve_window(config: PipelineConfig, out_dir: Path) -> Window:
+    if config.window is not None:
+        return config.window
     gen_path = out_dir / GENERATOR_JSON
     if gen_path.exists():
         with open(gen_path, "r", encoding="utf-8") as fh:
             return Window.from_json(json.load(fh)["window"])
     raise StageError("no analysis window: add \"window\" to the config file")
-
-
-def _from_config(cls, config: dict, section: str, ignore: Sequence[str] = (), **overrides):
-    """``cls`` built from a config section, with the overrides that are not None.
-
-    A section key that is neither a field of the dataclass ``cls`` nor in
-    ``ignore`` is a ``StageError``.
-    """
-    values = {k: v for k, v in config.get(section, {}).items() if k not in ignore}
-    unknown = set(values) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise StageError(f"unknown {section} options in config: {sorted(unknown)}")
-    values.update((k, v) for k, v in overrides.items() if v is not None)
-    return cls(**values)
 
 
 def _load_profiles(out_dir: Path, labeled: Optional[str] = None):
@@ -173,50 +265,31 @@ def _write_rejected(out_dir: Path, errors: list) -> Path:
     return out_dir / REJECTED_CSV
 
 
-def _induction(args, config: dict) -> tuple[str, InductionParams]:
+def _induction(args, config: PipelineConfig) -> tuple[str, InductionParams]:
     """The algorithm and induction parameters of ``rules`` and ``eval``."""
-    algorithm = args.algorithm or config.get("rules", {}).get("algorithm", "part")
-    params = _from_config(InductionParams, config, "rules", ("algorithm",), seed=args.seed,
-                          min_instances=args.min_instances,
-                          reduced_error_pruning=args.reduced_error_pruning or None)
-    if algorithm == "ripper" and params.reduced_error_pruning:
+    rules = _override(config.rules, "rules", algorithm=args.algorithm, seed=args.seed,
+                     min_instances=args.min_instances,
+                     reduced_error_pruning=args.reduced_error_pruning or None)
+    if rules.algorithm == "ripper" and rules.reduced_error_pruning:
         raise StageError("--reduced-error-pruning (rules.reduced_error_pruning) does not apply "
                          "to ripper, which always prunes on its own pruning set")
-    return algorithm, params
+    return rules.algorithm, rules.params()
 
 
 def _inducer(algorithm: str, schema: AttributeSchema, params: InductionParams):
-    if algorithm == "part":
-        return lambda X, y: part_induce(X, y, schema, params)
-    if algorithm == "tree":
-        return lambda X, y: build_tree(X, y, schema, params)
-    if algorithm == "ripper":
-        return lambda X, y: ripper_induce(X, y, schema, params)
-    raise StageError(f"unknown algorithm {algorithm!r} (choose from {ALGORITHMS})")
+    induce = {"part": part_induce, "tree": build_tree, "ripper": ripper_induce}[algorithm]
+    return lambda X, y: induce(X, y, schema, params)
 
 
 # ---------------------------------------------------------------------------
 # Stage implementations
 
 
-def cmd_synth(args, config: dict, out_dir: Path) -> StageResult:
+def cmd_synth(args, config: PipelineConfig, out_dir: Path) -> StageResult:
     out_dir.mkdir(parents=True, exist_ok=True)
-    if "generator" in config:
-        gen = synthgen.GeneratorConfig.from_json(config["generator"])
-    elif args.archetypes == 6:
-        gen = synthgen.six_archetype_config(
-            n_customers=args.n_customers or 1_500, noise=args.noise
-        )
-    else:
-        gen = synthgen.default_config(
-            n_customers=args.n_customers or 50_000, noise=args.noise
-        )
-    if args.seed is not None:
-        gen = synthgen.GeneratorConfig.from_json({**gen.to_json(), "seed": args.seed})
-    if args.n_customers is not None:
-        gen = synthgen.GeneratorConfig.from_json(
-            {**gen.to_json(), "n_customers": args.n_customers}
-        )
+    bundled = synthgen.six_archetype_config if args.archetypes == 6 else synthgen.default_config
+    gen = _override(config.generator or bundled(noise=args.noise), "generator",
+                   seed=args.seed, n_customers=args.n_customers)
     result = synthgen.generate_files(gen, out_dir)
     write_json(out_dir / GENERATOR_JSON, gen.to_json())
     return StageResult(
@@ -228,34 +301,34 @@ def cmd_synth(args, config: dict, out_dir: Path) -> StageResult:
     )
 
 
-def cmd_profile(args, config: dict, out_dir: Path) -> StageResult:
+def cmd_profile(args, config: PipelineConfig, out_dir: Path) -> StageResult:
+    config = _override(config, "", phase=args.phase, discretize=args.discretize or None)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tx_path = Path(config.get("transactions", out_dir / TRANSACTIONS_CSV))
-    reg_path = Path(config.get("register", out_dir / REGISTER_CSV))
-    _require(tx_path, "synth")
-    _require(reg_path, "synth")
+    tx_path = _require(Path(config.transactions or out_dir / TRANSACTIONS_CSV), "synth")
+    reg_path = _require(Path(config.register or out_dir / REGISTER_CSV), "synth")
     window = _resolve_window(config, out_dir)
-    ingest_cfg = IngestConfig.from_json(config)
-    phase = args.phase or int(config.get("phase", 2))
 
     reg_errors: list = []
     stats = FilterStats()
     try:
         with open(reg_path, "r", encoding="utf-8", newline="") as fh:
             register, reg_errors = parse_customers(
-                fh, ingest_cfg.register_mapping, window=window, error_cap=ingest_cfg.error_cap
+                fh,
+                config.register_mapping and ColumnMapping(config.register_mapping, CUSTOMER_FIELDS),
+                window=window,
+                error_cap=config.error_cap,
             )
         with open(tx_path, "r", encoding="utf-8", newline="") as fh:
             reader = TransactionReader(
                 fh,
-                ingest_cfg.column_mapping,
+                config.column_mapping and ColumnMapping(config.column_mapping),
                 window=window,
                 register=register,
-                error_cap=ingest_cfg.error_cap,
-                delimiter=ingest_cfg.delimiter,
+                error_cap=config.error_cap,
+                delimiter=config.delimiter,
             )
-            stream = filter_insignificant(reader, ingest_cfg.filter_policy, stats)
-            build = build_profiles_phase1 if phase == 1 else build_profiles_phase2
+            stream = filter_insignificant(reader, config.filter_policy, stats)
+            build = build_profiles_phase1 if config.phase == 1 else build_profiles_phase2
             schema, profiles = build(stream, register, window)
     except TooManyRowErrors as exc:
         # keep the rows that tripped the cap visible
@@ -265,7 +338,7 @@ def cmd_profile(args, config: dict, out_dir: Path) -> StageResult:
     with open(out_dir / PROFILES_CSV, "w", encoding="utf-8", newline="") as fh:
         write_profiles(fh, schema, profiles)
     meta = {
-        "phase": phase,
+        "phase": config.phase,
         "window": {"start": window.start.isoformat(), "end": window.end.isoformat()},
         "rows_accepted": reader.accepted,
         "rows_rejected": reader.rejected,
@@ -277,8 +350,7 @@ def cmd_profile(args, config: dict, out_dir: Path) -> StageResult:
     else:  # a rejections file from an earlier run no longer describes this one
         (out_dir / REJECTED_CSV).unlink(missing_ok=True)
 
-    discretize = bool(config.get("discretize", False)) or args.discretize
-    if discretize:
+    if config.discretize:
         if not profiles:
             raise StageError("no customer has an accepted ledger row; nothing to discretize")
         dschema = fit_discretization(profiles, schema)
@@ -292,8 +364,8 @@ def cmd_profile(args, config: dict, out_dir: Path) -> StageResult:
 
     return StageResult(
         "profile",
-        {**meta, "filter_policy": ingest_cfg.filter_policy.to_json(),
-         "discretize": discretize, "customers": len(profiles)},
+        {**meta, "filter_policy": config.filter_policy.to_json(),
+         "discretize": config.discretize, "customers": len(profiles)},
         [tx_path, reg_path],
         outputs,
         f"profile: {len(profiles)} customers from {reader.accepted} rows "
@@ -305,53 +377,51 @@ def _distinct_rows(X: np.ndarray) -> int:
     return len(np.unique(X, axis=0))
 
 
-def cmd_sweep(args, config: dict, out_dir: Path) -> StageResult:
+def cmd_sweep(args, config: PipelineConfig, out_dir: Path) -> StageResult:
+    opts = _override(config.clustering, "clustering", k_range=args.k_range, runs=args.runs,
+                    seed=args.seed)
+    if opts.runs < 2:
+        raise ConfigError(f"sweep needs clustering.runs >= 2 for its stability metrics, "
+                          f"got {opts.runs}")
     csv_path, schema_path, schema, profiles = _load_profiles(out_dir)
-    section = config.get("clustering", {})
-    k_lo, k_hi = args.k_range or tuple(section.get("k_range", (2, 10)))
-    runs = args.runs or int(section.get("runs", 10))
-    seed = args.seed if args.seed is not None else int(section.get("seed", 1))
-    kind = section.get("distance", clustering.EUCLIDEAN)
+    k_lo, k_hi = opts.k_range
     X = profile_matrix(profiles)
     limit = min(len(X) - 1, _distinct_rows(X))  # silhouettes need k <= n-1, seeding k distinct rows
-    if k_lo < 2 or k_hi > limit:
+    if k_hi > limit:
         raise StageError(f"cannot sweep k in {k_lo}..{k_hi} over {len(X)} profiles: "
                          f"k must lie within [2, {limit}]")
     result = validity.k_sweep(
         X,
         schema,
         range(k_lo, k_hi + 1),
-        runs=runs,
-        base_seed=seed,
-        kind=kind,
+        runs=opts.runs,
+        base_seed=opts.seed,
+        kind=opts.distance,
+        max_iter=opts.max_iter,
     )
     with open(out_dir / SWEEP_CSV, "w", encoding="utf-8", newline="") as fh:
         validity.write_sweep_csv(fh, result)
     write_json(out_dir / SWEEP_RECOMMENDATION, result.recommended)
     return StageResult(
         "sweep",
-        {"k_range": [k_lo, k_hi], "runs": runs, "seed": seed, "distance": kind},
+        {"k_range": [k_lo, k_hi], "runs": opts.runs, "seed": opts.seed, "distance": opts.distance,
+         "max_iter": opts.max_iter},
         [csv_path, schema_path],
         [out_dir / SWEEP_CSV, out_dir / SWEEP_RECOMMENDATION],
         f"sweep: k in {k_lo}..{k_hi}, recommendations {result.recommended}",
     )
 
 
-def cmd_cluster(args, config: dict, out_dir: Path) -> StageResult:
+def cmd_cluster(args, config: PipelineConfig, out_dir: Path) -> StageResult:
+    opts = _override(config.clustering, "clustering", k=args.k, runs=args.runs, seed=args.seed)
     csv_path, schema_path, schema, profiles = _load_profiles(out_dir)
-    section = config.get("clustering", {})
-    k = args.k or int(section.get("k", 7))
-    seed = args.seed if args.seed is not None else int(section.get("seed", 1))
-    kind = section.get("distance", clustering.EUCLIDEAN)
-    max_iter = int(section.get("max_iter", 500))
-    runs = args.runs or int(section.get("runs", 10))
     X = profile_matrix(profiles)
     distinct = _distinct_rows(X)
-    if k > distinct:
-        raise StageError(f"cannot cluster {len(X)} profiles into k={k}: only {distinct} are distinct")
-    model = clustering.kmeans_best_of(
-        X, schema, k, runs=runs, kind=kind, base_seed=seed, max_iter=max_iter
-    )
+    if opts.k > distinct:
+        raise StageError(f"cannot cluster {len(X)} profiles into k={opts.k}: "
+                         f"only {distinct} are distinct")
+    model = clustering.kmeans_best_of(X, schema, opts.k, runs=opts.runs, kind=opts.distance,
+                                      base_seed=opts.seed, max_iter=opts.max_iter)
     labels = clustering.assign(model, X)
     for p, label in zip(profiles, labels):
         p.label = int(label)
@@ -366,19 +436,19 @@ def cmd_cluster(args, config: dict, out_dir: Path) -> StageResult:
         with open(out_dir / LABELED_NOMINAL_CSV, "w", encoding="utf-8", newline="") as fh:
             write_profiles(fh, nominal_schema, nominal_profiles)
         outputs.append(out_dir / LABELED_NOMINAL_CSV)
-    sizes = np.bincount(labels, minlength=k).tolist()
+    sizes = np.bincount(labels, minlength=opts.k).tolist()
     return StageResult(
         "cluster",
-        {"k": k, "seed": seed, "runs": runs, "distance": kind,
-         "max_iter": max_iter, "sse": model.sse,
+        {"k": opts.k, "seed": opts.seed, "runs": opts.runs, "distance": opts.distance,
+         "max_iter": opts.max_iter, "sse": model.sse,
          "best_seed": model.seed, "iterations": model.iterations_run},
         [csv_path, schema_path],
         outputs,
-        f"cluster: k={k} sse={model.sse:.4f} sizes={sizes}",
+        f"cluster: k={opts.k} sse={model.sse:.4f} sizes={sizes}",
     )
 
 
-def cmd_rules(args, config: dict, out_dir: Path) -> StageResult:
+def cmd_rules(args, config: PipelineConfig, out_dir: Path) -> StageResult:
     path, _, schema, profiles = _load_profiles(out_dir, labeled=args.attribute_kind)
     algorithm, params = _induction(args, config)
     model = _inducer(algorithm, schema, params)(profile_matrix(profiles), profile_labels(profiles))
@@ -388,17 +458,17 @@ def cmd_rules(args, config: dict, out_dir: Path) -> StageResult:
         fh.write(render_ruleset(ruleset))
     return StageResult(
         "rules",
-        {"algorithm": algorithm, **params.to_json()},
+        {"algorithm": algorithm, **dataclasses.asdict(params)},
         [path],
         [out_dir / RULESET_JSON, out_dir / RULESET_TXT],
         f"rules: {algorithm} induced {len(ruleset.rules)} rules + default",
     )
 
 
-def cmd_eval(args, config: dict, out_dir: Path) -> StageResult:
-    path, _, schema, profiles = _load_profiles(out_dir, labeled=args.attribute_kind)
+def cmd_eval(args, config: PipelineConfig, out_dir: Path) -> StageResult:
     algorithm, params = _induction(args, config)
-    spec = _from_config(evaluation.SplitSpec, config, "split", mode=args.split_mode, seed=args.seed)
+    spec = _override(config.split, "split", mode=args.split_mode, seed=args.seed)
+    path, _, schema, profiles = _load_profiles(out_dir, labeled=args.attribute_kind)
     report = evaluation.evaluate_inducer(
         _inducer(algorithm, schema, params), profile_matrix(profiles), profile_labels(profiles), spec
     )
@@ -415,7 +485,7 @@ def cmd_eval(args, config: dict, out_dir: Path) -> StageResult:
         evaluation.write_report_rows(fh, [row])
     return StageResult(
         "eval",
-        {"algorithm": algorithm, "split": spec.to_json(), **params.to_json()},
+        {"algorithm": algorithm, "split": dataclasses.asdict(spec), **dataclasses.asdict(params)},
         [path],
         [out_dir / EVALUATION_JSON, out_dir / EVALUATION_ROW_CSV],
         f"eval: {algorithm} {spec.mode} percent_correct={report.percent_correct:.2f} "
@@ -500,26 +570,24 @@ def geometric_steps(lo: int, hi: int, count: int) -> list[int]:
     return out
 
 
-def cmd_grid(args, config: dict, out_dir: Path) -> StageResult:
+def cmd_grid(args, config: PipelineConfig, out_dir: Path) -> StageResult:
     kind = args.attribute_kind
+    base = _override(config.rules, "rules", seed=args.seed).params()
     path, _, schema, profiles = _load_profiles(out_dir, labeled=kind)
     X, y = profile_matrix(profiles), profile_labels(profiles)
-    section = config.get("grid", {})
     if args.sweep:
         smallest_cluster = int(np.bincount(y).min())
-        steps = geometric_steps(2, max(smallest_cluster, 2), int(section.get("sweep_steps", 22)))
+        steps = geometric_steps(2, max(smallest_cluster, 2), config.grid.sweep_steps)
         cells = [GridCell(algorithm, mi, "off", evaluation.HOLDOUT)
                  for algorithm in ("part", "tree") for mi in steps]
         out_name = f"grid_sweep_{kind}.csv"
         params = {"mode": "sweep", "steps": steps, "attribute_kind": kind}
     else:
-        options = section.get("min_instances", [None, 100, 1000])
-        options = [None if v in (None, "default") else int(v) for v in options]
+        options = config.grid.min_instances
         cells = grid_cells(options)
         out_name = f"grid_{kind}.csv"
         params = {"mode": "grid", "min_instances": [o if o is not None else "default" for o in options],
                   "attribute_kind": kind}
-    base = _from_config(InductionParams, config, "rules", ("algorithm",), seed=args.seed)
     rows = parallel.pmap(lambda cell: _run_cell(cell, X, y, schema, kind, base), cells)
     with open(out_dir / out_name, "w", encoding="utf-8", newline="") as fh:
         evaluation.write_report_rows(fh, rows)
@@ -532,7 +600,7 @@ def cmd_grid(args, config: dict, out_dir: Path) -> StageResult:
     )
 
 
-def cmd_export_kb(args, config: dict, out_dir: Path) -> StageResult:
+def cmd_export_kb(args, config: PipelineConfig, out_dir: Path) -> StageResult:
     path = _require(out_dir / RULESET_JSON, "rules")
     with open(path, "r", encoding="utf-8") as fh:
         ruleset = ruleset_from_json(json.load(fh))
@@ -627,11 +695,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    config = _load_config(args.config)
-    if "out_dir" in config and args.out_dir == "runs/default":
-        args.out_dir = config["out_dir"]
-    out_dir = Path(args.out_dir)
     try:
+        config = _load_config(args.config)
+        out_dir = Path(config.out_dir if config.out_dir and args.out_dir == "runs/default"
+                       else args.out_dir)
         result = args.func(args, config, out_dir)
         write_manifest(out_dir, result.manifest, params=result.params,
                        inputs=result.inputs, outputs=result.outputs)

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .manifest import write_json
+from .manifest import from_json, write_json
 from .profiling import AttributeSchema
 
 EUCLIDEAN = "euclidean"
@@ -78,7 +78,7 @@ class ClusterModel:
                 "ranges": self.normalization.ranges.tolist(),
             },
             "centroids": self.centroids.tolist(),
-            "schema": self.schema.to_json(),
+            "schema": asdict(self.schema),
         }
 
     @staticmethod
@@ -91,7 +91,7 @@ class ClusterModel:
                 np.asarray(obj["normalization"]["mins"], dtype=float),
                 np.asarray(obj["normalization"]["ranges"], dtype=float),
             ),
-            schema=AttributeSchema.from_json(obj["schema"]),
+            schema=from_json(AttributeSchema, obj["schema"], "schema"),
             seed=obj["seed"],
             iterations_run=obj["iterations"],
             sse=obj["sse"],

@@ -42,19 +42,8 @@ class SplitSpec:
             raise ValueError("train_fraction must be in (0, 1)")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
-
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "train_fraction": self.train_fraction,
-            "folds": self.folds,
-            "seed": self.seed,
-            "stratified": self.stratified,
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "SplitSpec":
-        return SplitSpec(**obj)
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _stratified_take(

@@ -65,6 +65,7 @@ class TooManyRowErrors(RuntimeError):
 class RowError(NamedTuple):
     line_no: int
     reason: str
+    source: str = "ledger"  # the file that line_no counts in: "ledger" or "register"
 
 
 class TransactionRecord(NamedTuple):
@@ -120,7 +121,7 @@ class Window:
         try:
             start = datetime.fromisoformat(obj["start"])
             end = datetime.fromisoformat(obj["end"])
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad window spec {obj!r}: {exc}") from None
         if start.tzinfo is not None or end.tzinfo is not None:
             raise ConfigError(f"bad window spec {obj!r}: a bound has a UTC offset; "
@@ -164,11 +165,6 @@ class FilterPolicy:
     """Transaction types with no AML relevance, supplied by compliance analysts."""
 
     excluded_txn_type_codes: frozenset[int] = frozenset()
-
-    @staticmethod
-    def from_json(obj: dict) -> "FilterPolicy":
-        codes = obj.get("excluded_txn_type_codes", [])
-        return FilterPolicy(frozenset(int(c) for c in codes))
 
     def to_json(self) -> dict:
         return {"excluded_txn_type_codes": sorted(self.excluded_txn_type_codes)}
@@ -527,7 +523,7 @@ def parse_customers(
                 elif cid in first_lines:
                     message = f"duplicate customer_id {cid!r}, first on line {first_lines[cid]}"
         if message:
-            errors.append(RowError(line_no, message))
+            errors.append(RowError(line_no, message, "register"))
             if len(errors) > error_cap:
                 raise TooManyRowErrors(errors, error_cap)
             continue
@@ -596,32 +592,6 @@ def write_transactions(
 
 def write_rejections(errors: Iterable[RowError], dest: IO[str]) -> None:
     writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(["line_no", "reason"])
+    writer.writerow(["source", "line_no", "reason"])
     for err in errors:
-        writer.writerow([err.line_no, err.reason])
-
-
-@dataclass(frozen=True)
-class IngestConfig:
-    """Ingestion section of the pipeline config file."""
-
-    column_mapping: ColumnMapping
-    register_mapping: ColumnMapping
-    filter_policy: FilterPolicy
-    delimiter: str = ","
-    error_cap: int = 100
-
-    @staticmethod
-    def from_json(obj: dict) -> "IngestConfig":
-        cm = obj.get("column_mapping")
-        rm = obj.get("register_mapping")
-        return IngestConfig(
-            column_mapping=ColumnMapping(cm) if cm else ColumnMapping.identity(),
-            register_mapping=(
-                ColumnMapping(rm, CUSTOMER_FIELDS) if rm else ColumnMapping.identity(CUSTOMER_FIELDS)
-            ),
-            filter_policy=FilterPolicy.from_json(obj.get("filter_policy", {})),
-            delimiter=obj.get("delimiter", ","),
-            error_cap=int(obj.get("error_cap", 100)),
-        )
-
+        writer.writerow([err.source, err.line_no, err.reason])

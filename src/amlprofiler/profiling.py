@@ -21,7 +21,7 @@ import json
 import logging
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Optional, Sequence
@@ -29,7 +29,7 @@ from typing import IO, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .ingest import CustomerRecord, TransactionChunk, Window
-from .manifest import write_json
+from .manifest import from_json, write_json
 
 log = logging.getLogger(__name__)
 
@@ -71,23 +71,6 @@ class AttributeSchema:
 
     def numeric_mask(self) -> np.ndarray:
         return np.array([a.kind == NUMERIC for a in self.attributes], dtype=bool)
-
-    def to_json(self) -> dict:
-        return {
-            "attributes": [
-                {"name": a.name, "kind": a.kind, "levels": list(a.levels) if a.levels else None}
-                for a in self.attributes
-            ]
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "AttributeSchema":
-        return AttributeSchema(
-            tuple(
-                Attribute(d["name"], d["kind"], tuple(d["levels"]) if d.get("levels") else None)
-                for d in obj["attributes"]
-            )
-        )
 
 
 @dataclass
@@ -420,25 +403,6 @@ class DiscretizationSchema:
                 return c
         return None
 
-    def to_json(self) -> dict:
-        return {
-            "cuts": [
-                {"name": c.name, "cut_points": list(c.cut_points), "levels": list(c.levels)}
-                for c in self.cuts
-            ],
-            "skipped": list(self.skipped),
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "DiscretizationSchema":
-        return DiscretizationSchema(
-            tuple(
-                AttributeCuts(d["name"], tuple(d["cut_points"]), tuple(d["levels"]))
-                for d in obj["cuts"]
-            ),
-            tuple(obj.get("skipped", ())),
-        )
-
 
 THREE_LEVELS = ("low", "mid", "high")
 TWO_LEVELS = ("low", "high")
@@ -595,9 +559,9 @@ def write_schema_sidecar(
     dschema: Optional[DiscretizationSchema] = None,
     meta: Optional[dict] = None,
 ) -> None:
-    obj = {"schema": schema.to_json()}
+    obj = {"schema": asdict(schema)}
     if dschema is not None:
-        obj["discretization"] = dschema.to_json()
+        obj["discretization"] = asdict(dschema)
     if meta:
         obj["meta"] = meta
     write_json(path, obj)
@@ -606,8 +570,9 @@ def write_schema_sidecar(
 def read_schema_sidecar(path: Path | str) -> tuple[AttributeSchema, Optional[DiscretizationSchema], dict]:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    schema = AttributeSchema.from_json(obj["schema"])
+    schema = from_json(AttributeSchema, obj["schema"], "schema")
     dschema = (
-        DiscretizationSchema.from_json(obj["discretization"]) if "discretization" in obj else None
+        from_json(DiscretizationSchema, obj["discretization"], "discretization")
+        if "discretization" in obj else None
     )
     return schema, dschema, obj.get("meta", {})

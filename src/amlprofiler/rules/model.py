@@ -12,11 +12,12 @@ agents, so their JSON shape is fixed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import IO, Sequence
 
 import numpy as np
 
+from ..manifest import from_json
 from ..profiling import NOMINAL, AttributeSchema
 
 OP_LE = "<="
@@ -155,21 +156,8 @@ class InductionParams:
             raise ValueError("pruning_confidence must be in (0, 1)")
         if self.folds_for_rep < 2:
             raise ValueError("folds_for_rep must be >= 2")
-
-    def to_json(self) -> dict:
-        return {
-            "min_instances": self.min_instances,
-            "reduced_error_pruning": self.reduced_error_pruning,
-            "pruning_confidence": self.pruning_confidence,
-            "folds_for_rep": self.folds_for_rep,
-            "seed": self.seed,
-            "optimization_passes": self.optimization_passes,
-            "mdl_slack_bits": self.mdl_slack_bits,
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "InductionParams":
-        return InductionParams(**obj)
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -264,16 +252,14 @@ def render_ruleset(ruleset: RuleSet) -> str:
 def ruleset_to_json(ruleset: RuleSet) -> dict:
     return {
         "algorithm": ruleset.algorithm,
-        "params": ruleset.params.to_json(),
+        "params": asdict(ruleset.params),
         "classes": list(ruleset.classes),
         "default_class": ruleset.default_class,
         "default_counts": list(ruleset.default_counts),
-        "schema": ruleset.schema.to_json(),
+        "schema": asdict(ruleset.schema),
         "rules": [
             {
-                "conditions": [
-                    {"attr": c.attr, "op": c.op, "value": c.value} for c in r.conditions
-                ],
+                "conditions": [asdict(c) for c in r.conditions],
                 "class": r.predicted_class,
                 "coverage": r.coverage,
                 "class_counts": list(r.class_counts),
@@ -286,9 +272,7 @@ def ruleset_to_json(ruleset: RuleSet) -> dict:
 def ruleset_from_json(obj: dict) -> RuleSet:
     rules = [
         Rule(
-            conditions=tuple(
-                Condition(c["attr"], c["op"], c["value"]) for c in r["conditions"]
-            ),
+            conditions=tuple(Condition(**c) for c in r["conditions"]),
             predicted_class=r["class"],
             coverage=r["coverage"],
             class_counts=tuple(r["class_counts"]),
@@ -300,9 +284,9 @@ def ruleset_from_json(obj: dict) -> RuleSet:
         default_class=obj["default_class"],
         default_counts=tuple(obj["default_counts"]),
         classes=tuple(obj["classes"]),
-        schema=AttributeSchema.from_json(obj["schema"]),
+        schema=from_json(AttributeSchema, obj["schema"], "schema"),
         algorithm=obj["algorithm"],
-        params=InductionParams.from_json(obj["params"]),
+        params=InductionParams(**obj["params"]),
     )
 
 
@@ -310,7 +294,7 @@ def write_knowledge_base(ruleset: RuleSet, dest: IO[str]) -> None:
     """Export the screening-agent knowledge base (fixed wire format)."""
     obj = {
         "algorithm": ruleset.algorithm,
-        "params": ruleset.params.to_json(),
+        "params": asdict(ruleset.params),
         "rules": [
             {
                 "conditions": [

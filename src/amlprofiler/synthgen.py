@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timedelta
 from pathlib import Path
 from typing import IO, Sequence
@@ -45,11 +45,13 @@ class ArchetypeSpec:
     account_age_years_sd: float
     amount_mode: str = AMOUNT_LOGNORMAL
 
-    def validate(self, window: Window) -> None:
+    def validate(self, window: Window, catalog: int) -> None:
         if self.proportion < 0:
             raise ConfigError(f"{self.name}: proportion must be >= 0")
-        if self.txns_per_month < 0 or self.services_used < 1:
-            raise ConfigError(f"{self.name}: rates must be >= 0 and service pool >= 1")
+        if min(self.txns_per_month, self.amount_sigma, self.account_age_years_sd) < 0:
+            raise ConfigError(f"{self.name}: rates and spreads must be >= 0")
+        if not 1 <= self.services_used <= catalog:
+            raise ConfigError(f"{self.name}: service pool must lie in [1, {catalog}]")
         for ratio in (
             self.interbank_outflow_ratio,
             self.intrabank_transfer_ratio,
@@ -82,76 +84,26 @@ class GeneratorConfig:
             raise ConfigError("need at least one customer per archetype")
         if not 0.0 <= self.noise < 1.0:
             raise ConfigError("noise must lie in [0, 1)")
+        if self.seed < 0 or self.bank_charges_per_month < 0 or self.reporting_threshold <= 0:
+            raise ConfigError("seed and bank_charges_per_month must be >= 0, "
+                              "reporting_threshold > 0")
         total = sum(a.proportion for a in self.archetypes)
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"archetype proportions sum to {total}, expected 1")
         for spec in self.archetypes:
-            spec.validate(self.window)
+            spec.validate(self.window, self.service_catalog)
 
     def to_json(self) -> dict:
-        return {
-            "n_customers": self.n_customers,
-            "window": {
-                "start": self.window.start.isoformat(),
-                "end": self.window.end.isoformat(),
-            },
-            "seed": self.seed,
-            "noise": self.noise,
-            "reporting_threshold": self.reporting_threshold,
-            "service_catalog": self.service_catalog,
-            "bank_charges_per_month": self.bank_charges_per_month,
-            "archetypes": [vars(a) for a in self.archetypes],
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "GeneratorConfig":
-        return GeneratorConfig(
-            n_customers=int(obj["n_customers"]),
-            window=Window.from_json(obj["window"]),
-            archetypes=tuple(ArchetypeSpec(**a) for a in obj["archetypes"]),
-            seed=int(obj.get("seed", 20140101)),
-            noise=float(obj.get("noise", 0.0)),
-            reporting_threshold=float(obj.get("reporting_threshold", 10_000.0)),
-            service_catalog=int(obj.get("service_catalog", 24)),
-            bank_charges_per_month=float(obj.get("bank_charges_per_month", 0.2)),
-        )
-
-
-def _dial_vector(a: ArchetypeSpec) -> np.ndarray:
-    return np.array(
-        [
-            a.services_used,
-            a.txns_per_month,
-            a.amount_scale,
-            a.amount_sigma,
-            a.lag_days_mean,
-            a.interbank_outflow_ratio,
-            a.intrabank_transfer_ratio,
-            a.outflow_fraction,
-            a.account_age_years_mean,
-            a.account_age_years_sd,
-        ]
-    )
+        window = {"start": self.window.start.isoformat(), "end": self.window.end.isoformat()}
+        return {**asdict(self), "window": window}
 
 
 def _blend(a: ArchetypeSpec, b: ArchetypeSpec, lam: float) -> ArchetypeSpec:
-    v = lam * _dial_vector(a) + (1.0 - lam) * _dial_vector(b)
-    dominant = a if lam >= 0.5 else b
-    return ArchetypeSpec(
-        name=dominant.name,
-        proportion=0.0,
-        services_used=max(1, int(round(v[0]))),
-        txns_per_month=float(v[1]),
-        amount_scale=float(v[2]),
-        amount_sigma=float(v[3]),
-        lag_days_mean=float(v[4]),
-        interbank_outflow_ratio=float(v[5]),
-        intrabank_transfer_ratio=float(v[6]),
-        outflow_fraction=float(v[7]),
-        account_age_years_mean=float(v[8]),
-        account_age_years_sd=float(v[9]),
-        amount_mode=dominant.amount_mode,
-    )
+    """The dominant archetype with every numeric dial interpolated."""
+    dials = {f.name: lam * getattr(a, f.name) + (1.0 - lam) * getattr(b, f.name)
+             for f in fields(ArchetypeSpec) if f.name not in ("name", "proportion", "amount_mode")}
+    dials["services_used"] = max(1, int(round(dials["services_used"])))
+    return replace(a if lam >= 0.5 else b, proportion=0.0, **dials)
 
 
 def _apportion(n: int, proportions: Sequence[float]) -> list[int]:

@@ -260,6 +260,32 @@ class TestDiagnostics:
         assert [p["customer_id"] for p in profiles] == ["c1"]
         assert float(profiles[0]["account_age_years"]) >= 0
 
+    @pytest.mark.parametrize("error_cap", [100, 2])
+    def test_rejected_rows_name_their_source_file(self, tmp_path, error_cap):
+        # register line 3 and ledger lines 3-5 are bad; a cap of 2 aborts in the ledger
+        (tmp_path / "register.csv").write_text(
+            "customer_id,account_open_date\nc1,2010-01-01\nc2,2010-13-01\n")
+        (tmp_path / "transactions.csv").write_text(
+            "customer_id,account_id,timestamp,amount,direction,service_code,txn_type_code,"
+            "counterparty_bank\n"
+            "c1,a1,2014-03-08T12:00:00,10.00,credit,1,1,\n"
+            "c1,a1,2014-03-09T12:00:00,bogus,debit,1,1,\n"
+            "c1,a1,2014-03-10T12:00:00,bogus,debit,1,1,\n"
+            "c1,a1,2014-03-11T12:00:00,bogus,debit,1,1,\n"
+        )
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"window": {"start": "2014-01-01", "end": "2014-12-31"},
+                                        "error_cap": error_cap}))
+        code = 0 if error_cap == 100 else 2
+        if code:
+            with pytest.raises(SystemExit) as exc:
+                main(["--config", str(cfg_path), "--out-dir", str(tmp_path), "profile"])
+            assert exc.value.code == code
+        else:
+            assert main(["--config", str(cfg_path), "--out-dir", str(tmp_path), "profile"]) == 0
+        rejected = [(r["source"], r["line_no"]) for r in csv_rows(tmp_path / "rejected_rows.csv")]
+        assert rejected == [("register", "3"), ("ledger", "3"), ("ledger", "4"), ("ledger", "5")]
+
     @pytest.mark.parametrize("discretize", [False, True])
     def test_ledger_with_no_accepted_row(self, tmp_path, capsys, discretize):
         (tmp_path / "register.csv").write_text("customer_id,account_open_date\nc1,2010-01-01\n")
@@ -343,17 +369,73 @@ class TestDiagnostics:
         ("rules", "rules", {"min_instance": 5}),
         ("grid", "rules", {"min_instance": 5}),
         ("eval", "split", {"folds_typo": 5}),
+        ("cluster", "clustering", {"runz": 3}),
+        ("sweep", "clustering", {"runz": 3}),
+        ("grid", "grid", {"min_instance": [None]}),
+        ("profile", "filter_policy", {"excluded": [99]}),
+        ("profile", "window", {"begin": "2014-01-01"}),
+        ("profile", "column_mapping", {"customer": "id"}),
+        ("profile", "register_mapping", {"opened": "open_date"}),
+        ("synth", "generator", {"n_customer": 10}),
+        ("synth", "generator.archetypes[0]", {"nam": "x"}),
+        ("profile", "top-level", {"discretise": True}),
+        ("export-kb", "top-level", {"phsae": 1}),
     ])
     def test_unknown_section_option_exits_two(self, pipeline_dir, tmp_path, capsys,
                                               command, section, options):
         out, _ = pipeline_dir
         cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({section: options}))
-        with pytest.raises(SystemExit) as exc:
-            main(["--config", str(cfg_path), "--out-dir", str(out), command])
-        assert exc.value.code == 2
+        config = {"top-level": options,
+                  "generator.archetypes[0]": {"generator": {"archetypes": [options]}}}
+        cfg_path.write_text(json.dumps(config.get(section, {section: options})))
+        assert main(["--config", str(cfg_path), "--out-dir", str(out), command]) == 2
         assert f"unknown {section} options in config: {sorted(options)}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, argv, message", [
+        ({"clustering": {"distance": "manhatan"}}, ["cluster"], "distance must be"),
+        ({"clustering": {"k": "seven"}}, ["cluster"], "clustering.k must be an integer"),
+        ({"clustering": {"runs": 1}}, ["sweep"], "sweep needs clustering.runs >= 2"),
+        ({"clustering": {"k_range": [5, 3]}}, ["sweep"], "k_range must be [lo, hi]"),
+        ({"clustering": {"k_range": [2]}}, ["sweep"], "k_range must be [lo, hi]"),
+        ({"clustering": {"seed": -1}}, ["cluster"], "seed >= 0"),
+        ({}, ["cluster", "--runs", "0"], "runs and max_iter must be >= 1"),
+        ({}, ["sweep", "--k-range", "5:3"], "k_range must be [lo, hi]"),
+        ({"split": {"mode": "cv"}}, ["eval"], "unknown split mode 'cv'"),
+        ({"split": {"folds": 10.5}}, ["eval"], "split.folds must be an integer"),
+        ({"rules": {"min_instances": 0}}, ["rules"], "min_instances must be >= 1"),
+        ({"rules": {"algorithm": "c45"}}, ["rules"], "unknown algorithm 'c45'"),
+        ({"rules": {"reduced_error_pruning": "yes"}}, ["grid"], "must be true or false"),
+        ({"grid": {"min_instances": ["many"]}}, ["grid"], "min_instances must list integers"),
+        ({"grid": {"sweep_steps": None}}, ["grid", "--sweep"], "sweep_steps must be an integer"),
+        ({"error_cap": "many"}, ["profile"], "error_cap must be an integer, got 'many'"),
+        ({"phase": 3}, ["profile"], "phase must be 1 or 2, got 3"),
+        ({"discretize": 1}, ["profile"], "discretize must be true or false"),
+        ({"filter_policy": {"excluded_txn_type_codes": 99}}, ["profile"], "must be a list"),
+        ({"window": {"start": 2014, "end": "2014-12-31"}}, ["profile"], "bad window spec"),
+        ({"window": ["2014-01-01", "2014-12-31"]}, ["profile"], "window must be a JSON object"),
+        ({"generator": {"n_customers": 10}}, ["synth"], "missing 2 required"),
+        ([], ["synth"], "the config must be a JSON object"),
+    ])
+    def test_bad_config_value_exits_two(self, tmp_path, capsys, config, argv, message):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["--config", str(cfg_path), "--out-dir", str(tmp_path / "run"), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_sweep_honours_max_iter(self, pipeline_dir, tmp_path):
+        out, _ = pipeline_dir
+        sweeps = []
+        for max_iter in (1, 500):
+            cfg_path = tmp_path / f"config_{max_iter}.json"
+            cfg_path.write_text(json.dumps({"clustering": {"max_iter": max_iter}}))
+            argv = ["--config", str(cfg_path), "--out-dir", str(out)]
+            assert main([*argv, "sweep", "--k-range", "2:4", "--runs", "2"]) == 0
+            manifest = json.loads((out / "sweep.manifest.json").read_text())
+            assert manifest["params"]["max_iter"] == max_iter
+            sweeps.append((out / "sweep.csv").read_text())
+        assert sweeps[0] != sweeps[1]
 
     @pytest.mark.parametrize("command", ["rules", "eval"])
     @pytest.mark.parametrize("source", ["flag", "config"])

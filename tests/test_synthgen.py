@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from amlprofiler import synthgen, validity
+from amlprofiler.manifest import from_json
 from amlprofiler.ingest import (
     ConfigError,
     FilterPolicy,
@@ -83,7 +84,7 @@ class TestValidation:
 
     def test_json_roundtrip(self):
         cfg = synthgen.six_archetype_config(n_customers=120, seed=9, noise=0.1)
-        again = synthgen.GeneratorConfig.from_json(cfg.to_json())
+        again = from_json(synthgen.GeneratorConfig, cfg.to_json(), "generator")
         assert again == cfg
 
 
