@@ -317,6 +317,7 @@ def cmd_profile(args, config: PipelineConfig, out_dir: Path) -> StageResult:
                 config.register_mapping and ColumnMapping(config.register_mapping, CUSTOMER_FIELDS),
                 window=window,
                 error_cap=config.error_cap,
+                delimiter=config.delimiter,
             )
         with open(tx_path, "r", encoding="utf-8", newline="") as fh:
             reader = TransactionReader(
@@ -721,4 +722,9 @@ def run() -> None:
 
 
 if __name__ == "__main__":
-    run()
+    # Run the importable module, not this file's copy: a runner such as
+    # ``python -m cProfile -m amlprofiler.cli`` keeps its own ``__main__`` in
+    # sys.modules, where the config dataclasses' annotations do not resolve.
+    from amlprofiler.cli import run as _run
+
+    _run()

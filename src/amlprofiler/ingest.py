@@ -1,11 +1,21 @@
 """Streaming CSV ingestion of bank ledger data.
 
 Two inputs feed the pipeline: a transaction ledger and a customer register,
-both CSV with a header row.  Parsing is single-pass: the ledger is read in
-chunks of ``CHUNK_ROWS`` rows, each yielded as numpy columns
-(``TransactionChunk``), and malformed rows are collected with their line
-numbers instead of being silently dropped.  Rows in the canonical form that
-``write_transactions`` produces are converted with array operations; every
+both CSV with a header row.  Parsing is single-pass: the ledger is yielded
+in chunks of numpy columns (``TransactionChunk``), and malformed rows are
+collected with their line numbers instead of being silently dropped.
+
+The ledger has two tokenizers that split it into the same rows.  Up to its
+first quote character it is read in text blocks of about ``BLOCK_CHARS``
+characters that end on a line end.  A plain block, one that is ASCII and
+holds no NUL and no carriage return other than before a newline, has
+nothing that ``csv.reader`` treats specially, so it is split at its
+newlines and delimiters with numpy, one chunk per block.  Any other block
+goes through ``csv.reader``, and so does the rest of the ledger from the
+line of its first quote on, since a quoted field may span lines; that path
+yields a chunk per ``CHUNK_ROWS`` records.  Either way, the fields of rows
+in the canonical form that ``write_transactions`` produces are converted by
+one set of array conversions, which take a character matrix per field; every
 other row is parsed on its own by ``_parse_row``, which decides whether it
 is accepted and why not.  Amounts are kept exact (integer cents) so that
 downstream aggregation is independent of row order.
@@ -14,12 +24,14 @@ downstream aggregation is independent of row order.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 from dataclasses import dataclass, fields
 from datetime import date, datetime, timedelta
 from decimal import Decimal, InvalidOperation
-from itertools import islice, repeat
-from typing import IO, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
+from itertools import chain, islice, repeat
+from typing import (IO, Callable, Collection, Generator, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence)
 
 import numpy as np
 
@@ -42,8 +54,8 @@ TRANSACTION_FIELDS = (
 CUSTOMER_FIELDS = ("customer_id", "account_open_date")
 # A chunk holds each row's signed cents, and its codes, in 64-bit integers.
 MAX_AMOUNT_CENTS = 2**63 - 1
-# Rows per chunk.  Small chunks keep the csv row lists young, so the garbage
-# collector does not rescan them while a chunk is being read.
+# Rows per chunk of the csv.reader path.  Small chunks keep the csv row lists
+# young, so the garbage collector does not rescan them while a chunk is read.
 CHUNK_ROWS = 2048
 # Naive ledger timestamps are read as UTC, whatever the host time zone.
 EPOCH = datetime(1970, 1, 1)
@@ -290,44 +302,55 @@ class TransactionChunk:
 
 # Canonical fields, the only ones the array conversions accept:
 # "YYYY-MM-DDTHH:MM:SS", amounts of 1 to 15 digits, a dot and two digits,
-# codes of 1 to 9 digits, all ASCII, and a lower-case direction.
-_SIGN = {CREDIT: 1, DEBIT: -1}
-_TS_FIELDS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19))
+# codes of 1 to 9 digits, all ASCII, and a lower-case direction.  Each
+# conversion takes a field as a character matrix and the texts' lengths: one
+# row of character codes per text, ``width`` wide.  A left-aligned matrix
+# holds a text's first characters and anything after them; a right-aligned
+# one holds its last characters after "0" fill.
+_ZERO = ord("0")
+_TS_WIDTH = 19
 _TS_SEPARATORS = {4: "-", 7: "-", 10: "T", 13: ":", 16: ":"}
-_AMOUNT_WIDTH = 18  # right-aligned with "0" fill, the dot at index 15
+_TS_DIGITS = [i for i in range(_TS_WIDTH) if i not in _TS_SEPARATORS]
+# Place values of year, month, day, hour, minute and second, one column
+# each.  These and the code weights are float64, which multiplies faster and
+# is exact here: every weighted sum of character codes stays below 2**53.
+_TS_WEIGHTS = np.array([[10.0 ** (b - 1 - i) if a <= i < b else 0.0
+                         for a, b in ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19))]
+                        for i in range(_TS_WIDTH)])
+_AMOUNT_WIDTH = 18  # right-aligned, the dot at index 15
+_AMOUNT_DIGITS = [i for i in range(_AMOUNT_WIDTH) if i != 15]
 _AMOUNT_WEIGHTS = np.array([10**p for p in range(16, 1, -1)] + [0, 10, 1], dtype=np.int64)
 _CODE_WIDTH = 9
-_CODE_WEIGHTS = 10 ** np.arange(_CODE_WIDTH - 1, -1, -1, dtype=np.int64)
+_CODE_WEIGHTS = 10.0 ** np.arange(_CODE_WIDTH - 1, -1, -1)
+_CREDIT, _DEBIT = (np.frombuffer(word.encode(), np.uint8) for word in (CREDIT, DEBIT))
+# Customer ids up to this long take the array path.
+_ID_WIDTH = 64
+# NUL bytes on either side of a block, so that the bytes gathered for a
+# field, at most this many, lie inside
+_PAD = _ID_WIDTH
+# Whitespace that str.strip removes, other than line ends, which no field holds
+_BLANK = np.array([chr(c).isspace() and chr(c) not in "\r\n" for c in range(33)])
+# Characters per block of the ledger's array path, which also reads on to
+# the end of the block's last line.  Each block's index arrays stay at a few MB.
+BLOCK_CHARS = 1 << 18
 
 
-def _digit_matrix(texts: Sequence[str], width: int) -> np.ndarray:
-    """The first ``width`` characters of each text as code points minus
-    ord("0"), zero-padded: ASCII digits read 0..9, every other character
-    falls outside that range."""
-    chars = np.array(texts, dtype=f"U{width}").view(np.uint32).reshape(len(texts), width)
-    return chars.astype(np.int64) - ord("0")
+def _is_digit(chars: np.ndarray) -> np.ndarray:
+    return (chars >= _ZERO) & (chars <= _ZERO + 9)
 
 
-def _all_digits(digits: np.ndarray) -> np.ndarray:
-    return ((digits >= 0) & (digits <= 9)).all(axis=1)
+def _number(chars: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The value of each row's digit characters under the place values ``weights``."""
+    return (chars @ weights).astype(np.int64) - _ZERO * weights.sum(axis=0).astype(np.int64)
 
 
-def _lengths(texts: Sequence[str]) -> np.ndarray:
-    return np.fromiter(map(len, texts), np.int64, len(texts))
-
-
-def _timestamps(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _timestamps(chars: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Epoch seconds, months since 1970-01, and which texts are canonical
-    valid timestamps."""
-    digits = _digit_matrix(texts, 19)
-    ok = _lengths(texts) == 19
+    valid timestamps; ``chars`` is left-aligned."""
+    ok = (lengths == _TS_WIDTH) & _is_digit(chars)[:, _TS_DIGITS].all(axis=1)
     for i, sep in _TS_SEPARATORS.items():
-        ok &= digits[:, i] == ord(sep) - ord("0")
-        digits[:, i] = 0
-    ok &= _all_digits(digits)
-    year, month, day, hour, minute, second = (
-        digits[:, a:b] @ 10 ** np.arange(b - a - 1, -1, -1) for a, b in _TS_FIELDS
-    )
+        ok &= chars[:, i] == ord(sep)
+    year, month, day, hour, minute, second = _number(chars, _TS_WEIGHTS).T
     ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
     ok &= (hour <= 23) & (minute <= 59) & (second <= 59)
     months = np.where(ok, (year - 1970) * 12 + month - 1, 0)
@@ -338,33 +361,115 @@ def _timestamps(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return seconds, months, ok
 
 
-def _right_aligned(texts: Sequence[str], width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lengths of the texts, and their digit matrix right-aligned in
-    ``width`` characters with "0" fill."""
-    padded = list(map(str.rjust, texts, repeat(width), repeat("0")))
-    return _lengths(texts), _digit_matrix(padded, width)
-
-
-def _amounts(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Cents of canonical amounts above zero, and which texts are such."""
-    lengths, digits = _right_aligned(texts, _AMOUNT_WIDTH)
-    ok = (lengths >= 4) & (lengths <= _AMOUNT_WIDTH) & (digits[:, 15] == ord(".") - ord("0"))
-    digits[:, 15] = 0
-    ok &= _all_digits(digits)
-    cents = digits @ _AMOUNT_WEIGHTS
+def _amounts(chars: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cents of canonical amounts above zero, and which texts are such;
+    ``chars`` is right-aligned."""
+    ok = (lengths >= 4) & (lengths <= _AMOUNT_WIDTH) & (chars[:, 15] == ord("."))
+    ok &= _is_digit(chars)[:, _AMOUNT_DIGITS].all(axis=1)
+    cents = _number(chars, _AMOUNT_WEIGHTS)
     return cents, ok & (cents > 0)
 
 
-def _codes(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Values of canonical codes, and which texts are such."""
-    lengths, digits = _right_aligned(texts, _CODE_WIDTH)
-    ok = (lengths >= 1) & (lengths <= _CODE_WIDTH) & _all_digits(digits)
-    return digits @ _CODE_WEIGHTS, ok
+def _codes(chars: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values of canonical codes, and which texts are such; ``chars`` is
+    right-aligned."""
+    ok = (lengths >= 1) & (lengths <= _CODE_WIDTH) & _is_digit(chars).all(axis=1)
+    return _number(chars, _CODE_WEIGHTS), ok
+
+
+def _signs(chars: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """1 for "credit", -1 for "debit", 0 for any other text; ``chars`` is
+    left-aligned."""
+    credit = (lengths == len(CREDIT)) & (chars[:, : len(CREDIT)] == _CREDIT).all(axis=1)
+    debit = (lengths == len(DEBIT)) & (chars[:, : len(DEBIT)] == _DEBIT).all(axis=1)
+    return credit.astype(np.int64) - debit
+
+
+def _text_matrix(texts: Sequence[str], width: int, right: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The character matrix of ``texts`` as code points, and their lengths."""
+    lengths = np.fromiter(map(len, texts), np.int64, len(texts))
+    if right:
+        texts = list(map(str.rjust, texts, repeat(width), repeat("0")))
+    chars = np.array(texts, dtype=f"U{width}").view(np.uint32).reshape(len(texts), width)
+    return chars, lengths
+
+
+def _byte_matrix(padded: np.ndarray, start: np.ndarray, end: np.ndarray, width: int,
+                 right: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The character matrix of the fields ``start:end`` of a block, and their
+    lengths; ``padded`` holds the block's bytes between ``_PAD`` NULs on
+    either side."""
+    lengths = end - start
+    # each row is one record of ``width`` bytes, so the gather copies records
+    windows = np.ndarray((len(padded) - width + 1,), f"V{width}", padded, strides=(1,))
+    first = (end - width if right else start) + _PAD
+    chars = windows[first].view(np.uint8).reshape(len(first), width)
+    if right:
+        # a mask built column by column, which numpy does much faster than
+        # row by row for short rows
+        keep = np.ascontiguousarray((np.arange(width)[:, None] >= width - lengths).T)
+        chars = chars * keep + np.uint8(_ZERO) * ~keep
+    return chars, lengths
+
+
+def _plain(block: str) -> bool:
+    """Whether ``block`` holds nothing that ``csv.reader`` treats specially
+    other than the delimiter and line ends: it is ASCII, without NUL and
+    without a carriage return except before a newline.  The caller has
+    checked it for quotes."""
+    return (block.isascii() and "\0" not in block
+            and ("\r" not in block or block.count("\r") == block.count("\r\n")))
+
+
+def _blocks(source: IO[str]) -> Iterator[str]:
+    """The rest of ``source`` in blocks of about ``BLOCK_CHARS`` characters,
+    each ending at a line end, the last one where the text ends."""
+    while block := source.read(BLOCK_CHARS):
+        if block[-1] != "\n":
+            block += source.readline()
+        yield block
+
+
+class _Unsplit(list):
+    """In place of a record that ``csv.reader`` would not split, such as one
+    with a field over its size limit: an empty row with the reason."""
+
+    def __init__(self, reason: str):
+        super().__init__()
+        self.reason = reason
+
+
+def _split(line: str, delimiter: str) -> list[str]:
+    """The fields ``csv.reader`` gives for a line of a plain block, without
+    its line end."""
+    if not line:
+        return []
+    fields = line.split(delimiter)
+    limit = csv.field_size_limit()
+    if len(line) > limit and max(map(len, fields)) > limit:
+        return _Unsplit(f"field larger than field limit ({limit})")
+    return fields
+
+
+def _records(reader: Iterator[list[str]]) -> Iterator[list[str]]:
+    """The records of ``reader``, with an ``_Unsplit`` for each that it
+    raises ``csv.Error`` on; it goes on with the next line."""
+    while True:
+        try:
+            yield from reader
+            return
+        except csv.Error as exc:
+            yield _Unsplit(str(exc))
 
 
 class TransactionReader:
-    """Iterable over the ledger's accepted rows, one ``TransactionChunk`` per
-    ``CHUNK_ROWS`` rows read.
+    """Iterable over the ledger's accepted rows as ``TransactionChunk``s,
+    split by the two tokenizers of the module docstring.
+
+    ``source`` is text opened with ``newline=""``, as for ``csv.reader``.
+    A rejected row's ``line_no`` counts records as ``csv.reader`` splits
+    them, the header being record 1.  A record with a field longer than
+    ``csv.field_size_limit()`` is rejected on either path.
 
     A row whose customer id is not in ``register`` is rejected, after the
     row's own field checks.  Counts of accepted and rejected rows
@@ -393,18 +498,51 @@ class TransactionReader:
         self.errors: list[RowError] = []
 
     def __iter__(self) -> Iterator[TransactionChunk]:
-        reader = csv.reader(self._source, delimiter=self._delimiter)
+        source, delimiter = self._source, self._delimiter
+        first = source.readline()
+        quoted = '"' in first
+        rows = csv.reader(chain([first], source) if quoted else [first], delimiter=delimiter)
         try:
-            header = next(reader)
+            header = next(rows)
         except StopIteration:
             raise ConfigError("empty input: no header row") from None
+        except csv.Error as exc:
+            raise ConfigError(f"unreadable header row: {exc}") from None
         idx = self._mapping.resolve(header)
         line_no = 2
-        while rows := list(islice(reader, CHUNK_ROWS)):
+        if quoted:
+            yield from self._csv_chunks(rows, line_no, idx)
+            return
+        for block in _blocks(source):
+            quote = block.find('"')
+            if quote >= 0:
+                cut = block.rfind("\n", 0, quote) + 1
+                block, rest = block[:cut], block[cut:]
+            if block and delimiter.isascii() and _plain(block):
+                chunk, lines = self._array_chunk(block, line_no, idx, len(header))
+                line_no += lines
+                if len(chunk):
+                    yield chunk
+            elif block:
+                lines = io.StringIO(block, newline="")
+                line_no = yield from self._csv_chunks(csv.reader(lines, delimiter=delimiter),
+                                                      line_no, idx)
+            if quote >= 0:
+                lines = chain(io.StringIO(rest, newline=""), source)
+                yield from self._csv_chunks(csv.reader(lines, delimiter=delimiter), line_no, idx)
+                return
+
+    def _csv_chunks(self, reader: Iterator[list[str]], line_no: int,
+                    idx: dict[str, int]) -> Generator[TransactionChunk, None, int]:
+        """The chunks of ``csv.reader`` records numbered from ``line_no``;
+        returns the number after the last."""
+        records = _records(reader)
+        while rows := list(islice(records, CHUNK_ROWS)):
             chunk = self._chunk(rows, line_no, idx)
             line_no += len(rows)
             if len(chunk):
                 yield chunk
+        return line_no
 
     def _chunk(self, rows: list[list[str]], first_line: int, idx: dict[str, int]) -> TransactionChunk:
         """Canonical rows through array conversions, the rest through
@@ -416,14 +554,111 @@ class TransactionReader:
             columns = list(zip(*(row if len(row) >= n_cols else blank for row in rows)))
         else:
             columns = list(zip(*rows))
-        chunk, ok = self._canonical(columns, idx)
+        values, ok = self._canonical(
+            lambda field, width, right: _text_matrix(columns[idx[field]], width, right))
+        chunk = None
+        if values is not None:
+            customer_ids = columns[idx["customer_id"]]
+            ok &= np.fromiter(map(self._register.__contains__, customer_ids), bool, len(rows))
+            interbank = np.fromiter(map(bool, map(str.strip, columns[idx["counterparty_bank"]])),
+                                    bool, len(rows))
+            chunk = TransactionChunk(np.array(customer_ids, dtype=object), *values, interbank)
+        slow = np.flatnonzero(~ok).tolist()
+        return self._merge(chunk, ok, [(first_line + i, rows[i]) for i in slow], idx)
+
+    def _array_chunk(self, block: str, first_line: int, idx: dict[str, int],
+                     n_fields: int) -> tuple[TransactionChunk, int]:
+        """The chunk of a plain block, split with array operations, and its
+        number of lines.  A line with another count of fields than the
+        header, or that is not canonical, goes through ``_parse_row``."""
+        data = block.encode("ascii") + b"\n" * (block[-1] != "\n")
+        padded = np.frombuffer(b"".join((bytes(_PAD), data, bytes(_PAD))), np.uint8)
+        buf = padded[_PAD:-_PAD]
+        line_end = np.flatnonzero(buf == ord("\n"))
+        line_start = np.r_[0, line_end[:-1] + 1]
+        line_end -= buf[line_end - 1] == ord("\r")
+        delimiters = np.flatnonzero(buf == ord(self._delimiter))
+        first = np.searchsorted(delimiters, line_start)
+        lines = np.flatnonzero((np.searchsorted(delimiters, line_end) - first == n_fields - 1)
+                               & (line_end - line_start <= csv.field_size_limit()))
+        # field j of line lines[i] is buf[bounds[i, j] + 1 : bounds[i, j + 1]]
+        bounds = np.empty((len(lines), n_fields + 1), np.int64)
+        bounds[:, 0] = line_start[lines] - 1
+        bounds[:, 1:-1] = delimiters[first[lines, None] + np.arange(n_fields - 1)]
+        bounds[:, -1] = line_end[lines]
+
+        def field(name: str) -> tuple[np.ndarray, np.ndarray]:
+            return bounds[:, idx[name]] + 1, bounds[:, idx[name] + 1]
+
+        values, ok = self._canonical(
+            lambda name, width, right: _byte_matrix(padded, *field(name), width, right))
+        chunk = None
+        if values is not None:
+            start, end = field("customer_id")
+            ok &= end - start <= _ID_WIDTH
+            width = max(1, int((end - start)[ok].max(initial=0)))
+            chars, lengths = _byte_matrix(padded, start, end, width, False)
+            chars *= np.ascontiguousarray((np.arange(width)[:, None] < lengths).T)
+            ids = chars.view(f"S{width}").ravel()
+            # a ledger grouped by customer repeats each id in runs
+            head = np.r_[True, ids[1:] != ids[:-1]]
+            distinct, inverse = np.unique(ids[head], return_inverse=True)
+            inverse = inverse[np.cumsum(head) - 1]
+            names = np.array([i.decode("ascii") for i in distinct.tolist()], dtype=object)
+            ok &= np.fromiter(map(self._register.__contains__, names), bool, len(names))[inverse]
+            start, end = field("counterparty_bank")
+            low = np.flatnonzero(buf <= 32)
+            blank = low[_BLANK[buf[low]]]
+            interbank = end - start > np.searchsorted(blank, end) - np.searchsorted(blank, start)
+            chunk = TransactionChunk(names[inverse], *values, interbank)
+        canonical = np.zeros(len(line_end), bool)
+        canonical[lines[ok]] = True
+        slow = np.flatnonzero(~canonical).tolist()
+        rows = [(first_line + i, _split(block[line_start[i]:line_end[i]], self._delimiter))
+                for i in slow]
+        return self._merge(chunk, ok, rows, idx), len(line_end)
+
+    def _canonical(
+        self, matrix: Callable[[str, int, bool], tuple[np.ndarray, np.ndarray]]
+    ) -> tuple[Optional[tuple[np.ndarray, ...]], np.ndarray]:
+        """The timestamp, month, signed cents, service and type code columns
+        of the rows, and which rows are canonical and in the window;
+        ``matrix(field, width, right)`` gives a field's character matrix and
+        lengths.  The conversions stop, with no columns, once no row is left:
+        a ledger written in another form costs little more than its
+        ``_parse_row`` calls."""
+        seconds, months, ok = _timestamps(*matrix("timestamp", _TS_WIDTH, False))
+        if self._window is not None:
+            # whole seconds inside the window: ceil(start) .. floor(end)
+            lo = -((EPOCH - self._window.start) // timedelta(seconds=1))
+            hi = (self._window.end - EPOCH) // timedelta(seconds=1)
+            ok &= (seconds >= lo) & (seconds <= hi)
+        if not ok.any():
+            return None, ok
+        cents, amount_ok = _amounts(*matrix("amount", _AMOUNT_WIDTH, True))
+        ok &= amount_ok
+        if not ok.any():
+            return None, ok
+        sign = _signs(*matrix("direction", len(CREDIT), False))
+        service, service_ok = _codes(*matrix("service_code", _CODE_WIDTH, True))
+        txn_type, txn_type_ok = _codes(*matrix("txn_type_code", _CODE_WIDTH, True))
+        ok &= (sign != 0) & service_ok & txn_type_ok
+        return (seconds.astype(np.float64), months, cents * sign, service, txn_type), ok
+
+    def _merge(self, chunk: Optional[TransactionChunk], ok: np.ndarray,
+               rows: list[tuple[int, list[str]]], idx: dict[str, int]) -> TransactionChunk:
+        """The canonical rows of ``chunk`` that ``ok`` marks and the accepted
+        ``(line_no, row)`` pairs of ``rows``, which are judged one by one in
+        line order."""
         self.accepted += int(ok.sum())
-        if ok.all():
+        if not rows:
             return chunk
+        n_cols = max(idx.values()) + 1
         records = []
-        for i in np.flatnonzero(~ok).tolist():
-            row, line_no = rows[i], first_line + i
+        for line_no, row in rows:
             if not row:
+                if isinstance(row, _Unsplit):
+                    self._record_error(line_no, row.reason)
                 continue
             if len(row) < n_cols:
                 self._record_error(line_no, f"expected at least {n_cols} columns, got {len(row)}")
@@ -440,37 +675,6 @@ class TransactionReader:
         self.accepted += len(records)
         slow = TransactionChunk.from_records(records)
         return slow if chunk is None else TransactionChunk.concat([chunk.take(ok), slow])
-
-    def _canonical(
-        self, columns: list[tuple[str, ...]], idx: dict[str, int]
-    ) -> tuple[Optional[TransactionChunk], np.ndarray]:
-        """The chunk converted by array operations, and which of its rows
-        are canonical and accepted.  The conversions stop, with no chunk,
-        once no row is left: a ledger written in another form costs little
-        more than its ``_parse_row`` calls."""
-        n = len(columns[0])
-        seconds, months, ok = _timestamps(columns[idx["timestamp"]])
-        if self._window is not None:
-            # whole seconds inside the window: ceil(start) .. floor(end)
-            lo = -((EPOCH - self._window.start) // timedelta(seconds=1))
-            hi = (self._window.end - EPOCH) // timedelta(seconds=1)
-            ok &= (seconds >= lo) & (seconds <= hi)
-        if not ok.any():
-            return None, ok
-        cents, amount_ok = _amounts(columns[idx["amount"]])
-        ok &= amount_ok
-        if not ok.any():
-            return None, ok
-        sign = np.fromiter(map(_SIGN.get, columns[idx["direction"]], repeat(0)), np.int64, n)
-        service, service_ok = _codes(columns[idx["service_code"]])
-        txn_type, txn_type_ok = _codes(columns[idx["txn_type_code"]])
-        ok &= (sign != 0) & service_ok & txn_type_ok
-        customer_ids = columns[idx["customer_id"]]
-        ok &= np.fromiter(map(self._register.__contains__, customer_ids), bool, n)
-        interbank = np.fromiter(map(bool, map(str.strip, columns[idx["counterparty_bank"]])), bool, n)
-        chunk = TransactionChunk(np.array(customer_ids, dtype=object), seconds.astype(np.float64),
-                                 months, cents * sign, service, txn_type, interbank)
-        return chunk, ok
 
     def _record_error(self, line_no: int, reason: str) -> None:
         self.rejected += 1

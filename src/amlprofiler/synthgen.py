@@ -27,6 +27,8 @@ AMOUNT_LOGNORMAL = "lognormal"
 AMOUNT_BELOW_THRESHOLD = "just_below_threshold"
 
 BANK_CHARGE_TYPE_CODE = 99
+# The largest mean numpy's Poisson sampler accepts ("lam value too large" above it).
+POISSON_MEAN_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,8 @@ class ArchetypeSpec:
             raise ConfigError(f"{self.name}: proportion must be >= 0")
         if min(self.txns_per_month, self.amount_sigma, self.account_age_years_sd) < 0:
             raise ConfigError(f"{self.name}: rates and spreads must be >= 0")
+        if self.txns_per_month / 2.0 > POISSON_MEAN_MAX:  # flows are drawn, two rows each
+            raise ConfigError(f"{self.name}: txns_per_month must be at most {2 * POISSON_MEAN_MAX:g}")
         if not 1 <= self.services_used <= catalog:
             raise ConfigError(f"{self.name}: service pool must lie in [1, {catalog}]")
         for ratio in (
@@ -87,6 +91,9 @@ class GeneratorConfig:
         if self.seed < 0 or self.bank_charges_per_month < 0 or self.reporting_threshold <= 0:
             raise ConfigError("seed and bank_charges_per_month must be >= 0, "
                               "reporting_threshold > 0")
+        if self.bank_charges_per_month * self.window.month_count() > POISSON_MEAN_MAX:
+            raise ConfigError(f"bank_charges_per_month must be at most "
+                              f"{POISSON_MEAN_MAX / self.window.month_count():g}")
         total = sum(a.proportion for a in self.archetypes)
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"archetype proportions sum to {total}, expected 1")

@@ -9,7 +9,7 @@ import pytest
 
 import amlprofiler
 
-from amlprofiler import parallel
+from amlprofiler import parallel, synthgen
 from amlprofiler.cli import build_parser, geometric_steps, grid_cells, main
 from amlprofiler.manifest import sha256_file
 
@@ -198,6 +198,58 @@ class TestDiagnostics:
         assert [r["line_no"] for r in rejected] == ["3"]
         assert "offset" in rejected[0]["reason"]
         assert len(csv_rows(tmp_path / "profiles.csv")) == 1
+
+    def test_field_over_the_csv_limit_is_rejected_row(self, tmp_path):
+        (tmp_path / "register.csv").write_text("customer_id,account_open_date\nc1,2010-01-01\n")
+        (tmp_path / "transactions.csv").write_text(
+            "customer_id,account_id,timestamp,amount,direction,service_code,txn_type_code,"
+            "counterparty_bank\n"
+            "c1,a1,2014-03-08T12:00:00,10.00,credit,1,1,\n"
+            f"c1,a1,2014-03-09T12:00:00,5.00,debit,1,1,{'B' * 140_000}\n"
+        )
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"window": {"start": "2014-01-01", "end": "2014-12-31"}}))
+        assert main(["--config", str(cfg_path), "--out-dir", str(tmp_path), "profile"]) == 0
+        rejected = csv_rows(tmp_path / "rejected_rows.csv")
+        assert [(r["line_no"], r["reason"]) for r in rejected] == [
+            ("3", "field larger than field limit (131072)")]
+        assert len(csv_rows(tmp_path / "profiles.csv")) == 1
+
+    def test_semicolon_register_and_ledger_give_the_comma_profiles(self, tmp_path):
+        register = "customer_id,account_open_date\nc1,2010-01-01\nc2,2012-06-30\n"
+        ledger = (
+            "customer_id,account_id,timestamp,amount,direction,service_code,txn_type_code,"
+            "counterparty_bank\n"
+            "c1,a1,2014-03-08T12:00:00,10.00,credit,1,1,\n"
+            "c1,a1,2014-03-10T08:30:00,7.50,debit,2,1,BANK_02\n"
+            "c2,a2,2014-05-01T00:00:00,120.00,credit,3,4,\n"
+        )
+        profiles = []
+        for delimiter in (",", ";"):
+            out = tmp_path / f"run{len(profiles)}"
+            out.mkdir()
+            (out / "register.csv").write_text(register.replace(",", delimiter))
+            (out / "transactions.csv").write_text(ledger.replace(",", delimiter))
+            (out / "config.json").write_text(json.dumps(
+                {"window": {"start": "2014-01-01", "end": "2014-12-31"}, "delimiter": delimiter}))
+            argv = ["--config", str(out / "config.json"), "--out-dir", str(out), "profile"]
+            assert main(argv) == 0
+            assert not (out / "rejected_rows.csv").exists()
+            profiles.append((out / "profiles.csv").read_bytes())
+        assert profiles[0] == profiles[1]
+
+    @pytest.mark.parametrize("rate", ["txns_per_month", "bank_charges_per_month"])
+    def test_rate_beyond_the_poisson_sampler_exits_two(self, tmp_path, capsys, rate):
+        generator = synthgen.default_config(n_customers=20).to_json()
+        if rate == "txns_per_month":
+            generator["archetypes"][0][rate] = 1e300
+        else:
+            generator[rate] = 1e300
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"generator": generator}))
+        assert main(["--config", str(cfg_path), "--out-dir", str(tmp_path / "run"), "synth"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{rate} must be at most" in err
 
     def test_amount_beyond_int64_cents_is_rejected_row(self, tmp_path):
         (tmp_path / "register.csv").write_text("customer_id,account_open_date\nc1,2010-01-01\n")
@@ -466,6 +518,20 @@ class TestRuntimeDependencies:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
+
+    def test_profile_runs_under_cprofile(self, tmp_path):
+        src = str(Path(amlprofiler.__file__).resolve().parent.parent)
+        config = Path(__file__).resolve().parents[1] / "configs" / "pipeline.example.json"
+        args = ["--config", str(config), "--out-dir", str(tmp_path)]
+        assert main([*args, "synth", "--n-customers", "30"]) == 0
+        out = subprocess.run(
+            [sys.executable, "-m", "cProfile", "-o", str(tmp_path / "profile.prof"),
+             "-m", "amlprofiler.cli", *args, "profile"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        # the runner exits 0 whatever the stage returned, so look at what it left
+        assert "error:" not in out.stderr
+        assert (tmp_path / "profiles.csv").exists()
 
 
 class TestDeterminism:

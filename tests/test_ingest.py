@@ -46,7 +46,7 @@ def make_row(
 
 def read_all(text, register=frozenset({"c1"}), **kw):
     """All accepted rows as one chunk, and the reader."""
-    reader = TransactionReader(io.StringIO(text), register=register, **kw)
+    reader = TransactionReader(io.StringIO(text, newline=""), register=register, **kw)
     return concat(list(reader)), reader
 
 
@@ -301,14 +301,14 @@ class TestRegisterDuplicates:
 # The columnar reader against the row-at-a-time parse it replaced
 
 DIFF_WINDOW = Window(datetime(2014, 1, 1), datetime(2016, 12, 31, 23, 59, 59))
-REGISTER_IDS = frozenset({"c1", "c2", "c3"})
+REGISTER_IDS = frozenset({"c1", "c2", "c3", "ç3"})
 
 
-def row_at_a_time(text, window, register, error_cap):
+def row_at_a_time(text, window, register, error_cap, delimiter=","):
     """Accepted records and errors of a sequential parse with ``_parse_row``,
     or the errors and ``TooManyRowErrors`` when it aborts."""
     records, errors = [], []
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
     idx = ColumnMapping.identity().resolve(next(reader))
     n_cols = max(idx.values()) + 1
     for line_no, row in enumerate(reader, start=2):
@@ -363,9 +363,17 @@ FIELD_MUTATIONS = {
 @st.composite
 def mutated_ledgers(draw):
     """A ledger text of canonical rows, some with a mutated field, some with
-    an extra or a missing field, some quoted, some empty."""
+    an extra or a missing field, some quoted, some empty, and the delimiter
+    it is written with.  Lines end in newlines or in CRLF, a few in a lone
+    carriage return, and the last one may have no line end.  Quoted rows,
+    lone carriage returns and a non-ASCII customer id each appear in some
+    ledgers only, so that many ledgers keep long stretches of plain blocks."""
+    delimiter = draw(st.sampled_from([",", ";"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    ends = [newline] * 9 + draw(st.sampled_from([[], ["\r"]]))
+    shapes = ["plain"] * 6 + ["extra", "missing", "empty"] + draw(st.sampled_from([[], ["quoted"]]))
     canonical = st.fixed_dictionaries({
-        "customer_id": st.sampled_from(["c1", "c2", "c3"]),
+        "customer_id": st.sampled_from(["c1", "c2", "c3"] + draw(st.sampled_from([[], ["ç3"]]))),
         "account_id": st.just("a1"),
         "timestamp": st.datetimes(datetime(2013, 12, 31, 23), datetime(2017, 1, 1, 1)).map(
             lambda t: t.replace(microsecond=0).isoformat()),
@@ -376,13 +384,14 @@ def mutated_ledgers(draw):
         "counterparty_bank": st.sampled_from(["", "BANK_01"]),
     })
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, delimiter=delimiter, lineterminator=newline)
     writer.writerow(list(TRANSACTION_FIELDS))
+    end = newline
     for fields in draw(st.lists(canonical, max_size=40)):
         row = [fields[f] for f in TRANSACTION_FIELDS]
         for field in draw(st.lists(st.sampled_from(sorted(FIELD_MUTATIONS)), max_size=2)):
             row[TRANSACTION_FIELDS.index(field)] = draw(st.sampled_from(FIELD_MUTATIONS[field]))
-        shape = draw(st.sampled_from(["plain"] * 6 + ["extra", "missing", "empty", "quoted"]))
+        shape = draw(st.sampled_from(shapes))
         if shape == "extra":
             row.append("x")
         elif shape == "missing":
@@ -390,10 +399,18 @@ def mutated_ledgers(draw):
         elif shape == "empty":
             row = []
         if shape == "quoted":
-            buf.write(",".join(f'"{v}"' for v in row) + "\n")
+            buf.write(delimiter.join(f'"{v}"' for v in row) + newline)
         else:
             writer.writerow(row)
-    return buf.getvalue()
+        end = draw(st.sampled_from(ends))
+        if end != newline:
+            buf.seek(buf.tell() - len(newline))
+            buf.truncate()
+            buf.write(end)
+    text = buf.getvalue()
+    if draw(st.booleans()):
+        text = text[: len(text) - len(end)]
+    return text, delimiter
 
 
 class TestColumnarReader:
@@ -402,13 +419,18 @@ class TestColumnarReader:
         st.sampled_from([REGISTER_IDS, REGISTER_IDS | set(FIELD_MUTATIONS["customer_id"])]),
         st.sampled_from([0, 2, 5, 1000]),
         st.sampled_from([3, 7, 2048]),
+        st.sampled_from([1, 16, 97, 1 << 18]),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_row_at_a_time_parse(self, text, register, error_cap, chunk_rows):
-        expected, expected_errors = row_at_a_time(text, DIFF_WINDOW, register, error_cap)
-        reader = TransactionReader(io.StringIO(text), window=DIFF_WINDOW, register=register,
-                                   error_cap=error_cap)
-        with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
+    def test_matches_row_at_a_time_parse(self, ledger, register, error_cap, chunk_rows,
+                                         block_chars):
+        text, delimiter = ledger
+        expected, expected_errors = row_at_a_time(text, DIFF_WINDOW, register, error_cap,
+                                                  delimiter)
+        reader = TransactionReader(io.StringIO(text, newline=""), window=DIFF_WINDOW,
+                                   register=register, error_cap=error_cap, delimiter=delimiter)
+        with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows), \
+                mock.patch.object(ingest, "BLOCK_CHARS", block_chars):
             if expected is None:
                 with pytest.raises(TooManyRowErrors) as exc:
                     list(reader)
@@ -426,3 +448,38 @@ class TestColumnarReader:
             chunk, reader = read_all(text, window=WINDOW, register={"c1"})
         assert chunk.cents.tolist() == [1000, -1000]
         assert chunk.interbank.tolist() == [False, True]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_canonical_ledger_never_reaches_csv_reader(self, newline):
+        rows = [make_row(cid=f"c{i % 3 + 1}", amount=f"{i + 1}.25",
+                         direction=("credit", "debit")[i % 2]) for i in range(60)]
+        text = (HEADER + "".join(rows)).replace("\n", newline)
+        tokenized = []
+
+        def spy(lines, *args, real=csv.reader, **kwargs):
+            tokenized.append(lines)
+            return real(lines, *args, **kwargs)
+
+        with mock.patch.object(ingest, "BLOCK_CHARS", 200), \
+                mock.patch.object(ingest.csv, "reader", spy):
+            chunk, reader = read_all(text, window=WINDOW, register={"c1", "c2", "c3"})
+        assert tokenized == [[HEADER.replace("\n", newline)]]
+        assert reader.accepted == 60 and reader.rejected == 0
+        assert sorted(zip(chunk.customer_id.tolist(), chunk.cents.tolist())) == sorted(
+            (f"c{i % 3 + 1}", (i * 100 + 125) * (1, -1)[i % 2]) for i in range(60))
+
+    @pytest.mark.parametrize("before", [
+        "",  # every line on the array path
+        '"c1",a1,2014-03-05T09:00:00,1.00,credit,1,1,\n',  # csv.reader from the quote on
+        "c1,açc,2014-03-05T09:00:00,1.00,credit,1,1,\n",  # a block that is not ASCII
+    ])
+    def test_field_over_the_csv_limit_is_a_rejected_row(self, before):
+        limit = csv.field_size_limit()
+        text = (HEADER + before + make_row(counterparty="B" * (limit + 1))
+                + make_row(counterparty="B" * limit) + make_row(direction="debit"))
+        chunk, reader = read_all(text, window=WINDOW)
+        line = 2 + bool(before)
+        assert reader.errors == [RowError(line, f"field larger than field limit ({limit})")]
+        assert reader.accepted == 2 + bool(before)
+        assert sorted(chunk.cents.tolist()) == sorted([-1000, 1000] + [100] * bool(before))
+        assert chunk.interbank.tolist().count(True) == 1
