@@ -14,14 +14,16 @@ with a "run stage X first" diagnostic when they are missing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
 import logging
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import IO, Optional, Sequence, Union
 
 import numpy as np
 
@@ -33,22 +35,28 @@ from .ingest import (
     ConfigError,
     FilterPolicy,
     FilterStats,
+    LedgerRange,
     TooManyRowErrors,
     TransactionReader,
     Window,
     filter_insignificant,
+    join_rejections,
+    ledger_ranges,
     parse_customers,
     write_rejections,
 )
 from .manifest import check_keys, checked, from_json, write_json, write_manifest
 from .profiling import (
     AttributeSchema,
+    aggregate,
     apply_discretization,
     build_profiles_phase1,
     build_profiles_phase2,
     fit_discretization,
+    merge_totals,
     profile_labels,
     profile_matrix,
+    profiles_of,
     read_profiles,
     read_schema_sidecar,
     write_profiles,
@@ -301,6 +309,57 @@ def cmd_synth(args, config: PipelineConfig, out_dir: Path) -> StageResult:
     )
 
 
+@dataclass
+class _Counts:
+    """The rows of a ledger, or of a range of it, that its reader accepted
+    and rejected and that the filter policy dropped, and its records."""
+
+    accepted: int
+    rejected: int
+    errors: list
+    filtered: FilterStats
+    records: int
+
+    @staticmethod
+    def of(reader: TransactionReader, filtered: FilterStats) -> "_Counts":
+        return _Counts(reader.accepted, reader.rejected, reader.errors, filtered, reader.records)
+
+
+def _profile_ranges(tx_path: Path, ranges: list[LedgerRange], reader, config: PipelineConfig,
+                    register: dict, window: Window):
+    """The schema, profiles and counts of the ledger, each range aggregated
+    by a worker of ``parallel.pmap`` and the parts merged in range order."""
+    policy = config.filter_policy
+
+    def read(item: tuple[LedgerRange, IO[bytes]]):
+        span, spill = item
+        stats = FilterStats()
+        with span.open(tx_path) as fh:
+            ranged = reader(fh)
+            try:
+                totals = aggregate((policy.apply(chunk, stats) for chunk in ranged), register,
+                                   window, flows=config.phase == 2)
+                totals.spill(spill)
+            except TooManyRowErrors:  # an exception that does not survive pickling
+                totals = None
+        return totals, _Counts.of(ranged, stats)
+
+    with contextlib.ExitStack() as stack:
+        # one file per range, made before the fork, for its worker's event logs
+        spills = [stack.enter_context(tempfile.TemporaryFile()) for _ in ranges]
+        parts = parallel.pmap(read, list(zip(ranges, spills)))
+        counts = [c for _, c in parts]
+        errors = join_rejections([(c.errors, c.records) for c in counts], config.error_cap)
+        totals = merge_totals([totals for totals, _ in parts], spills)
+    stats = FilterStats(sum(c.filtered.kept for c in counts),
+                        sum(c.filtered.dropped for c in counts))
+    stats.warn_if_all_dropped()
+    schema, profiles = profiles_of(totals, register, window, len(ranges))
+    return schema, profiles, _Counts(sum(c.accepted for c in counts),
+                                     sum(c.rejected for c in counts), errors, stats,
+                                     sum(c.records for c in counts))
+
+
 def cmd_profile(args, config: PipelineConfig, out_dir: Path) -> StageResult:
     config = _override(config, "", phase=args.phase, discretize=args.discretize or None)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -309,9 +368,8 @@ def cmd_profile(args, config: PipelineConfig, out_dir: Path) -> StageResult:
     window = _resolve_window(config, out_dir)
 
     reg_errors: list = []
-    stats = FilterStats()
     try:
-        with open(reg_path, "r", encoding="utf-8", newline="") as fh:
+        with open(reg_path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
             register, reg_errors = parse_customers(
                 fh,
                 config.register_mapping and ColumnMapping(config.register_mapping, CUSTOMER_FIELDS),
@@ -319,18 +377,32 @@ def cmd_profile(args, config: PipelineConfig, out_dir: Path) -> StageResult:
                 error_cap=config.error_cap,
                 delimiter=config.delimiter,
             )
-        with open(tx_path, "r", encoding="utf-8", newline="") as fh:
-            reader = TransactionReader(
-                fh,
-                config.column_mapping and ColumnMapping(config.column_mapping),
-                window=window,
-                register=register,
-                error_cap=config.error_cap,
-                delimiter=config.delimiter,
-            )
-            stream = filter_insignificant(reader, config.filter_policy, stats)
-            build = build_profiles_phase1 if config.phase == 1 else build_profiles_phase2
-            schema, profiles = build(stream, register, window)
+        reader = functools.partial(
+            TransactionReader,
+            mapping=config.column_mapping and ColumnMapping(config.column_mapping),
+            window=window,
+            register=register,
+            error_cap=config.error_cap,
+            delimiter=config.delimiter,
+        )
+        ranges = ledger_ranges(tx_path, parallel.worker_count())
+        parted = None
+        if len(ranges) > 1:
+            try:
+                parted = _profile_ranges(tx_path, ranges, reader, config, register, window)
+            except OSError as exc:  # such as no room under TMPDIR for the event logs
+                log.warning("profile: ledger ranges failed (%s); reading the ledger in one "
+                            "process", exc)
+        if parted:
+            schema, profiles, counts = parted
+        else:
+            stats = FilterStats()
+            with open(tx_path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+                whole = reader(fh)
+                stream = filter_insignificant(whole, config.filter_policy, stats)
+                build = build_profiles_phase1 if config.phase == 1 else build_profiles_phase2
+                schema, profiles = build(stream, register, window)
+            counts = _Counts.of(whole, stats)
     except TooManyRowErrors as exc:
         # keep the rows that tripped the cap visible
         _write_rejected(out_dir, reg_errors + exc.errors)
@@ -341,13 +413,13 @@ def cmd_profile(args, config: PipelineConfig, out_dir: Path) -> StageResult:
     meta = {
         "phase": config.phase,
         "window": {"start": window.start.isoformat(), "end": window.end.isoformat()},
-        "rows_accepted": reader.accepted,
-        "rows_rejected": reader.rejected,
-        "rows_filtered_out": stats.dropped,
+        "rows_accepted": counts.accepted,
+        "rows_rejected": counts.rejected,
+        "rows_filtered_out": counts.filtered.dropped,
     }
     write_schema_sidecar(out_dir / PROFILES_SCHEMA, schema, meta=meta)
-    if reader.errors or reg_errors:
-        outputs.append(_write_rejected(out_dir, reg_errors + reader.errors))
+    if counts.errors or reg_errors:
+        outputs.append(_write_rejected(out_dir, reg_errors + counts.errors))
     else:  # a rejections file from an earlier run no longer describes this one
         (out_dir / REJECTED_CSV).unlink(missing_ok=True)
 
@@ -369,8 +441,8 @@ def cmd_profile(args, config: PipelineConfig, out_dir: Path) -> StageResult:
          "discretize": config.discretize, "customers": len(profiles)},
         [tx_path, reg_path],
         outputs,
-        f"profile: {len(profiles)} customers from {reader.accepted} rows "
-        f"({reader.rejected} rejected, {stats.dropped} filtered) -> {out_dir / PROFILES_CSV}",
+        f"profile: {len(profiles)} customers from {counts.accepted} rows ({counts.rejected} "
+        f"rejected, {counts.filtered.dropped} filtered) -> {out_dir / PROFILES_CSV}",
     )
 
 

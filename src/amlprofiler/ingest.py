@@ -19,6 +19,15 @@ one set of array conversions, which take a character matrix per field; every
 other row is parsed on its own by ``_parse_row``, which decides whether it
 is accepted and why not.  Amounts are kept exact (integer cents) so that
 downstream aggregation is independent of row order.
+
+A ledger may also be read in byte ranges (``ledger_ranges``), each by its
+own reader that sees the header and then the range (``LedgerRange.open``).
+Every range ends just after a newline, and a ledger with a quote after its
+header is not cut, so the readers of the ranges split the records that one
+reader of the whole ledger splits; ``join_rejections`` numbers their
+rejections as that reader does.  Lines are decoded with
+``errors="surrogateescape"``, so a line that is not UTF-8 is the same
+rejected row in whichever range it lies.
 """
 
 from __future__ import annotations
@@ -26,6 +35,8 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import os
+import re
 from dataclasses import dataclass, fields
 from datetime import date, datetime, timedelta
 from decimal import Decimal, InvalidOperation
@@ -59,6 +70,10 @@ MAX_AMOUNT_CENTS = 2**63 - 1
 CHUNK_ROWS = 2048
 # Naive ledger timestamps are read as UTC, whatever the host time zone.
 EPOCH = datetime(1970, 1, 1)
+# The characters that errors="surrogateescape" decodes the bytes of invalid
+# UTF-8 to; no valid UTF-8 text holds one.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+NOT_UTF8 = "line is not valid UTF-8"
 
 
 class ConfigError(ValueError):
@@ -181,11 +196,26 @@ class FilterPolicy:
     def to_json(self) -> dict:
         return {"excluded_txn_type_codes": sorted(self.excluded_txn_type_codes)}
 
+    def apply(self, chunk: TransactionChunk, stats: FilterStats) -> TransactionChunk:
+        """``chunk`` without its rows of excluded types, counted in ``stats``.
+        Order is preserved."""
+        drop = np.isin(chunk.txn_type_code, sorted(self.excluded_txn_type_codes))
+        dropped = int(drop.sum())
+        stats.dropped += dropped
+        stats.kept += len(chunk) - dropped
+        return chunk.take(~drop) if dropped else chunk
+
 
 @dataclass
 class FilterStats:
     kept: int = 0
     dropped: int = 0
+
+    def warn_if_all_dropped(self) -> None:
+        """A warning when the policy filtered the stream down to nothing,
+        which usually means a misconfigured code list."""
+        if self.dropped and not self.kept:
+            log.warning("filter policy removed all %d transactions", self.dropped)
 
 
 def parse_amount_cents(text: str) -> int:
@@ -466,15 +496,18 @@ class TransactionReader:
     """Iterable over the ledger's accepted rows as ``TransactionChunk``s,
     split by the two tokenizers of the module docstring.
 
-    ``source`` is text opened with ``newline=""``, as for ``csv.reader``.
-    A rejected row's ``line_no`` counts records as ``csv.reader`` splits
-    them, the header being record 1.  A record with a field longer than
-    ``csv.field_size_limit()`` is rejected on either path.
+    ``source`` is text opened with ``newline=""``, as for ``csv.reader``,
+    and with ``errors="surrogateescape"``, so that a record holding bytes
+    that are not UTF-8 becomes a rejected row (``NOT_UTF8``); in a header
+    they are a ``ConfigError``.  A rejected row's ``line_no`` counts records
+    as ``csv.reader`` splits them, the header being record 1.  A record with
+    a field longer than ``csv.field_size_limit()`` is rejected on either path.
 
     A row whose customer id is not in ``register`` is rejected, after the
-    row's own field checks.  Counts of accepted and rejected rows
-    are available once the stream is exhausted; iteration aborts with
-    TooManyRowErrors when the number of malformed rows exceeds ``error_cap``.
+    row's own field checks.  Counts of accepted and rejected rows, and of
+    the ``records`` after the header, are available once the stream is
+    exhausted; iteration aborts with TooManyRowErrors when the number of
+    malformed rows exceeds ``error_cap``.
     """
 
     def __init__(
@@ -495,11 +528,18 @@ class TransactionReader:
         self._delimiter = delimiter
         self.accepted = 0
         self.rejected = 0
+        self.records = 0
         self.errors: list[RowError] = []
 
     def __iter__(self) -> Iterator[TransactionChunk]:
+        self.records = (yield from self._body()) - 2
+
+    def _body(self) -> Generator[TransactionChunk, None, int]:
+        """The chunks of the ledger; returns the line number after its last record."""
         source, delimiter = self._source, self._delimiter
         first = source.readline()
+        if _UNDECODABLE.search(first):
+            raise ConfigError("ledger header is not valid UTF-8")
         quoted = '"' in first
         rows = csv.reader(chain([first], source) if quoted else [first], delimiter=delimiter)
         try:
@@ -511,8 +551,7 @@ class TransactionReader:
         idx = self._mapping.resolve(header)
         line_no = 2
         if quoted:
-            yield from self._csv_chunks(rows, line_no, idx)
-            return
+            return (yield from self._csv_chunks(rows, line_no, idx))
         for block in _blocks(source):
             quote = block.find('"')
             if quote >= 0:
@@ -529,8 +568,9 @@ class TransactionReader:
                                                       line_no, idx)
             if quote >= 0:
                 lines = chain(io.StringIO(rest, newline=""), source)
-                yield from self._csv_chunks(csv.reader(lines, delimiter=delimiter), line_no, idx)
-                return
+                return (yield from self._csv_chunks(csv.reader(lines, delimiter=delimiter),
+                                                    line_no, idx))
+        return line_no
 
     def _csv_chunks(self, reader: Iterator[list[str]], line_no: int,
                     idx: dict[str, int]) -> Generator[TransactionChunk, None, int]:
@@ -556,6 +596,11 @@ class TransactionReader:
             columns = list(zip(*rows))
         values, ok = self._canonical(
             lambda field, width, right: _text_matrix(columns[idx[field]], width, right))
+        if (max(map(len, rows)) > len(columns)
+                or not all(map(str.isascii, map("".join, columns)))):
+            # a field that no check reads may hold undecodable bytes
+            ok &= np.fromiter((not _UNDECODABLE.search("".join(row)) for row in rows), bool,
+                              len(rows))
         chunk = None
         if values is not None:
             customer_ids = columns[idx["customer_id"]]
@@ -660,6 +705,9 @@ class TransactionReader:
                 if isinstance(row, _Unsplit):
                     self._record_error(line_no, row.reason)
                 continue
+            if _UNDECODABLE.search("".join(row)):
+                self._record_error(line_no, NOT_UTF8)
+                continue
             if len(row) < n_cols:
                 self._record_error(line_no, f"expected at least {n_cols} columns, got {len(row)}")
                 continue
@@ -683,6 +731,95 @@ class TransactionReader:
             raise TooManyRowErrors(self.errors, self._error_cap)
 
 
+# A ledger below this many bytes (4 MiB) is read as one range.  On 2 CPUs,
+# profiles of synthetic ledgers took as long forked as in one process at
+# 2-4 MiB, longer below, and less from 5 MiB on.
+MIN_SPLIT_BYTES = 16 * BLOCK_CHARS
+
+
+class _Slices(io.RawIOBase):
+    """The bytes of ``(start, end)`` slices of a file, one after another."""
+
+    def __init__(self, path, slices: Sequence[tuple[int, int]]):
+        self._file = open(path, "rb", buffering=0)
+        self._slices = list(slices)[::-1]  # the next slice last
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        while self._slices:
+            start, end = self._slices.pop()
+            self._file.seek(start)
+            n = self._file.readinto(memoryview(buffer)[: end - start])
+            if n:
+                if start + n < end:
+                    self._slices.append((start + n, end))
+                return n
+        return 0
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
+class LedgerRange(NamedTuple):
+    """The records at bytes ``start:end`` of a ledger whose header ends at
+    byte ``header``."""
+
+    header: int
+    start: int
+    end: int
+
+    def open(self, path) -> IO[str]:
+        """The header and the range as one text stream, which
+        ``TransactionReader`` reads as a ledger whose records are the range's."""
+        raw = _Slices(path, [(0, self.header), (self.start, self.end)])
+        return io.TextIOWrapper(io.BufferedReader(raw, 1 << 16), encoding="utf-8",
+                                errors="surrogateescape", newline="")
+
+
+def ledger_ranges(path, parts: int) -> list[LedgerRange]:
+    """Up to ``parts`` consecutive ranges that hold the ledger's records,
+    each ending just after a newline, so that the readers of the ranges
+    together split the records that one reader of the ledger splits.  A
+    ledger under ``MIN_SPLIT_BYTES``, or with a quote after its header,
+    where a quoted field may hold a newline, is one range."""
+    size = os.path.getsize(path)
+    if parts < 2 or size < MIN_SPLIT_BYTES:
+        return [LedgerRange(0, 0, size)]
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        header = len(fh.readline().encode("utf-8", "surrogateescape"))
+    cuts = [header]
+    with open(path, "rb") as fh:
+        fh.seek(header)
+        while block := fh.read(1 << 20):
+            if b'"' in block:
+                return [LedgerRange(header, header, size)]
+        for i in range(1, parts):
+            fh.seek(max(cuts[-1], header + (size - header) * i // parts))
+            cut = fh.tell() + len(fh.readline())
+            if cuts[-1] < cut < size:
+                cuts.append(cut)
+    return [LedgerRange(header, start, end) for start, end in zip(cuts, cuts[1:] + [size])]
+
+
+def join_rejections(parts: Sequence[tuple[list[RowError], int]], cap: int) -> list[RowError]:
+    """The rejections of consecutive ledger ranges, given with each range's
+    count of records, as one reader of the ledger records them: each line
+    number shifted by the records of the ranges before it.  Raises
+    ``TooManyRowErrors`` with the first ``cap + 1`` when there are more than
+    ``cap``, so a range that was aborted holds enough of them."""
+    joined: list[RowError] = []
+    offset = 0
+    for errors, records in parts:
+        joined += (e._replace(line_no=e.line_no + offset) for e in errors)
+        if len(joined) > cap:
+            raise TooManyRowErrors(joined[: cap + 1], cap)
+        offset += records
+    return joined
+
+
 def parse_customers(
     source: IO[str],
     mapping: Optional[ColumnMapping] = None,
@@ -695,7 +832,9 @@ def parse_customers(
 
     An account opened after the window end is a rejected row: its age at
     the window end would be negative.  A repeated customer id is a rejected
-    row; the first row is kept.
+    row; the first row is kept.  Read from a ``source`` opened with
+    ``errors="surrogateescape"``, a row that is not UTF-8 is a rejected row
+    too, and a header that is not is a ``ConfigError``.
     """
     mapping = mapping or ColumnMapping.identity(CUSTOMER_FIELDS)
     reader = csv.reader(source, delimiter=delimiter)
@@ -703,6 +842,8 @@ def parse_customers(
         header = next(reader)
     except StopIteration:
         raise ConfigError("empty register: no header row") from None
+    if _UNDECODABLE.search("".join(header)):
+        raise ConfigError("register header is not valid UTF-8")
     idx = mapping.resolve(header)
     n_cols = max(idx.values()) + 1
     customers: dict[str, CustomerRecord] = {}
@@ -712,7 +853,9 @@ def parse_customers(
         if not row:
             continue
         message = None
-        if len(row) < n_cols:
+        if _UNDECODABLE.search("".join(row)):
+            message = NOT_UTF8
+        elif len(row) < n_cols:
             message = f"expected at least {n_cols} columns, got {len(row)}"
         else:
             cid = row[idx["customer_id"]]
@@ -741,22 +884,14 @@ def filter_insignificant(
     policy: FilterPolicy,
     stats: Optional[FilterStats] = None,
 ) -> Iterator[TransactionChunk]:
-    """Drop transactions whose type code is excluded by the policy.
-
-    Order is preserved.  A warning is logged when the policy filtered the
-    stream down to nothing, which usually means a misconfigured code list.
-    """
-    excluded = np.array(sorted(policy.excluded_txn_type_codes))
+    """Drop transactions whose type code is excluded by the policy
+    (``FilterPolicy.apply``), and warn at the end of the stream if none is
+    left (``FilterStats.warn_if_all_dropped``)."""
     if stats is None:
         stats = FilterStats()
     for chunk in chunks:
-        drop = np.isin(chunk.txn_type_code, excluded)
-        dropped = int(drop.sum())
-        stats.dropped += dropped
-        stats.kept += len(chunk) - dropped
-        yield chunk.take(~drop) if dropped else chunk
-    if stats.dropped and not stats.kept:
-        log.warning("filter policy removed all %d transactions", stats.dropped)
+        yield policy.apply(chunk, stats)
+    stats.warn_if_all_dropped()
 
 
 def format_amount(cents: int) -> str:

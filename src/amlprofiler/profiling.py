@@ -11,7 +11,11 @@ credited funds sit in the account before being moved out (FIFO-matched).
 final per-customer arithmetic runs per customer.  All monetary aggregation
 happens on integer cents, summed exactly, so a profile is a pure function of
 the transaction multiset: shuffling the input stream cannot change a single
-bit of the output.
+bit of the output.  For the same reason a ledger may be cut into streams:
+``aggregate`` totals each one, ``merge_totals`` adds the totals up, and
+``profiles_of`` turns them into profiles, FIFO-matching shards of the
+customers through ``parallel.pmap``; the build functions are the one-stream
+case.
 """
 
 from __future__ import annotations
@@ -22,12 +26,13 @@ import logging
 import math
 from array import array
 from dataclasses import asdict, dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from . import parallel
 from .ingest import CustomerRecord, TransactionChunk, Window
 from .manifest import from_json, write_json
 
@@ -35,6 +40,8 @@ log = logging.getLogger(__name__)
 
 NUMERIC = "numeric"
 NOMINAL = "nominal"
+# Customer ids at the head of a chunk that show whether its ids come in runs
+RUN_PROBE = 256
 
 
 @dataclass(frozen=True)
@@ -188,6 +195,7 @@ class _Totals:
 
     def __init__(self, index: dict[str, int], window: Window, *, flows: bool):
         self.index = index
+        self.customers = len(index)
         self.months = window.month_count()
         self.slots = self.months + 1
         self.first_month = (window.start.year - 1970) * 12 + window.start.month - 1
@@ -206,7 +214,7 @@ class _Totals:
         self.runs = (array("i"), array("i"))
 
     def add(self, chunk: TransactionChunk) -> None:
-        code = np.fromiter(map(self.index.get, chunk.customer_id, repeat(-1)), np.int64, len(chunk))
+        code = self._codes(chunk.customer_id)
         if (code < 0).any():
             unknown = chunk.customer_id[np.flatnonzero(code < 0)[0]]
             raise ValueError(f"customer {unknown!r} not in register")
@@ -250,6 +258,31 @@ class _Totals:
             self.runs[0].frombytes(customer.astype(np.int32).tobytes())
             self.runs[1].frombytes(np.diff(np.r_[start, len(cell)]).astype(np.int32).tobytes())
 
+    def _codes(self, ids: np.ndarray) -> np.ndarray:
+        """The register positions of ``ids``, -1 for an id not in it.  Where
+        the first ids come in runs, as in a ledger grouped by customer, each
+        run of equal ids is looked up once."""
+        probe = ids[:RUN_PROBE]
+        if 2 * np.count_nonzero(_run_starts(probe)) > len(probe):
+            return np.fromiter(map(self.index.get, ids, repeat(-1)), np.int64, len(ids))
+        head = np.flatnonzero(_run_starts(ids))
+        code = np.fromiter(map(self.index.get, ids[head], repeat(-1)), np.int64, len(head))
+        return np.repeat(code, np.diff(np.r_[head, len(ids)]))
+
+    def __getstate__(self) -> dict:
+        # a worker's totals go back without the register index, which the
+        # parent holds
+        return {**vars(self), "index": None}
+
+    def spill(self, dest: IO[bytes]) -> None:
+        """Move the event logs to the file ``dest``, keeping their lengths,
+        so that the totals of a worker go back to its parent small."""
+        self.logged = [len(log) for log in self.events + self.runs]
+        for log in self.events + self.runs:
+            log.tofile(dest)
+            del log[:]
+        dest.flush()
+
     def services(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct services per cell, and per customer over all cells."""
         keys = _distinct(np.concatenate(self.service_keys or [np.zeros(0, np.int64)]))
@@ -258,50 +291,106 @@ class _Totals:
         # key // slots is service * customers + customer, sorted like the keys
         pairs = keys // self.slots
         pairs = pairs[_run_starts(pairs)]
-        return per_cell, np.bincount(pairs % len(self.index), minlength=len(self.index))
+        return per_cell, np.bincount(pairs % self.customers, minlength=self.customers)
 
-    def lags(self) -> tuple[list, list]:
+    def lags(self, shards: int = 1) -> tuple[list, list]:
         """FIFO-match every customer's events in (timestamp, credit before
         debit, amount) order.
 
         Events equal in all three keys are interchangeable in FIFO, so any
-        row order of the ledger gives the same matches.
+        row order of the ledger gives the same matches.  The customers are
+        cut into ``shards`` runs of about equal event counts, matched by
+        ``parallel.pmap``; each customer's match is the same either way.
         """
-        n = len(self.index)
-        weighted, matched = [0.0] * n, [0] * n
-        ts, cents = (np.frombuffer(log, dtype=log.typecode) for log in self.events)
-        run_customer = np.frombuffer(self.runs[0], dtype=np.int32)
-        run_length = np.frombuffer(self.runs[1], dtype=np.int32)
+        n = self.customers
+        ts, cents = map(np.asarray, self.events)
+        run_customer, run_length = map(np.asarray, self.runs)
         run_start = np.cumsum(run_length, dtype=np.int64) - run_length
         by_customer = np.argsort(run_customer, kind="stable")
         counts = np.bincount(run_customer, minlength=n)
         ends = np.cumsum(counts)
-        for c in np.flatnonzero(counts).tolist():
-            runs = by_customer[ends[c] - counts[c] : ends[c]]
-            length = run_length[runs]
-            skip = run_start[runs] - (np.cumsum(length) - length)
-            rows = np.repeat(skip, length) + np.arange(length.sum())
-            t, v = ts[rows], cents[rows]
-            fifo = np.lexsort((np.abs(v), v < 0, t))
-            weighted[c], matched[c] = fifo_lag(t[fifo], v[fifo])
+        customers = np.flatnonzero(counts)
+        # contiguous shards of customers with about equal event counts
+        events = np.cumsum(np.bincount(run_customer, run_length, minlength=n)[customers])
+        total = events[-1] if len(events) else 0
+        cuts = np.searchsorted(events, np.arange(1, shards) * total / shards)
+
+        def match(shard: np.ndarray) -> list[tuple[float, int]]:
+            matches = []
+            for c in shard.tolist():
+                runs = by_customer[ends[c] - counts[c] : ends[c]]
+                length = run_length[runs]
+                skip = run_start[runs] - (np.cumsum(length) - length)
+                rows = np.repeat(skip, length) + np.arange(length.sum())
+                t, v = ts[rows], cents[rows]
+                fifo = np.lexsort((np.abs(v), v < 0, t))
+                matches.append(fifo_lag(t[fifo], v[fifo]))
+            return matches
+
+        weighted, matched = [0.0] * n, [0] * n
+        matches = chain.from_iterable(parallel.pmap(match, np.split(customers, cuts)))
+        for c, (lag, cents_matched) in zip(customers.tolist(), matches):
+            weighted[c], matched[c] = lag, cents_matched
         return weighted, matched
 
 
-def _aggregate(
+def merge_totals(parts: Sequence[_Totals], spills: Sequence[IO[bytes]]) -> _Totals:
+    """The totals of consecutive streams over the same register and
+    window, from their parts and the files they spilled their event logs
+    to, in stream order; each log is read into one array of its full length,
+    and each file is closed once read, so that only one part's logs are held
+    twice at a time."""
+    totals = parts[0]
+    codes = totals.service_codes
+    for part in parts[1:]:
+        totals.txns += part.txns
+        totals.debits += part.debits
+        totals.sums += part.sums
+        # the part's dense service codes, in order, as codes of the totals
+        remap = np.fromiter((codes.setdefault(s, len(codes)) for s in part.service_codes),
+                            np.int64, len(part.service_codes))
+        totals.service_keys += (remap[keys // totals.cells] * totals.cells + keys % totals.cells
+                                for keys in part.service_keys)
+        part.service_keys = []
+    lengths = np.array([part.logged for part in parts], dtype=np.int64)
+    ends = np.cumsum(lengths, axis=0)
+    logs = [np.empty(n, log.typecode) for n, log in zip(ends[-1], totals.events + totals.runs)]
+    for spill, end, length in zip(spills, ends, lengths):
+        spill.seek(0)
+        for log, stop, n in zip(logs, end, length):
+            spill.readinto(log[stop - n : stop].view(np.uint8))
+        spill.close()
+    totals.events, totals.runs = tuple(logs[:2]), tuple(logs[2:])
+    return totals
+
+
+def aggregate(
     chunks: Iterable[TransactionChunk],
     register: Mapping[str, CustomerRecord],
     window: Window,
     *,
     flows: bool,
-) -> tuple[AttributeSchema, list[CustomerProfile]]:
+) -> _Totals:
+    """The totals of one stream of chunks, such as one range of a ledger."""
     if window.month_count() < 1:
         raise ValueError("analysis window must span at least one month")
-    ids = sorted(register)
-    totals = _Totals({cid: i for i, cid in enumerate(ids)}, window, flows=flows)
+    totals = _Totals({cid: i for i, cid in enumerate(sorted(register))}, window, flows=flows)
     for chunk in chunks:
         if len(chunk):
             totals.add(chunk)
+    return totals
 
+
+def profiles_of(
+    totals: _Totals,
+    register: Mapping[str, CustomerRecord],
+    window: Window,
+    shards: int = 1,
+) -> tuple[AttributeSchema, list[CustomerProfile]]:
+    """The profiles of the ``aggregate`` totals, in the register's order,
+    FIFO-matched in ``shards`` shards."""
+    flows = totals.flows
+    ids = sorted(register)
     n, slots, months = len(ids), totals.slots, totals.months
     services_per_cell, services_total = totals.services()
     txns = totals.txns.reshape(n, slots)
@@ -312,7 +401,7 @@ def _aggregate(
               for m in monthly]
     n_txns = txns.sum(axis=1).tolist()
     if flows:
-        weighted, matched = totals.lags()
+        weighted, matched = totals.lags(shards)
 
     profiles = []
     for c in np.flatnonzero(n_txns).tolist():
@@ -357,7 +446,7 @@ def build_profiles_phase1(
     window: Window,
 ) -> tuple[AttributeSchema, list[CustomerProfile]]:
     """General activity profiles: monthly usage averages, dispersions, account age."""
-    return _aggregate(chunks, register, window, flows=False)
+    return profiles_of(aggregate(chunks, register, window, flows=False), register, window)
 
 
 def build_profiles_phase2(
@@ -372,7 +461,7 @@ def build_profiles_phase2(
     once the stream ends, so any row order gives identical output.  At equal
     timestamps credits match before debits.
     """
-    return _aggregate(chunks, register, window, flows=True)
+    return profiles_of(aggregate(chunks, register, window, flows=True), register, window)
 
 
 # ---------------------------------------------------------------------------

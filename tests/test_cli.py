@@ -215,6 +215,75 @@ class TestDiagnostics:
             ("3", "field larger than field limit (131072)")]
         assert len(csv_rows(tmp_path / "profiles.csv")) == 1
 
+    @pytest.mark.parametrize("line", [
+        b"c1,a\xff1,2014-03-09T12:00:00,5.00,debit,1,1,\n",  # a field that no check reads
+        b"c\xff1,a1,2014-03-09T12:00:00,5.00,debit,1,1,\n",
+        b"c1,a1,2014-03-09T12:00:00,5.00,debit,1,1,BANK_\xc3\n",  # a truncated sequence
+        b"c1,a1,2014-03-09T12:00:00,5.00,debit,1,1\xff\n",  # too short, too
+    ])
+    def test_ledger_line_that_is_not_utf8_is_rejected_row(self, tmp_path, line):
+        (tmp_path / "register.csv").write_text("customer_id,account_open_date\nc1,2010-01-01\n")
+        (tmp_path / "transactions.csv").write_bytes(
+            b"customer_id,account_id,timestamp,amount,direction,service_code,txn_type_code,"
+            b"counterparty_bank\n"
+            b"c1,a1,2014-03-08T12:00:00,10.00,credit,1,1,Z\xc3\xbcrich\n" + line
+            + b"c1,a1,2014-03-10T12:00:00,2.00,debit,1,1,\n"
+        )
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"window": {"start": "2014-01-01", "end": "2014-12-31"}}))
+        assert main(["--config", str(cfg_path), "--out-dir", str(tmp_path), "profile"]) == 0
+        rejected = csv_rows(tmp_path / "rejected_rows.csv")
+        assert [(r["source"], r["line_no"], r["reason"]) for r in rejected] == [
+            ("ledger", "3", "line is not valid UTF-8")]
+        meta = json.loads((tmp_path / "profiles.schema.json").read_text())["meta"]
+        assert (meta["rows_accepted"], meta["rows_rejected"]) == (2, 1)
+
+    def test_register_line_that_is_not_utf8_is_rejected_row(self, tmp_path):
+        (tmp_path / "register.csv").write_bytes(
+            b"customer_id,account_open_date\nc1,2010-01-01\nc\xff2,2011-01-01\nc3,2012-01-01\n")
+        (tmp_path / "transactions.csv").write_text(
+            "customer_id,account_id,timestamp,amount,direction,service_code,txn_type_code,"
+            "counterparty_bank\n"
+            "c1,a1,2014-03-08T12:00:00,10.00,credit,1,1,\n"
+            "c3,a3,2014-03-08T12:00:00,10.00,credit,1,1,\n"
+        )
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"window": {"start": "2014-01-01", "end": "2014-12-31"}}))
+        assert main(["--config", str(cfg_path), "--out-dir", str(tmp_path), "profile"]) == 0
+        rejected = csv_rows(tmp_path / "rejected_rows.csv")
+        assert [(r["source"], r["line_no"], r["reason"]) for r in rejected] == [
+            ("register", "3", "line is not valid UTF-8")]
+        assert [r["customer_id"] for r in csv_rows(tmp_path / "profiles.csv")] == ["c1", "c3"]
+
+    def test_lines_that_are_not_utf8_count_against_the_error_cap(self, tmp_path, capsys):
+        (tmp_path / "register.csv").write_text("customer_id,account_open_date\nc1,2010-01-01\n")
+        (tmp_path / "transactions.csv").write_bytes(
+            b"customer_id,account_id,timestamp,amount,direction,service_code,txn_type_code,"
+            b"counterparty_bank\n"
+            + b"".join(b"c1,a\xfe,2014-03-0%dT12:00:00,1.00,debit,1,1,\n" % d for d in (1, 2, 3)))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"window": {"start": "2014-01-01", "end": "2014-12-31"},
+                                        "error_cap": 2}))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg_path), "--out-dir", str(tmp_path), "profile"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: aborted after 3 malformed rows (cap 2)\n"
+        assert [r["line_no"] for r in csv_rows(tmp_path / "rejected_rows.csv")] == ["2", "3", "4"]
+
+    @pytest.mark.parametrize("bad_file", ["transactions.csv", "register.csv"])
+    def test_header_that_is_not_utf8_is_config_error(self, tmp_path, capsys, bad_file):
+        (tmp_path / "register.csv").write_text("customer_id,account_open_date\nc1,2010-01-01\n")
+        (tmp_path / "transactions.csv").write_text(
+            "customer_id,account_id,timestamp,amount,direction,service_code,txn_type_code,"
+            "counterparty_bank\nc1,a1,2014-03-08T12:00:00,10.00,credit,1,1,\n")
+        path = tmp_path / bad_file
+        path.write_bytes(path.read_bytes().replace(b"customer_id", b"customer_\xffid", 1))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"window": {"start": "2014-01-01", "end": "2014-12-31"}}))
+        assert main(["--config", str(cfg_path), "--out-dir", str(tmp_path), "profile"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "header is not valid UTF-8" in err
+
     def test_semicolon_register_and_ledger_give_the_comma_profiles(self, tmp_path):
         register = "customer_id,account_open_date\nc1,2010-01-01\nc2,2012-06-30\n"
         ledger = (

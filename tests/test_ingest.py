@@ -1,5 +1,7 @@
 import csv
 import io
+import os
+import tempfile
 from datetime import datetime
 from unittest import mock
 
@@ -14,6 +16,7 @@ from amlprofiler.ingest import (
     ConfigError,
     FilterPolicy,
     FilterStats,
+    LedgerRange,
     RowError,
     TooManyRowErrors,
     TransactionChunk,
@@ -22,6 +25,8 @@ from amlprofiler.ingest import (
     Window,
     filter_insignificant,
     format_amount,
+    join_rejections,
+    ledger_ranges,
     parse_amount_cents,
     parse_customers,
     _parse_row,
@@ -483,3 +488,97 @@ class TestColumnarReader:
         assert reader.accepted == 2 + bool(before)
         assert sorted(chunk.cents.tolist()) == sorted([-1000, 1000] + [100] * bool(before))
         assert chunk.interbank.tolist().count(True) == 1
+
+
+class TestLedgerRanges:
+    """Readers of consecutive byte ranges of a ledger, their rejections
+    joined, split the records that one reader of the whole ledger splits."""
+
+    @staticmethod
+    def read(path, ranges, **kw):
+        """Each range's chunks, its reader, and whether it was aborted."""
+        out = []
+        for span in ranges:
+            with span.open(path) as fh:
+                reader = TransactionReader(fh, **kw)
+                try:
+                    out.append((list(reader), reader, False))
+                except TooManyRowErrors:
+                    out.append(([], reader, True))
+        return out
+
+    @given(
+        mutated_ledgers(),
+        st.sampled_from([0, 2, 1000]),
+        st.lists(st.integers(0, 10**9), max_size=4),
+        st.lists(st.integers(0, 10**9), max_size=3),
+        st.sampled_from([16, 97, 1 << 18]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_ranges_read_as_the_whole_ledger(self, ledger, error_cap, cut_picks, bad_picks,
+                                             block_chars):
+        text, delimiter = ledger
+        data = text.encode("utf-8")
+        header = data.find(b"\n") + 1 or len(data)
+        for pick in bad_picks if len(data) > header else []:
+            # a byte that is not UTF-8, after the header
+            at = header + pick % (len(data) - header + 1)
+            data = data[:at] + b"\xff" + data[at:]
+        # line ends outside quoted fields, where a reader of the ledger ends a record
+        ends = [i + 1 for i in range(header, len(data) - 1)
+                if data[i] == ord("\n") and data[:i].count(b'"') % 2 == 0]
+        cuts = sorted({ends[p % len(ends)] for p in cut_picks} if ends else set())
+        ranges = [LedgerRange(header, a, b)
+                  for a, b in zip([header, *cuts], [*cuts, len(data)])]
+        kw = dict(window=DIFF_WINDOW, register=REGISTER_IDS, error_cap=error_cap,
+                  delimiter=delimiter)
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(ingest, "BLOCK_CHARS", block_chars):
+            path = os.path.join(tmp, "ledger.csv")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+                whole = TransactionReader(fh, **kw)
+                try:
+                    chunks, aborted = list(whole), None
+                except TooManyRowErrors as exc:
+                    chunks, aborted = [], exc
+            parts = self.read(path, ranges, **kw)
+        if aborted is not None:
+            with pytest.raises(TooManyRowErrors) as exc:
+                join_rejections([(r.errors, r.records) for _, r, _ in parts], error_cap)
+            assert exc.value.errors == aborted.errors
+            return
+        assert not any(stopped for _, _, stopped in parts)
+        errors = join_rejections([(r.errors, r.records) for _, r, _ in parts], error_cap)
+        assert errors == whole.errors
+        assert sum(r.records for _, r, _ in parts) == whole.records
+        assert sum(r.accepted for _, r, _ in parts) == whole.accepted
+        assert sum(r.rejected for _, r, _ in parts) == whole.rejected
+        assert row_tuples(concat([c for chunks_, _, _ in parts for c in chunks_])) == row_tuples(
+            concat(chunks))
+
+    def test_ranges_end_after_newlines_and_cover_the_records(self, tmp_path):
+        path = tmp_path / "ledger.csv"
+        rows = [make_row(cid=f"c{i % 3 + 1}", amount=f"{i + 1}.00") for i in range(300)]
+        path.write_text((HEADER + "".join(rows)).replace("\n", "\r\n"), newline="")
+        data = path.read_bytes()
+        with mock.patch.object(ingest, "MIN_SPLIT_BYTES", 0):
+            ranges = ledger_ranges(path, 4)
+        assert len(ranges) == 4
+        assert {r.header for r in ranges} == {len(HEADER) + 1}
+        assert [r.start for r in ranges] == [len(HEADER) + 1] + [r.end for r in ranges[:-1]]
+        assert ranges[-1].end == len(data)
+        assert all(data[r.end - 2 : r.end] == b"\r\n" for r in ranges)
+        assert max(r.end - r.start for r in ranges) < len(data) / 3
+
+    @pytest.mark.parametrize("quote", [False, True])
+    def test_small_or_quoted_ledger_is_one_range(self, tmp_path, quote):
+        path = tmp_path / "ledger.csv"
+        rows = [make_row(counterparty='"B"' if quote and i == 150 else "") for i in range(300)]
+        path.write_text(HEADER + "".join(rows))
+        size = path.stat().st_size
+        assert ledger_ranges(path, 4) == [LedgerRange(0, 0, size)]  # under the floor
+        with mock.patch.object(ingest, "MIN_SPLIT_BYTES", 0):
+            assert (len(ledger_ranges(path, 4)) == 1) == quote
+            assert ledger_ranges(path, 1) == [LedgerRange(0, 0, size)]

@@ -1,4 +1,5 @@
-"""The fork-based map and the stages that use it: grid cells and CV folds.
+"""The fork-based map and the stages that use it: grid cells, CV folds, and
+the ledger ranges and FIFO shards of ``profile``.
 
 Every stage must write the same bytes whether its items run on forked
 workers (one per CPU in the affinity mask) or serially (a one-CPU mask).
@@ -7,16 +8,19 @@ so they allow it the same way, except where they check the library default.
 """
 
 import csv
+import errno
+import io
 import json
 import multiprocessing
 import os
 import sys
+import tempfile
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
-from amlprofiler import cli, parallel
+from amlprofiler import cli, ingest, parallel
 from amlprofiler.cli import main
 from amlprofiler.evaluation import SplitSpec, cross_validate
 from amlprofiler.parallel import available_cpus, pmap
@@ -46,6 +50,47 @@ def pipeline_dir(tmp_path_factory):
     return out, args
 
 
+BAD_ROWS = [
+    b"cust_0000001,acc,not-a-time,1.00,credit,1,1,\n",
+    b"cust_0000002,acc\xff,2014-05-01T00:00:00,1.00,credit,1,1,\n",  # not UTF-8
+    b"GHOST,acc,2014-05-01T00:00:00,1.00,credit,1,1,\n",
+    b"cust_0000003,acc,2014-05-01T00:00:00,-1.00,credit,1,1,\n",
+    b"cust_0000004,acc,2014-05-01T00:00:00,1.00,sideways,1,1,\n",
+]
+
+
+def planted_ledger(pipeline_dir, out, fractions, config):
+    """The pipeline's ledger and register in ``out``, with a malformed row
+    planted at each fraction of the ledger's lines, and the ``profile``
+    arguments of ``config``.  The ledger splits into ranges however small it
+    is; returns the byte offsets of the planted rows too."""
+    src, _ = pipeline_dir
+    lines = (src / "transactions.csv").read_bytes().splitlines(keepends=True)
+    offsets = []
+    for i, fraction in reversed(list(enumerate(fractions))):
+        lines.insert(max(1, int(fraction * len(lines))), BAD_ROWS[i % len(BAD_ROWS)])
+    for i, line in enumerate(lines):
+        if line in BAD_ROWS:
+            offsets.append(sum(map(len, lines[:i])))
+    (out / "transactions.csv").write_bytes(b"".join(lines))
+    (out / "register.csv").write_bytes((src / "register.csv").read_bytes())
+    (out / "config.json").write_text(json.dumps(
+        {"window": {"start": "2014-01-01", "end": "2014-12-31"},
+         "filter_policy": {"excluded_txn_type_codes": [99]}, **config}))
+    return ["--config", str(out / "config.json"), "--out-dir", str(out)], offsets
+
+
+def ranges_seen(monkeypatch) -> list:
+    """The ledger ranges of each ``profile`` run from here on, every ledger
+    splitting however small it is."""
+    monkeypatch.setattr(ingest, "MIN_SPLIT_BYTES", 0)
+    seen = []
+    real = cli.ledger_ranges
+    monkeypatch.setattr(cli, "ledger_ranges", lambda path, parts: seen.append(real(path, parts))
+                        or seen[-1])
+    return seen
+
+
 def csv_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -60,6 +105,10 @@ def stage_bytes(out, argv, outputs):
     return [(out / name).read_bytes() for name in outputs]
 
 
+PROFILE_OUTPUTS = ["profiles.csv", "profiles.schema.json", "rejected_rows.csv",
+                   "profile.manifest.json"]
+
+
 @pytest.mark.parametrize("stage, outputs", [
     (["grid", "--attribute-kind", "numeric"], ["grid_numeric.csv", "grid_numeric.manifest.json"]),
     (["grid", "--attribute-kind", "nominal"], ["grid_nominal.csv", "grid_nominal.manifest.json"]),
@@ -68,12 +117,68 @@ def stage_bytes(out, argv, outputs):
     *[(["eval", "--algorithm", algorithm, "--split-mode", "cross_validation"],
        ["evaluation.json", "evaluation_row.csv", "eval.manifest.json"])
       for algorithm in ("part", "tree", "ripper")],
+    (["profile"], PROFILE_OUTPUTS),
+    (["profile", "--discretize"],
+     [*PROFILE_OUTPUTS, "profiles_nominal.csv", "profiles_nominal.schema.json"]),
+    (["profile", "--phase", "1"], PROFILE_OUTPUTS),
 ])
-def test_default_workers_match_one_cpu(pipeline_dir, monkeypatch, stage, outputs):
+def test_default_workers_match_one_cpu(pipeline_dir, monkeypatch, tmp_path, stage, outputs):
     out, args = pipeline_dir
+    if stage[0] == "profile":
+        out = tmp_path
+        args, planted = planted_ledger(pipeline_dir, out, [0.02, 0.5, 0.98], {})
+        seen = ranges_seen(monkeypatch)
     default = stage_bytes(out, [*args, *stage], outputs)
     one_cpu(monkeypatch)
     assert stage_bytes(out, [*args, *stage], outputs) == default
+    if stage[0] == "profile" and available_cpus() > 1:
+        forked, serial = seen
+        assert len(forked) > 1 and len(serial) == 1
+        # the planted rows lie in more than one range
+        assert len({sum(r.start <= at for r in forked) for at in planted}) > 1
+
+
+def test_error_cap_abort_in_several_ranges_matches_one_cpu(pipeline_dir, monkeypatch, tmp_path,
+                                                           capsys):
+    args, planted = planted_ledger(pipeline_dir, tmp_path, [0.1, 0.3, 0.5, 0.7, 0.9],
+                                   {"error_cap": 3})
+    seen = ranges_seen(monkeypatch)
+    runs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "profile"])
+        runs.append((exc.value.code, capsys.readouterr().err,
+                     (tmp_path / "rejected_rows.csv").read_bytes()))
+        one_cpu(monkeypatch)
+    assert runs[0] == runs[1]
+    assert runs[0][:2] == (2, "error: aborted after 4 malformed rows (cap 3)\n")
+    if available_cpus() > 1:
+        # the cap is reached with rejections in more than one range
+        assert len({sum(r.start <= at for r in seen[0]) for at in planted[:4]}) > 1
+
+
+class FullDisk(io.BytesIO):
+    """A temporary file on a disk with no room left."""
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_no_room_for_the_event_logs_reads_the_ledger_in_one_process(pipeline_dir, monkeypatch,
+                                                                    tmp_path, caplog):
+    args, _ = planted_ledger(pipeline_dir, tmp_path, [0.02, 0.5, 0.98], {})
+    seen = ranges_seen(monkeypatch)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
+    serial = stage_bytes(tmp_path, [*args, "profile"], PROFILE_OUTPUTS)
+    # two workers on any machine, whose event logs find no room
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    monkeypatch.setattr(tempfile, "TemporaryFile", FullDisk)
+    with caplog.at_level("WARNING"):
+        assert stage_bytes(tmp_path, [*args, "profile"], PROFILE_OUTPUTS) == serial
+    assert [len(ranges) for ranges in seen] == [1, 2]
+    assert [m for m in caplog.messages if "ledger ranges failed" in m] == [
+        f"profile: ledger ranges failed ([Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}); "
+        "reading the ledger in one process"]
 
 
 def test_cross_validate_takes_a_lambda(monkeypatch):

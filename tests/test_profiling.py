@@ -3,6 +3,7 @@ import io
 import math
 import os
 import random
+import tempfile
 import time
 from collections import deque
 from datetime import date, datetime
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amlprofiler import parallel
 from amlprofiler.ingest import (
     MAX_AMOUNT_CENTS,
     CustomerRecord,
@@ -25,12 +27,15 @@ from amlprofiler.profiling import (
     Attribute,
     AttributeSchema,
     CustomerProfile,
+    aggregate,
     apply_discretization,
     bin_index,
     build_profiles_phase1,
     build_profiles_phase2,
     fifo_lag,
     fit_discretization,
+    merge_totals,
+    profiles_of,
 )
 
 Q1 = Window(datetime(2014, 1, 1), datetime(2014, 3, 31, 23, 59, 59))
@@ -371,6 +376,61 @@ class TestPhase2:
             for name in schema.names:
                 if name.endswith("_std"):
                     assert by_name(schema, p, name) >= 0.0
+
+
+class TestRangesAndShards:
+    """A ledger cut into consecutive streams whose totals are merged, and
+    the FIFO match cut into customer shards, give the one-stream profiles."""
+
+    def ledger(self, seed, customers=9):
+        rng = random.Random(seed)
+        txns = [txn(f"c{rng.randrange(customers)}", rng.randint(1, 3), rng.randint(1, 28),
+                    rng.choice([rng.randint(1, 50000), 5000]),
+                    "credit" if rng.random() < 0.55 else "debit", svc=rng.randint(1, 6),
+                    cp="BANK_01" if rng.random() < 0.3 else None, hour=rng.choice([0, 10, 23]))
+                for _ in range(rng.randint(0, 120))]
+        # customers 0..customers-1 and two more that have no rows
+        register = {f"c{i}": CustomerRecord(f"c{i}", date(2013, 1, 1))
+                    for i in range(customers + 2)}
+        return txns, register
+
+    @pytest.mark.parametrize("fork", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sharded_lags_equal_the_serial_loop(self, monkeypatch, fork, seed):
+        monkeypatch.setattr(parallel, "fork_allowed", fork)
+        txns, register = self.ledger(seed)
+        chunks = [TransactionChunk.from_records(txns[i : i + 17]) for i in range(0, len(txns), 17)]
+        totals = aggregate(chunks, register, Q1, flows=True)
+        serial = totals.lags(1)
+        for shards in range(2, 8):
+            weighted, matched = totals.lags(shards)
+            assert [w.hex() for w in weighted] == [w.hex() for w in serial[0]]
+            assert matched == serial[1]
+
+    @pytest.mark.parametrize("flows", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_merged_streams_give_the_one_stream_profiles(self, flows, seed):
+        txns, register = self.ledger(seed)
+        build = build_profiles_phase2 if flows else build_profiles_phase1
+        schema, whole = build([TransactionChunk.from_records(txns)], register, Q1)
+        rng = random.Random(seed)
+        cuts = sorted(rng.randint(0, len(txns)) for _ in range(rng.randint(1, 4)))
+        streams = [txns[a:b] for a, b in zip([0, *cuts], [*cuts, len(txns)])]
+        spills = [tempfile.TemporaryFile() for _ in streams]
+        try:
+            parts = []
+            for stream, spill in zip(streams, spills):
+                part = aggregate([TransactionChunk.from_records(stream)], register, Q1, flows=flows)
+                part.spill(spill)
+                parts.append(part)
+            totals = merge_totals(parts, spills)
+        finally:
+            for spill in spills:
+                spill.close()
+        merged_schema, merged = profiles_of(totals, register, Q1, len(streams))
+        assert merged_schema == schema
+        assert [(p.customer_id, p.values) for p in merged] == [
+            (p.customer_id, p.values) for p in whole]
 
 
 def numeric_profiles(values_per_attr):
