@@ -311,18 +311,21 @@ def cmd_synth(args, config: PipelineConfig, out_dir: Path) -> StageResult:
 
 @dataclass
 class _Counts:
-    """The rows of a ledger, or of a range of it, that its reader accepted
-    and rejected and that the filter policy dropped, and its records."""
+    """The rows of a ledger, or of a range of it, that its reader accepted,
+    rejected and dropped (rows of rejected register customers) and that the
+    filter policy dropped, and its records."""
 
     accepted: int
     rejected: int
+    dropped: int
     errors: list
     filtered: FilterStats
     records: int
 
     @staticmethod
     def of(reader: TransactionReader, filtered: FilterStats) -> "_Counts":
-        return _Counts(reader.accepted, reader.rejected, reader.errors, filtered, reader.records)
+        return _Counts(reader.accepted, reader.rejected, reader.dropped, reader.errors, filtered,
+                       reader.records)
 
 
 def _profile_ranges(tx_path: Path, ranges: list[LedgerRange], reader, config: PipelineConfig,
@@ -356,7 +359,8 @@ def _profile_ranges(tx_path: Path, ranges: list[LedgerRange], reader, config: Pi
     stats.warn_if_all_dropped()
     schema, profiles = profiles_of(totals, register, window, len(ranges))
     return schema, profiles, _Counts(sum(c.accepted for c in counts),
-                                     sum(c.rejected for c in counts), errors, stats,
+                                     sum(c.rejected for c in counts),
+                                     sum(c.dropped for c in counts), errors, stats,
                                      sum(c.records for c in counts))
 
 
@@ -382,6 +386,9 @@ def cmd_profile(args, config: PipelineConfig, out_dir: Path) -> StageResult:
             mapping=config.column_mapping and ColumnMapping(config.column_mapping),
             window=window,
             register=register,
+            # a rejected register row is the one rejection of its customer's rows
+            rejected_customers={e.customer_id for e in reg_errors if e.customer_id}
+            - register.keys(),
             error_cap=config.error_cap,
             delimiter=config.delimiter,
         )
@@ -417,6 +424,8 @@ def cmd_profile(args, config: PipelineConfig, out_dir: Path) -> StageResult:
         "rows_rejected": counts.rejected,
         "rows_filtered_out": counts.filtered.dropped,
     }
+    if counts.dropped:
+        meta["rows_of_rejected_customers"] = counts.dropped
     write_schema_sidecar(out_dir / PROFILES_SCHEMA, schema, meta=meta)
     if counts.errors or reg_errors:
         outputs.append(_write_rejected(out_dir, reg_errors + counts.errors))
@@ -442,7 +451,9 @@ def cmd_profile(args, config: PipelineConfig, out_dir: Path) -> StageResult:
         [tx_path, reg_path],
         outputs,
         f"profile: {len(profiles)} customers from {counts.accepted} rows ({counts.rejected} "
-        f"rejected, {counts.filtered.dropped} filtered) -> {out_dir / PROFILES_CSV}",
+        f"rejected, {counts.filtered.dropped} filtered"
+        + (f", {counts.dropped} of rejected register customers" if counts.dropped else "")
+        + f") -> {out_dir / PROFILES_CSV}",
     )
 
 
@@ -495,7 +506,7 @@ def cmd_cluster(args, config: PipelineConfig, out_dir: Path) -> StageResult:
                          f"only {distinct} are distinct")
     model = clustering.kmeans_best_of(X, schema, opts.k, runs=opts.runs, kind=opts.distance,
                                       base_seed=opts.seed, max_iter=opts.max_iter)
-    labels = clustering.assign(model, X)
+    labels = model.labels
     for p, label in zip(profiles, labels):
         p.label = int(label)
     model.save(out_dir / MODEL_JSON)

@@ -5,18 +5,22 @@ magnitude) and compared by difference; nominal attributes contribute 0 when
 equal and 1 when different.  Centroids hold per-attribute means for numeric
 columns and the modal level for nominal ones.  Everything is seeded and
 tie-breaks are fixed, so a fit is a pure function of (data, k, kind, seed).
+A fit keeps the labels of the rows it was fitted on.  ``seeded_fits`` runs
+the fits of several k and seeds on ``parallel.pmap``'s workers; ``sweep``'s
+90 fits and ``cluster``'s restarts go through it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import parallel
 from .manifest import from_json, write_json
 from .profiling import AttributeSchema
 
@@ -64,6 +68,8 @@ class ClusterModel:
     iterations_run: int
     sse: float
     sse_history: tuple[float, ...] = ()
+    # what ``assign`` gives on the rows of the fit; not saved, so None once loaded
+    labels: Optional[np.ndarray] = field(default=None, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -125,13 +131,16 @@ def distances_to(
     raise ValueError(f"unknown distance kind {kind!r}")
 
 
-def pairwise_distances(X: np.ndarray, kind: str, schema: AttributeSchema) -> np.ndarray:
-    """Full n x n distance matrix; quadratic, callers cap n."""
+def pairwise_distances(
+    X: np.ndarray, kind: str, schema: AttributeSchema, rows: slice = slice(None)
+) -> np.ndarray:
+    """Distances from the rows ``rows`` of X (all by default) to every row of
+    X, one result row each; the full matrix is quadratic, callers cap n."""
     nominal_cols = np.flatnonzero(~schema.numeric_mask())
-    n = X.shape[0]
-    out = np.zeros((n, n))
-    for i in range(n):
-        out[i] = distances_to(X, X[i], kind, nominal_cols)
+    block = X[rows]
+    out = np.zeros((block.shape[0], X.shape[0]))
+    for i, x in enumerate(block):
+        out[i] = distances_to(X, x, kind, nominal_cols)
     return out
 
 
@@ -204,7 +213,9 @@ def kmeans_fit(
     Ties (nearest centroid, nominal mode) break toward the lowest index.  An
     emptied cluster is re-seeded with the instance farthest from its own
     centroid.  SSE is the sum of squared distances of the configured kind.
-    A k above the number of distinct profiles fails in the seeding.
+    A k above the number of distinct profiles fails in the seeding.  The
+    model's ``labels`` are those of its final centroids, as ``assign`` gives
+    them.
     """
     if not np.isfinite(X).all():
         raise ValueError("profiles contain non-finite values")
@@ -228,8 +239,8 @@ def kmeans_fit(
         iterations += 1
         new_labels, dists = _nearest(Xn, centroids, kind, nominal_cols)
         # Re-seed emptied clusters with the instance farthest from its centroid.
-        present = np.bincount(new_labels, minlength=k)
-        for j in np.flatnonzero(present == 0):
+        emptied = np.flatnonzero(np.bincount(new_labels, minlength=k) == 0)
+        for j in emptied:
             far = int(np.argmax(dists))
             new_labels[far] = j
             centroids[j] = Xn[far]
@@ -241,6 +252,9 @@ def kmeans_fit(
         if iterations == max_iter:
             break  # keep the centroids that produced the final assignment
         centroids = np.array([centroid(Xn[labels == j], numeric_mask) for j in range(k)])
+    if emptied.size:
+        # a centroid moved onto its new member after the rows were labeled
+        new_labels, _ = _nearest(Xn, centroids, kind, nominal_cols)
 
     return ClusterModel(
         k=k,
@@ -252,7 +266,31 @@ def kmeans_fit(
         iterations_run=iterations,
         sse=history[-1],
         sse_history=tuple(history),
+        labels=new_labels,
     )
+
+
+def seeded_fits(
+    X: np.ndarray,
+    schema: AttributeSchema,
+    ks: Sequence[int],
+    *,
+    runs: int,
+    kind: str = EUCLIDEAN,
+    base_seed: int = 1,
+    max_iter: int = 500,
+    then: Callable[[ClusterModel], object] = lambda model: model,
+) -> list:
+    """``then(kmeans_fit(...))`` for each k of ``ks`` and each seed
+    base_seed..base_seed+runs-1, in (k, run) order, computed on
+    ``parallel.pmap``'s workers; ``then`` runs in the worker, so it may
+    score the fit there and return less than the model."""
+
+    def fit(task: tuple[int, int]):
+        k, seed = task
+        return then(kmeans_fit(X, schema, k, kind=kind, seed=seed, max_iter=max_iter))
+
+    return parallel.pmap(fit, [(k, base_seed + r) for k in ks for r in range(runs)])
 
 
 def kmeans_best_of(
@@ -271,12 +309,9 @@ def kmeans_best_of(
     base_seed..base_seed+runs-1 and keeping the best is the standard remedy
     and stays fully deterministic.
     """
-    best: Optional[ClusterModel] = None
-    for r in range(runs):
-        model = kmeans_fit(X, schema, k, kind=kind, seed=base_seed + r, max_iter=max_iter)
-        if best is None or model.sse < best.sse:
-            best = model
-    return best
+    models = seeded_fits(X, schema, [k], runs=runs, kind=kind, base_seed=base_seed,
+                         max_iter=max_iter)
+    return min(models, key=lambda model: model.sse)  # the first of equal SSEs
 
 
 def assign(model: ClusterModel, X: np.ndarray) -> np.ndarray:

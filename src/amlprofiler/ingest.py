@@ -93,6 +93,7 @@ class RowError(NamedTuple):
     line_no: int
     reason: str
     source: str = "ledger"  # the file that line_no counts in: "ledger" or "register"
+    customer_id: str = ""  # of a rejected register row that has the column
 
 
 class TransactionRecord(NamedTuple):
@@ -504,10 +505,12 @@ class TransactionReader:
     a field longer than ``csv.field_size_limit()`` is rejected on either path.
 
     A row whose customer id is not in ``register`` is rejected, after the
-    row's own field checks.  Counts of accepted and rejected rows, and of
-    the ``records`` after the header, are available once the stream is
-    exhausted; iteration aborts with TooManyRowErrors when the number of
-    malformed rows exceeds ``error_cap``.
+    row's own field checks, unless the id is in ``rejected_customers``, whose
+    register rows were rejected: such a row is only counted in ``dropped``,
+    so that one bad register row is one rejection.  Counts of accepted,
+    rejected and dropped rows, and of the ``records`` after the header, are
+    available once the stream is exhausted; iteration aborts with
+    TooManyRowErrors when the number of malformed rows exceeds ``error_cap``.
     """
 
     def __init__(
@@ -516,6 +519,7 @@ class TransactionReader:
         mapping: Optional[ColumnMapping] = None,
         *,
         register: Collection[str],
+        rejected_customers: Collection[str] = (),
         window: Optional[Window] = None,
         error_cap: int = 100,
         delimiter: str = ",",
@@ -524,10 +528,12 @@ class TransactionReader:
         self._mapping = mapping or ColumnMapping.identity()
         self._window = window
         self._register = register
+        self._rejected_customers = rejected_customers
         self._error_cap = error_cap
         self._delimiter = delimiter
         self.accepted = 0
         self.rejected = 0
+        self.dropped = 0
         self.records = 0
         self.errors: list[RowError] = []
 
@@ -717,7 +723,10 @@ class TransactionReader:
                 self._record_error(line_no, str(exc))
                 continue
             if record.customer_id not in self._register:
-                self._record_error(line_no, f"customer {record.customer_id!r} not in register")
+                if record.customer_id in self._rejected_customers:
+                    self.dropped += 1
+                else:
+                    self._record_error(line_no, f"customer {record.customer_id!r} not in register")
                 continue
             records.append(record)
         self.accepted += len(records)
@@ -834,7 +843,8 @@ def parse_customers(
     the window end would be negative.  A repeated customer id is a rejected
     row; the first row is kept.  Read from a ``source`` opened with
     ``errors="surrogateescape"``, a row that is not UTF-8 is a rejected row
-    too, and a header that is not is a ``ConfigError``.
+    too, and a header that is not is a ``ConfigError``.  A rejected row
+    names its customer id, if it has that column.
     """
     mapping = mapping or ColumnMapping.identity(CUSTOMER_FIELDS)
     reader = csv.reader(source, delimiter=delimiter)
@@ -853,12 +863,12 @@ def parse_customers(
         if not row:
             continue
         message = None
+        cid = row[idx["customer_id"]] if len(row) > idx["customer_id"] else ""
         if _UNDECODABLE.search("".join(row)):
             message = NOT_UTF8
         elif len(row) < n_cols:
             message = f"expected at least {n_cols} columns, got {len(row)}"
         else:
-            cid = row[idx["customer_id"]]
             try:
                 open_date = date.fromisoformat(row[idx["account_open_date"]])
             except ValueError:
@@ -870,7 +880,7 @@ def parse_customers(
                 elif cid in first_lines:
                     message = f"duplicate customer_id {cid!r}, first on line {first_lines[cid]}"
         if message:
-            errors.append(RowError(line_no, message, "register"))
+            errors.append(RowError(line_no, message, "register", cid))
             if len(errors) > error_cap:
                 raise TooManyRowErrors(errors, error_cap)
             continue

@@ -249,8 +249,7 @@ class _Totals:
         self.service_keys.append(keys)
         self.pending += len(keys)
         if self.pending > 2 * len(self.service_keys[0]) + (1 << 16):
-            self.service_keys = [_distinct(np.concatenate(self.service_keys))]
-            self.pending = len(self.service_keys[0])
+            self.pending = len(self.compact_services())
 
         if self.flows:
             self.events[0].frombytes(chunk.timestamp[order].tobytes())
@@ -283,9 +282,18 @@ class _Totals:
             del log[:]
         dest.flush()
 
+    def compact_services(self) -> np.ndarray:
+        """The distinct (service, cell) keys, which ``service_keys`` then
+        holds as its one array.  One array is distinct already: a chunk's
+        keys, or keys compacted before."""
+        if len(self.service_keys) != 1:
+            self.service_keys = [_distinct(np.concatenate(self.service_keys
+                                                          or [np.zeros(0, np.int64)]))]
+        return self.service_keys[0]
+
     def services(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct services per cell, and per customer over all cells."""
-        keys = _distinct(np.concatenate(self.service_keys or [np.zeros(0, np.int64)]))
+        keys = self.compact_services()
         self.service_keys = []
         per_cell = np.bincount(keys % self.cells, minlength=self.cells)
         # key // slots is service * customers + customer, sorted like the keys
@@ -352,6 +360,7 @@ def merge_totals(parts: Sequence[_Totals], spills: Sequence[IO[bytes]]) -> _Tota
         totals.service_keys += (remap[keys // totals.cells] * totals.cells + keys % totals.cells
                                 for keys in part.service_keys)
         part.service_keys = []
+    totals.compact_services()  # here, so that its sort does not run beside the merged logs
     lengths = np.array([part.logged for part in parts], dtype=np.int64)
     ends = np.cumsum(lengths, axis=0)
     logs = [np.empty(n, log.typecode) for n, log in zip(ends[-1], totals.events + totals.runs)]

@@ -6,6 +6,11 @@ from the Rand index and the Van Dongen metric (computed over all pairs of
 repeated seeded fits; the paper-style protocol has no ground truth to
 compare against).  All of them are reported per k so disagreements between
 metrics stay visible.
+
+``k_sweep`` runs in two phases: the seeded fits, each with its VRC, on
+``clustering.seeded_fits``'s workers, then the silhouettes of all fits in
+one blocked pass (``silhouette`` takes a stack of labelings), so that no
+process holds an n x n distance matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import logging
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import IO, Optional, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -26,6 +31,7 @@ from .profiling import AttributeSchema
 log = logging.getLogger(__name__)
 
 DEFAULT_SILHOUETTE_SAMPLE = 2000
+SILHOUETTE_BLOCK = 64  # rows of distances per product
 
 
 def silhouette(
@@ -36,47 +42,70 @@ def silhouette(
     kind: str = EUCLIDEAN,
     sample_size: int = DEFAULT_SILHOUETTE_SAMPLE,
     seed: int = 0,
-    pairwise: Optional[np.ndarray] = None,
-) -> float:
-    """Mean silhouette s(i) = (b - a) / max(a, b) over (sampled) points.
+) -> float | list[float]:
+    """Mean silhouette s(i) = (b - a) / max(a, b) over (sampled) points, of
+    one labeling, or as a list of each row of a (labelings x n) stack.
 
     a is the mean distance to the point's own cluster (excluding itself),
     b the smallest mean distance to any other cluster.  Points alone in
     their cluster contribute 0.  Above ``sample_size`` points, a seeded
     subsample is scored instead (exact when sample_size >= n).
+
+    All labelings are scored in one pass over blocks of ``SILHOUETTE_BLOCK``
+    rows of distances: each block times the one-hot matrix of every
+    labeling's clusters gives the block's summed distance to each cluster.
+    So no n x n matrix is held; memory is the one-hot matrix (n x the
+    labelings' summed cluster counts), a block, and the s(i) of every point
+    and labeling.
     """
-    labels = np.asarray(labels)
+    stack = np.atleast_2d(labels)
     n = X.shape[0]
-    if n != labels.shape[0]:
+    if stack.shape[1] != n:
         raise ValueError("labels length does not match profiles")
-    if np.unique(labels).size < 2:
+    if any(np.unique(row).size < 2 for row in stack):
         raise ValueError("silhouette is undefined for a single cluster")
     if sample_size < n:
         rng = np.random.default_rng(seed)
         idx = np.sort(rng.choice(n, size=sample_size, replace=False))
         X = X[idx]
-        labels = labels[idx]
+        stack = stack[:, idx]
         n = sample_size
-        pairwise = None
-        if np.unique(labels).size < 2:
-            raise ValueError("sample collapsed to a single cluster; enlarge sample_size")
-    if pairwise is None:
-        pairwise = clustering.pairwise_distances(X, kind, schema)
 
-    uniq, member = np.unique(labels, return_inverse=True)
-    sizes = np.bincount(member)
-    # Sum of distances from every point to each cluster, one product for all.
-    sums = pairwise @ np.eye(uniq.size)[member]
-    rows = np.arange(n)
-    own = sizes[member]
-    a = sums[rows, member] / np.maximum(own - 1, 1)
-    means = sums / sizes
-    means[rows, member] = np.inf
-    b = means.min(axis=1)
-    denom = np.maximum(a, b)
-    # convention: points alone in their cluster contribute 0
-    s = np.where((own > 1) & (denom > 0), (b - a) / np.where(denom > 0, denom, 1.0), 0.0)
-    return float(s.sum()) / n
+    # column[l, i]: the one-hot column of point i's cluster under labeling l
+    column = np.empty(stack.shape, dtype=np.int64)
+    sizes, starts = [], [0]
+    for row, col in zip(stack, column):
+        member = np.unique(row, return_inverse=True)[1]
+        sizes.append(np.bincount(member))
+        if sizes[-1].size < 2:
+            raise ValueError("sample collapsed to a single cluster; enlarge sample_size")
+        col[:] = starts[-1] + member
+        starts.append(starts[-1] + sizes[-1].size)
+    sizes = np.concatenate(sizes)
+    starts = np.array(starts[:-1])
+    # Zero columns up to a multiple of 16 keep every labeling off the
+    # product's last columns, which OpenBLAS's edge kernels may sum in
+    # another order than one product per labeling does.
+    one_hot = np.zeros((n, -(-sizes.size // 16) * 16))
+    for col in column:
+        one_hot[np.arange(n), col] = 1.0
+    s = np.empty(column.shape)
+    for lo in range(0, n, SILHOUETTE_BLOCK):
+        block = slice(lo, min(lo + SILHOUETTE_BLOCK, n))
+        sums = (clustering.pairwise_distances(X, kind, schema, block) @ one_hot)[:, : sizes.size]
+        points = np.arange(sums.shape[0])
+        cols = column[:, block]
+        own = sizes[cols]
+        a = sums[points, cols] / np.maximum(own - 1, 1)
+        means = sums / sizes
+        means[points, cols] = np.inf
+        b = np.minimum.reduceat(means, starts, axis=1).T
+        denom = np.maximum(a, b)
+        # convention: points alone in their cluster contribute 0
+        s[:, block] = np.where((own > 1) & (denom > 0), (b - a) / np.where(denom > 0, denom, 1.0),
+                               0.0)
+    means = [float(row.sum()) / n for row in s]
+    return means if np.ndim(labels) == 2 else means[0]
 
 
 def sse(X: np.ndarray, model: ClusterModel) -> float:
@@ -219,53 +248,28 @@ def k_sweep(
     if min(ks) < 2 or max(ks) > X.shape[0] - 1:
         raise ValueError(f"k range must lie within [2, n-1], got {ks[0]}..{ks[-1]}")
 
-    numeric_mask = schema.numeric_mask()
-    norm = Normalization.fit(X, numeric_mask)
-    Xn = norm.apply(X)
-    n = X.shape[0]
-    if silhouette_sample < n:
-        rng = np.random.default_rng(base_seed)
-        sample_idx = np.sort(rng.choice(n, size=silhouette_sample, replace=False))
-    else:
-        sample_idx = np.arange(n)
-    pairwise_sample = clustering.pairwise_distances(Xn[sample_idx], kind, schema)
+    Xn = Normalization.fit(X, schema.numeric_mask()).apply(X)
+    sses, labels, vrcs = zip(*clustering.seeded_fits(
+        X, schema, ks, runs=runs, kind=kind, base_seed=base_seed, max_iter=max_iter,
+        then=lambda model: (model.sse, model.labels, vrc(Xn, model.labels, schema)),
+    ))
+    labels = np.array(labels)  # (k, run) order, one row per fit
+    sils = silhouette(Xn, labels, schema, kind=kind, sample_size=silhouette_sample,
+                      seed=base_seed)
 
     reports = []
-    for k in ks:
-        sses, sils, vrcs = [], [], []
-        run_labels = []
-        for r in range(runs):
-            model = clustering.kmeans_fit(
-                X, schema, k, kind=kind, seed=base_seed + r, max_iter=max_iter
-            )
-            labels = clustering.assign(model, X)
-            run_labels.append(labels)
-            sses.append(model.sse)
-            sils.append(
-                silhouette(
-                    Xn[sample_idx],
-                    labels[sample_idx],
-                    schema,
-                    kind=kind,
-                    sample_size=len(sample_idx),
-                    pairwise=pairwise_sample,
-                )
-            )
-            vrcs.append(vrc(Xn, labels, schema))
-        rands, vds = [], []
-        for i, j in combinations(range(runs), 2):
-            rand, vd = partition_agreement(run_labels[i], run_labels[j])
-            rands.append(rand)
-            vds.append(vd)
+    for i, k in enumerate(ks):
+        fit = slice(i * runs, (i + 1) * runs)
+        rands, vds = zip(*(partition_agreement(a, b) for a, b in combinations(labels[fit], 2)))
         reports.append(
             ValidityReport(
                 k=k,
                 runs=runs,
-                sse_values=tuple(sses),
-                silhouette_values=tuple(sils),
-                vrc_values=tuple(vrcs),
-                rand_pairs=tuple(rands),
-                van_dongen_pairs=tuple(vds),
+                sse_values=sses[fit],
+                silhouette_values=tuple(sils[fit]),
+                vrc_values=vrcs[fit],
+                rand_pairs=rands,
+                van_dongen_pairs=vds,
             )
         )
 

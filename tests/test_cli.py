@@ -9,7 +9,7 @@ import pytest
 
 import amlprofiler
 
-from amlprofiler import parallel, synthgen
+from amlprofiler import ingest, parallel, synthgen
 from amlprofiler.cli import build_parser, geometric_steps, grid_cells, main
 from amlprofiler.manifest import sha256_file
 
@@ -373,13 +373,39 @@ class TestDiagnostics:
         cfg_path.write_text(json.dumps({"window": {"start": "2014-01-01", "end": "2014-12-31"}}))
         assert main(["--config", str(cfg_path), "--out-dir", str(tmp_path), "profile"]) == 0
         rejected = [(r["line_no"], r["reason"]) for r in csv_rows(tmp_path / "rejected_rows.csv")]
+        # c2's ledger row is dropped with its register row, not rejected again
         assert rejected == [
             ("3", "account_open_date 2015-06-01 is after the window end 2014-12-31"),
-            ("3", "customer 'c2' not in register"),
         ]
         profiles = csv_rows(tmp_path / "profiles.csv")
         assert [p["customer_id"] for p in profiles] == ["c1"]
         assert float(profiles[0]["account_age_years"]) >= 0
+
+    @pytest.mark.parametrize("ranges", [1, 3])
+    def test_bad_register_row_is_one_rejection(self, tmp_path, monkeypatch, ranges):
+        """The ledger rows of a customer whose register row was rejected are
+        dropped and counted, in every ledger range, and only the register
+        row counts against the cap."""
+        monkeypatch.setattr(ingest, "MIN_SPLIT_BYTES", 0)
+        monkeypatch.setattr(parallel, "fork_allowed", True)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(ranges)))
+        (tmp_path / "register.csv").write_text(
+            "customer_id,account_open_date\nA,2010-01-01\nB,2010-13-01\nC,2010-01-01\n")
+        (tmp_path / "transactions.csv").write_text(
+            "customer_id,account_id,timestamp,amount,direction,service_code,txn_type_code,"
+            "counterparty_bank\n"
+            + "".join(f"{c},a{c},2014-03-0{d}T12:00:00,10.00,credit,1,1,\n"
+                      for c in "ABC" for d in range(1, 6)))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"window": {"start": "2014-01-01", "end": "2014-12-31"},
+                                        "error_cap": 3}))
+        assert main(["--config", str(cfg_path), "--out-dir", str(tmp_path), "profile"]) == 0
+        rejected = [(r["source"], r["line_no"]) for r in csv_rows(tmp_path / "rejected_rows.csv")]
+        assert rejected == [("register", "3")]
+        assert [p["customer_id"] for p in csv_rows(tmp_path / "profiles.csv")] == ["A", "C"]
+        meta = json.loads((tmp_path / "profiles.schema.json").read_text())["meta"]
+        assert (meta["rows_accepted"], meta["rows_rejected"]) == (10, 0)
+        assert meta["rows_of_rejected_customers"] == 5
 
     @pytest.mark.parametrize("error_cap", [100, 2])
     def test_rejected_rows_name_their_source_file(self, tmp_path, error_cap):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from amlprofiler import clustering
 from amlprofiler.clustering import (
     ClusterModel,
     Normalization,
@@ -145,6 +146,29 @@ class TestKMeansFit:
         Xn = model.normalization.apply(X)
         for j in range(model.k):
             np.testing.assert_allclose(Xn[labels == j].mean(axis=0), model.centroids[j])
+
+    @pytest.mark.parametrize("kind", ["euclidean", "manhattan"])
+    def test_labels_are_what_assign_gives(self, kind):
+        rng = np.random.default_rng(8)
+        X = np.c_[rng.normal(size=(120, 2)), rng.integers(0, 3, size=(120, 1))]
+        schema = AttributeSchema((*numeric_schema(2).attributes,
+                                  Attribute("n", NOMINAL, ("a", "b", "c"))))
+        for k, seed, max_iter in [(2, 1, 500), (5, 2, 500), (9, 3, 500), (6, 4, 1), (7, 5, 2)]:
+            model = kmeans_fit(X, schema, k, kind=kind, seed=seed, max_iter=max_iter)
+            assert np.array_equal(model.labels, assign(model, X))
+        best = kmeans_best_of(X, schema, 4, runs=3, kind=kind)
+        assert np.array_equal(best.labels, assign(best, X))
+
+    def test_labels_after_a_reseed_in_the_last_iteration(self, monkeypatch):
+        """Two seeds on equal rows leave cluster 1 empty in the first
+        iteration; it is reseeded with the farthest row (the first 5), which
+        moves its centroid onto the other 5 as well."""
+        schema = numeric_schema(1)
+        X = np.array([[0.0], [0.0], [1.0], [5.0], [5.0]])
+        monkeypatch.setattr(clustering, "seed_indices", lambda *args: [0, 1])
+        model = kmeans_fit(X, schema, 2, seed=0, max_iter=1)
+        assert model.iterations_run == 1 and model.centroids[1, 0] == 1.0
+        assert model.labels.tolist() == assign(model, X).tolist() == [0, 0, 0, 1, 1]
 
     def test_nominal_mode_tie_breaks_low(self):
         schema = AttributeSchema((Attribute("n", NOMINAL, ("a", "b", "c")),))

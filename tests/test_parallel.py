@@ -1,5 +1,6 @@
-"""The fork-based map and the stages that use it: grid cells, CV folds, and
-the ledger ranges and FIFO shards of ``profile``.
+"""The fork-based map and the stages that use it: grid cells, CV folds, the
+k-means fits of ``sweep`` and ``cluster``, and the ledger ranges and FIFO
+shards of ``profile``.
 
 Every stage must write the same bytes whether its items run on forked
 workers (one per CPU in the affinity mask) or serially (a one-CPU mask).
@@ -121,6 +122,9 @@ PROFILE_OUTPUTS = ["profiles.csv", "profiles.schema.json", "rejected_rows.csv",
     (["profile", "--discretize"],
      [*PROFILE_OUTPUTS, "profiles_nominal.csv", "profiles_nominal.schema.json"]),
     (["profile", "--phase", "1"], PROFILE_OUTPUTS),
+    (["sweep"], ["sweep.csv", "sweep_recommendation.json", "sweep.manifest.json"]),
+    (["cluster"], ["cluster_model.json", "labeled_profiles.csv", "labeled_profiles_nominal.csv",
+                   "cluster.manifest.json"]),
 ])
 def test_default_workers_match_one_cpu(pipeline_dir, monkeypatch, tmp_path, stage, outputs):
     out, args = pipeline_dir

@@ -8,6 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amlprofiler.clustering import pairwise_distances
 from amlprofiler.profiling import NOMINAL, Attribute, AttributeSchema
 from amlprofiler.rules.model import OP_EQ, OP_GT, OP_LE, Condition, covers
 from amlprofiler.rules.ripper import _best_refinement, _gain_vector, _Stage, foil_gain
@@ -220,5 +221,7 @@ class TestSilhouette:
             labels[0] = labels[0] + 1
         D = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
         schema = AttributeSchema((Attribute("a"), Attribute("b")))
-        got = silhouette(X, labels, schema, pairwise=D)
+        # integer coordinates: these distances are the ones silhouette computes
+        assert np.array_equal(pairwise_distances(X, "euclidean", schema), D)
+        got = silhouette(X, labels, schema)
         assert abs(got - silhouette_oracle(D, labels.tolist())) <= 1e-12

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from amlprofiler import clustering
 from amlprofiler.clustering import kmeans_fit
-from amlprofiler.profiling import Attribute, AttributeSchema
+from amlprofiler.profiling import NOMINAL, Attribute, AttributeSchema
 from amlprofiler.validity import (
     k_sweep,
     partition_agreement,
@@ -115,6 +116,67 @@ class TestSilhouette:
         exact = silhouette(X, labels, schema, sample_size=360)
         sampled = silhouette(X, labels, schema, sample_size=200, seed=5)
         assert sampled == pytest.approx(exact, abs=0.05)
+
+
+def gemm_silhouette(pairwise, labels):
+    """One labeling's silhouette as one product of the full n x n distance
+    matrix with the labeling's one-hot matrix: the formula that the blocked
+    pass over all labelings replaced."""
+    n = len(labels)
+    uniq, member = np.unique(labels, return_inverse=True)
+    sizes = np.bincount(member)
+    sums = pairwise @ np.eye(uniq.size)[member]
+    rows = np.arange(n)
+    own = sizes[member]
+    a = sums[rows, member] / np.maximum(own - 1, 1)
+    means = sums / sizes
+    means[rows, member] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    s = np.where((own > 1) & (denom > 0), (b - a) / np.where(denom > 0, denom, 1.0), 0.0)
+    return float(s.sum()) / n
+
+
+class TestBatchedSilhouette:
+    @pytest.mark.parametrize("kind", ["euclidean", "manhattan"])
+    @pytest.mark.parametrize("n", [2400, 1800])
+    def test_sweep_shape_matches_one_product_per_labeling(self, kind, n):
+        """At the sweep's shape (90 labelings, k 2..10, the 2,000-row default
+        sample drawn from more rows, or all of fewer), every labeling's mean
+        has the bits of its own n x n product.  Each labeling has a singleton
+        cluster among the scored rows; two columns are nominal."""
+        rng = np.random.default_rng(11)
+        X = np.c_[rng.normal(size=(n, 3)), rng.integers(0, 4, size=(n, 2))]
+        schema = AttributeSchema((*numeric_schema(3).attributes,
+                                  Attribute("u", NOMINAL, ("a", "b", "c", "d")),
+                                  Attribute("v", NOMINAL, ("a", "b", "c", "d"))))
+        scored = np.sort(np.random.default_rng(1).choice(n, size=2000, replace=False)) \
+            if n > 2000 else np.arange(n)
+        stack = []
+        for k in range(2, 11):
+            for _ in range(10):
+                labels = rng.integers(0, k - 1, size=n)
+                labels[scored[rng.integers(len(scored))]] = k - 1
+                stack.append(labels)
+        stack = np.array(stack)
+        got = silhouette(X, stack, schema, kind=kind, seed=1)
+        pairwise = clustering.pairwise_distances(X[scored], kind, schema)
+        assert got == [gemm_silhouette(pairwise, row[scored]) for row in stack]
+
+    def test_one_labeling_is_the_one_row_case(self):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(70, 3))
+        labels = rng.integers(0, 4, size=(3, 70))
+        schema = numeric_schema(3)
+        for row, mean in zip(labels, silhouette(X, labels, schema)):
+            assert silhouette(X, row, schema) == pytest.approx(mean, rel=1e-12)
+            assert silhouette(X, row, schema) == pytest.approx(
+                silhouette_oracle(X, row, schema), rel=1e-12)
+
+    def test_any_single_cluster_labeling_is_error(self):
+        X = np.array([[0.0], [1.0], [2.0]])
+        with pytest.raises(ValueError, match="single cluster"):
+            silhouette(X, np.array([[0, 1, 1], [2, 2, 2]]), numeric_schema(1))
 
 
 class TestSse:
@@ -293,6 +355,19 @@ class TestKSweep:
         result = k_sweep(X, schema, range(2, 9), runs=4, base_seed=3)
         best = [min(r.sse_values) for r in result.reports]
         assert all(b <= a + 1e-9 for a, b in zip(best, best[1:]))
+
+    def test_holds_no_quadratic_matrix(self):
+        """An n x n float64 matrix of 1,500 rows is 18 MB; the sweep must
+        peak below a quarter of it."""
+        n = 1500
+        X = np.random.default_rng(13).normal(size=(n, 6))
+        tracemalloc.start()
+        try:
+            k_sweep(X, numeric_schema(6), range(2, 6), runs=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
 
     def test_runs_below_two_rejected(self):
         X = blobs(10, [(0, 0), (4, 4)], 0.3, seed=3)
