@@ -48,14 +48,13 @@ from .ingest import (
 from .manifest import check_keys, checked, from_json, write_json, write_manifest
 from .profiling import (
     AttributeSchema,
+    Profiles,
     aggregate,
     apply_discretization,
     build_profiles_phase1,
     build_profiles_phase2,
     fit_discretization,
     merge_totals,
-    profile_labels,
-    profile_matrix,
     profiles_of,
     read_profiles,
     read_schema_sidecar,
@@ -244,9 +243,17 @@ def _resolve_window(config: PipelineConfig, out_dir: Path) -> Window:
     raise StageError("no analysis window: add \"window\" to the config file")
 
 
+def _read_sidecar(path: Path):
+    """``read_schema_sidecar``, with a malformed file one diagnostic."""
+    try:
+        return read_schema_sidecar(path)
+    except ValueError as exc:
+        raise StageError(f"{path}: {exc}") from None
+
+
 def _load_profiles(out_dir: Path, labeled: Optional[str] = None):
     """``profiles.csv``, or the CSV that ``cluster`` labeled for the attribute
-    kind ``labeled``, read with its schema: ``(csv path, schema path, schema,
+    kind ``labeled``, read with its schema: ``(csv path, schema path,
     profiles)``."""
     nominal = labeled == "nominal"
     if labeled is None:
@@ -259,12 +266,15 @@ def _load_profiles(out_dir: Path, labeled: Optional[str] = None):
         out_dir / (PROFILES_NOMINAL_SCHEMA if nominal else PROFILES_SCHEMA),
         "profile (with discretize)" if nominal else "profile",
     )
-    schema, _, _ = read_schema_sidecar(schema_path)
-    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-        profiles = read_profiles(fh, schema)
-    if labeled is not None and any(p.label is None for p in profiles):
+    schema, _, _ = _read_sidecar(schema_path)
+    try:
+        with open(csv_path, "r", encoding="utf-8", newline="") as fh:
+            profiles = read_profiles(fh, schema)
+    except ValueError as exc:
+        raise StageError(f"{csv_path}: {exc}") from None
+    if labeled is not None and profiles.labels is None:
         raise StageError(f"{csv_path.name} has unlabeled rows; rerun 'cluster'")
-    return csv_path, schema_path, schema, profiles
+    return csv_path, schema_path, profiles
 
 
 def _write_rejected(out_dir: Path, errors: list) -> Path:
@@ -330,8 +340,8 @@ class _Counts:
 
 def _profile_ranges(tx_path: Path, ranges: list[LedgerRange], reader, config: PipelineConfig,
                     register: dict, window: Window):
-    """The schema, profiles and counts of the ledger, each range aggregated
-    by a worker of ``parallel.pmap`` and the parts merged in range order."""
+    """The profiles and counts of the ledger, each range aggregated by a
+    worker of ``parallel.pmap`` and the parts merged in range order."""
     policy = config.filter_policy
 
     def read(item: tuple[LedgerRange, IO[bytes]]):
@@ -357,11 +367,9 @@ def _profile_ranges(tx_path: Path, ranges: list[LedgerRange], reader, config: Pi
     stats = FilterStats(sum(c.filtered.kept for c in counts),
                         sum(c.filtered.dropped for c in counts))
     stats.warn_if_all_dropped()
-    schema, profiles = profiles_of(totals, register, window, len(ranges))
-    return schema, profiles, _Counts(sum(c.accepted for c in counts),
-                                     sum(c.rejected for c in counts),
-                                     sum(c.dropped for c in counts), errors, stats,
-                                     sum(c.records for c in counts))
+    return profiles_of(totals, register, window, len(ranges)), _Counts(
+        sum(c.accepted for c in counts), sum(c.rejected for c in counts),
+        sum(c.dropped for c in counts), errors, stats, sum(c.records for c in counts))
 
 
 def cmd_profile(args, config: PipelineConfig, out_dir: Path) -> StageResult:
@@ -401,14 +409,14 @@ def cmd_profile(args, config: PipelineConfig, out_dir: Path) -> StageResult:
                 log.warning("profile: ledger ranges failed (%s); reading the ledger in one "
                             "process", exc)
         if parted:
-            schema, profiles, counts = parted
+            profiles, counts = parted
         else:
             stats = FilterStats()
             with open(tx_path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
                 whole = reader(fh)
                 stream = filter_insignificant(whole, config.filter_policy, stats)
                 build = build_profiles_phase1 if config.phase == 1 else build_profiles_phase2
-                schema, profiles = build(stream, register, window)
+                profiles = build(stream, register, window)
             counts = _Counts.of(whole, stats)
     except TooManyRowErrors as exc:
         # keep the rows that tripped the cap visible
@@ -416,7 +424,7 @@ def cmd_profile(args, config: PipelineConfig, out_dir: Path) -> StageResult:
         raise StageError(str(exc)) from None
     outputs = [out_dir / PROFILES_CSV, out_dir / PROFILES_SCHEMA]
     with open(out_dir / PROFILES_CSV, "w", encoding="utf-8", newline="") as fh:
-        write_profiles(fh, schema, profiles)
+        write_profiles(fh, profiles)
     meta = {
         "phase": config.phase,
         "window": {"start": window.start.isoformat(), "end": window.end.isoformat()},
@@ -426,23 +434,27 @@ def cmd_profile(args, config: PipelineConfig, out_dir: Path) -> StageResult:
     }
     if counts.dropped:
         meta["rows_of_rejected_customers"] = counts.dropped
-    write_schema_sidecar(out_dir / PROFILES_SCHEMA, schema, meta=meta)
+    write_schema_sidecar(out_dir / PROFILES_SCHEMA, profiles.schema, meta=meta)
     if counts.errors or reg_errors:
         outputs.append(_write_rejected(out_dir, reg_errors + counts.errors))
     else:  # a rejections file from an earlier run no longer describes this one
         (out_dir / REJECTED_CSV).unlink(missing_ok=True)
 
+    nominal_outputs = [out_dir / PROFILES_NOMINAL_CSV, out_dir / PROFILES_NOMINAL_SCHEMA]
     if config.discretize:
         if not profiles:
             raise StageError("no customer has an accepted ledger row; nothing to discretize")
-        dschema = fit_discretization(profiles, schema)
-        nominal_schema, nominal_profiles = apply_discretization(profiles, schema, dschema)
+        dschema = fit_discretization(profiles)
+        nominal = apply_discretization(profiles, dschema)
         with open(out_dir / PROFILES_NOMINAL_CSV, "w", encoding="utf-8", newline="") as fh:
-            write_profiles(fh, nominal_schema, nominal_profiles)
+            write_profiles(fh, nominal)
         write_schema_sidecar(
-            out_dir / PROFILES_NOMINAL_SCHEMA, nominal_schema, dschema=dschema, meta=meta
+            out_dir / PROFILES_NOMINAL_SCHEMA, nominal.schema, dschema=dschema, meta=meta
         )
-        outputs += [out_dir / PROFILES_NOMINAL_CSV, out_dir / PROFILES_NOMINAL_SCHEMA]
+        outputs += nominal_outputs
+    else:  # an earlier run's nominal profiles were cut from other profiles
+        for path in nominal_outputs:
+            path.unlink(missing_ok=True)
 
     return StageResult(
         "profile",
@@ -467,16 +479,16 @@ def cmd_sweep(args, config: PipelineConfig, out_dir: Path) -> StageResult:
     if opts.runs < 2:
         raise ConfigError(f"sweep needs clustering.runs >= 2 for its stability metrics, "
                           f"got {opts.runs}")
-    csv_path, schema_path, schema, profiles = _load_profiles(out_dir)
+    csv_path, schema_path, profiles = _load_profiles(out_dir)
     k_lo, k_hi = opts.k_range
-    X = profile_matrix(profiles)
+    X = profiles.values
     limit = min(len(X) - 1, _distinct_rows(X))  # silhouettes need k <= n-1, seeding k distinct rows
     if k_hi > limit:
         raise StageError(f"cannot sweep k in {k_lo}..{k_hi} over {len(X)} profiles: "
                          f"k must lie within [2, {limit}]")
     result = validity.k_sweep(
         X,
-        schema,
+        profiles.schema,
         range(k_lo, k_hi + 1),
         runs=opts.runs,
         base_seed=opts.seed,
@@ -498,29 +510,28 @@ def cmd_sweep(args, config: PipelineConfig, out_dir: Path) -> StageResult:
 
 def cmd_cluster(args, config: PipelineConfig, out_dir: Path) -> StageResult:
     opts = _override(config.clustering, "clustering", k=args.k, runs=args.runs, seed=args.seed)
-    csv_path, schema_path, schema, profiles = _load_profiles(out_dir)
-    X = profile_matrix(profiles)
+    csv_path, schema_path, profiles = _load_profiles(out_dir)
+    X = profiles.values
     distinct = _distinct_rows(X)
     if opts.k > distinct:
         raise StageError(f"cannot cluster {len(X)} profiles into k={opts.k}: "
                          f"only {distinct} are distinct")
-    model = clustering.kmeans_best_of(X, schema, opts.k, runs=opts.runs, kind=opts.distance,
-                                      base_seed=opts.seed, max_iter=opts.max_iter)
-    labels = model.labels
-    for p, label in zip(profiles, labels):
-        p.label = int(label)
+    model = clustering.kmeans_best_of(X, profiles.schema, opts.k, runs=opts.runs,
+                                      kind=opts.distance, base_seed=opts.seed, max_iter=opts.max_iter)
+    labeled = dataclasses.replace(profiles, labels=model.labels)
     model.save(out_dir / MODEL_JSON)
     with open(out_dir / LABELED_CSV, "w", encoding="utf-8", newline="") as fh:
-        write_profiles(fh, schema, profiles)
+        write_profiles(fh, labeled)
     outputs = [out_dir / MODEL_JSON, out_dir / LABELED_CSV]
     nominal_schema_path = out_dir / PROFILES_NOMINAL_SCHEMA
     if nominal_schema_path.exists():
-        _, dschema, _ = read_schema_sidecar(nominal_schema_path)
-        nominal_schema, nominal_profiles = apply_discretization(profiles, schema, dschema)
+        _, dschema, _ = _read_sidecar(nominal_schema_path)
         with open(out_dir / LABELED_NOMINAL_CSV, "w", encoding="utf-8", newline="") as fh:
-            write_profiles(fh, nominal_schema, nominal_profiles)
+            write_profiles(fh, apply_discretization(labeled, dschema))
         outputs.append(out_dir / LABELED_NOMINAL_CSV)
-    sizes = np.bincount(labels, minlength=opts.k).tolist()
+    else:  # an earlier run's labeled nominal profiles belong to other profiles
+        (out_dir / LABELED_NOMINAL_CSV).unlink(missing_ok=True)
+    sizes = np.bincount(model.labels, minlength=opts.k).tolist()
     return StageResult(
         "cluster",
         {"k": opts.k, "seed": opts.seed, "runs": opts.runs, "distance": opts.distance,
@@ -533,9 +544,9 @@ def cmd_cluster(args, config: PipelineConfig, out_dir: Path) -> StageResult:
 
 
 def cmd_rules(args, config: PipelineConfig, out_dir: Path) -> StageResult:
-    path, _, schema, profiles = _load_profiles(out_dir, labeled=args.attribute_kind)
+    path, _, profiles = _load_profiles(out_dir, labeled=args.attribute_kind)
     algorithm, params = _induction(args, config)
-    model = _inducer(algorithm, schema, params)(profile_matrix(profiles), profile_labels(profiles))
+    model = _inducer(algorithm, profiles.schema, params)(profiles.values, profiles.labels)
     ruleset = tree_to_rules(model) if algorithm == "tree" else model
     write_json(out_dir / RULESET_JSON, ruleset_to_json(ruleset))
     with open(out_dir / RULESET_TXT, "w", encoding="utf-8") as fh:
@@ -552,9 +563,9 @@ def cmd_rules(args, config: PipelineConfig, out_dir: Path) -> StageResult:
 def cmd_eval(args, config: PipelineConfig, out_dir: Path) -> StageResult:
     algorithm, params = _induction(args, config)
     spec = _override(config.split, "split", mode=args.split_mode, seed=args.seed)
-    path, _, schema, profiles = _load_profiles(out_dir, labeled=args.attribute_kind)
+    path, _, profiles = _load_profiles(out_dir, labeled=args.attribute_kind)
     report = evaluation.evaluate_inducer(
-        _inducer(algorithm, schema, params), profile_matrix(profiles), profile_labels(profiles), spec
+        _inducer(algorithm, profiles.schema, params), profiles.values, profiles.labels, spec
     )
     row = evaluation.report_row(
         report,
@@ -602,20 +613,14 @@ def grid_cells(min_instances_options: Sequence[Optional[int]]) -> list[GridCell]
     return cells
 
 
-def _run_cell(
-    cell: GridCell,
-    X: np.ndarray,
-    y: np.ndarray,
-    schema: AttributeSchema,
-    attribute_kind: str,
-    base: InductionParams,
-) -> dict:
+def _run_cell(cell: GridCell, profiles: Profiles, attribute_kind: str,
+              base: InductionParams) -> dict:
     params = dataclasses.replace(
         base,
         min_instances=base.min_instances if cell.min_instances is None else cell.min_instances,
         reduced_error_pruning=cell.rep_flag == "on",
     )
-    inducer = _inducer(cell.algorithm, schema, params)
+    inducer = _inducer(cell.algorithm, profiles.schema, params)
     # plain 66/34 holdout, or stratified 10-fold cross-validation
     spec = evaluation.SplitSpec(
         mode=cell.split_mode,
@@ -630,7 +635,7 @@ def _run_cell(
         "split_mode": cell.split_mode,
     }
     try:
-        report = evaluation.evaluate_inducer(inducer, X, y, spec)
+        report = evaluation.evaluate_inducer(inducer, profiles.values, profiles.labels, spec)
         return evaluation.report_row(report, **labels)
     except Exception as exc:  # a failed cell must stay visible in the grid
         log.exception("grid cell %s failed", cell)
@@ -657,10 +662,9 @@ def geometric_steps(lo: int, hi: int, count: int) -> list[int]:
 def cmd_grid(args, config: PipelineConfig, out_dir: Path) -> StageResult:
     kind = args.attribute_kind
     base = _override(config.rules, "rules", seed=args.seed).params()
-    path, _, schema, profiles = _load_profiles(out_dir, labeled=kind)
-    X, y = profile_matrix(profiles), profile_labels(profiles)
+    path, _, profiles = _load_profiles(out_dir, labeled=kind)
     if args.sweep:
-        smallest_cluster = int(np.bincount(y).min())
+        smallest_cluster = int(np.bincount(profiles.labels).min())
         steps = geometric_steps(2, max(smallest_cluster, 2), config.grid.sweep_steps)
         cells = [GridCell(algorithm, mi, "off", evaluation.HOLDOUT)
                  for algorithm in ("part", "tree") for mi in steps]
@@ -672,7 +676,7 @@ def cmd_grid(args, config: PipelineConfig, out_dir: Path) -> StageResult:
         out_name = f"grid_{kind}.csv"
         params = {"mode": "grid", "min_instances": [o if o is not None else "default" for o in options],
                   "attribute_kind": kind}
-    rows = parallel.pmap(lambda cell: _run_cell(cell, X, y, schema, kind, base), cells)
+    rows = parallel.pmap(lambda cell: _run_cell(cell, profiles, kind, base), cells)
     with open(out_dir / out_name, "w", encoding="utf-8", newline="") as fh:
         evaluation.write_report_rows(fh, rows)
     return StageResult(

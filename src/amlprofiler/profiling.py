@@ -16,6 +16,10 @@ bit of the output.  For the same reason a ledger may be cut into streams:
 ``profiles_of`` turns them into profiles, FIFO-matching shards of the
 customers through ``parallel.pmap``; the build functions are the one-stream
 case.
+
+A profile set travels between the stages as one frozen ``Profiles`` table:
+its schema, the customer ids, the n x attributes value matrix and, once
+``cluster`` has run, the cluster labels.
 """
 
 from __future__ import annotations
@@ -80,11 +84,18 @@ class AttributeSchema:
         return np.array([a.kind == NUMERIC for a in self.attributes], dtype=bool)
 
 
-@dataclass
-class CustomerProfile:
-    customer_id: str
-    values: tuple[float, ...]
-    label: Optional[int] = None
+@dataclass(frozen=True, eq=False)
+class Profiles:
+    """One row per customer: ``values`` is float64 of n x ``len(schema)``,
+    ``labels`` int64 of n, or None before ``cluster`` labels the rows."""
+
+    schema: AttributeSchema
+    ids: tuple[str, ...]
+    values: np.ndarray
+    labels: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 PHASE1_NAMES = (
@@ -395,7 +406,7 @@ def profiles_of(
     register: Mapping[str, CustomerRecord],
     window: Window,
     shards: int = 1,
-) -> tuple[AttributeSchema, list[CustomerProfile]]:
+) -> Profiles:
     """The profiles of the ``aggregate`` totals, in the register's order,
     FIFO-matched in ``shards`` shards."""
     flows = totals.flows
@@ -412,8 +423,10 @@ def profiles_of(
     if flows:
         weighted, matched = totals.lags(shards)
 
-    profiles = []
-    for c in np.flatnonzero(n_txns).tolist():
+    schema = phase2_schema() if flows else phase1_schema()
+    rows = []
+    customers = np.flatnonzero(n_txns).tolist()
+    for c in customers:
         values: list[float] = []
         for total, sqsum in series:
             values.extend(_mean_std(months, total[c], sqsum[c]))
@@ -423,8 +436,9 @@ def profiles_of(
         values.extend((age_years, float(services_total[c])))
         if flows:
             values.extend(_phase2_extras(sums[2], sums[3], sums[4], weighted[c], matched[c], window))
-        profiles.append(CustomerProfile(ids[c], tuple(values)))
-    return (phase2_schema() if flows else phase1_schema()), profiles
+        rows.append(values)
+    return Profiles(schema, tuple(ids[c] for c in customers),
+                    np.array(rows, dtype=np.float64).reshape(len(rows), len(schema)))
 
 
 def _phase2_extras(
@@ -453,7 +467,7 @@ def build_profiles_phase1(
     chunks: Iterable[TransactionChunk],
     register: Mapping[str, CustomerRecord],
     window: Window,
-) -> tuple[AttributeSchema, list[CustomerProfile]]:
+) -> Profiles:
     """General activity profiles: monthly usage averages, dispersions, account age."""
     return profiles_of(aggregate(chunks, register, window, flows=False), register, window)
 
@@ -462,7 +476,7 @@ def build_profiles_phase2(
     chunks: Iterable[TransactionChunk],
     register: Mapping[str, CustomerRecord],
     window: Window,
-) -> tuple[AttributeSchema, list[CustomerProfile]]:
+) -> Profiles:
     """Flow-oriented profiles: the general roster plus money-movement attributes.
 
     Each flow row's timestamp and signed cents are kept (16 bytes a row, plus
@@ -506,11 +520,8 @@ THREE_LEVELS = ("low", "mid", "high")
 TWO_LEVELS = ("low", "high")
 
 
-def fit_discretization(
-    profiles: Sequence[CustomerProfile],
-    schema: AttributeSchema,
-    concentration_threshold: float = 1.0 / 3.0,
-) -> DiscretizationSchema:
+def fit_discretization(profiles: Profiles,
+                       concentration_threshold: float = 1.0 / 3.0) -> DiscretizationSchema:
     """Fit equal-frequency bins per numeric attribute.
 
     Three bins split at the 1/3 and 2/3 empirical quantiles. When one value
@@ -519,17 +530,16 @@ def fit_discretization(
     split at that value.  Constant attributes cannot be discretized and are
     reported as skipped.
     """
-    if not profiles:
+    if not len(profiles):
         raise ValueError("cannot fit discretization on an empty profile set")
     if not 0.0 < concentration_threshold <= 1.0:
         raise ValueError("concentration_threshold must be in (0, 1]")
-    matrix = np.asarray([p.values for p in profiles], dtype=float)
     cuts: list[AttributeCuts] = []
     skipped: list[str] = []
-    for j, attr in enumerate(schema.attributes):
+    for j, attr in enumerate(profiles.schema.attributes):
         if attr.kind != NUMERIC:
             continue
-        values = np.sort(matrix[:, j])
+        values = np.sort(profiles.values[:, j])
         n = len(values)
         if values[0] == values[-1]:
             log.warning("attribute %s is constant; not discretizable", attr.name)
@@ -560,94 +570,78 @@ def _two_way_cut(uniq: np.ndarray, idx: int) -> float:
     return float(uniq[idx])
 
 
-def bin_index(value: float, cut_points: Sequence[float]) -> int:
-    """Closed-left binning: a value equal to a cut point takes the lower bin.
-    Values beyond the training range clamp to the outer bins."""
-    for i, cut in enumerate(cut_points):
-        if value <= cut:
-            return i
-    return len(cut_points)
-
-
-def apply_discretization(
-    profiles: Sequence[CustomerProfile],
-    schema: AttributeSchema,
-    dschema: DiscretizationSchema,
-) -> tuple[AttributeSchema, list[CustomerProfile]]:
+def apply_discretization(profiles: Profiles, dschema: DiscretizationSchema) -> Profiles:
     """Map numeric profiles onto the fitted nominal schema.
 
-    Skipped (constant) attributes are dropped; already-nominal attributes
-    pass through unchanged.
+    A numeric value takes the index of its closed-left bin: a value equal to
+    a cut point takes the lower bin, and values beyond the fitted range clamp
+    to the outer bins.  Skipped (constant) attributes are dropped;
+    already-nominal attributes pass through unchanged.
     """
-    out_attrs: list[Attribute] = []
-    converters: list[tuple[int, Optional[tuple[float, ...]]]] = []
-    for j, attr in enumerate(schema.attributes):
+    attributes: list[Attribute] = []
+    columns: list[np.ndarray] = []
+    for attr, column in zip(profiles.schema.attributes, profiles.values.T):
         if attr.kind == NOMINAL:
-            out_attrs.append(attr)
-            converters.append((j, None))
+            attributes.append(attr)
+            columns.append(column)
             continue
         cut = dschema.for_attribute(attr.name)
         if cut is None:
             continue
-        out_attrs.append(Attribute(attr.name, NOMINAL, cut.levels))
-        converters.append((j, cut.cut_points))
-    nominal_schema = AttributeSchema(tuple(out_attrs))
-    out_profiles = []
-    for p in profiles:
-        values = []
-        for j, cut_points in converters:
-            v = p.values[j]
-            values.append(float(bin_index(v, cut_points)) if cut_points is not None else v)
-        out_profiles.append(CustomerProfile(p.customer_id, tuple(values), p.label))
-    return nominal_schema, out_profiles
+        attributes.append(Attribute(attr.name, NOMINAL, cut.levels))
+        columns.append(np.searchsorted(cut.cut_points, column, side="left").astype(np.float64))
+    values = np.stack(columns, axis=1) if columns else np.empty((len(profiles), 0))
+    return Profiles(AttributeSchema(tuple(attributes)), profiles.ids, values, profiles.labels)
 
 
 # ---------------------------------------------------------------------------
 # Persistence and matrix helpers
 
 
-def profile_matrix(profiles: Sequence[CustomerProfile]) -> np.ndarray:
-    return np.asarray([p.values for p in profiles], dtype=float)
+def profile_matrix(profiles: Profiles) -> np.ndarray:
+    return profiles.values
 
 
-def profile_labels(profiles: Sequence[CustomerProfile]) -> np.ndarray:
-    if any(p.label is None for p in profiles):
+def profile_labels(profiles: Profiles) -> np.ndarray:
+    if profiles.labels is None:
         raise ValueError("profiles are not labeled")
-    return np.asarray([p.label for p in profiles], dtype=np.int64)
+    return profiles.labels
 
 
-def write_profiles(dest: IO[str], schema: AttributeSchema, profiles: Sequence[CustomerProfile]) -> None:
+def write_profiles(dest: IO[str], profiles: Profiles) -> None:
+    """One CSV row per customer, each value the ``repr`` of its float, and
+    a ``label`` column when the profiles are labeled."""
     writer = csv.writer(dest, lineterminator="\n")
-    labeled = any(p.label is not None for p in profiles)
-    header = ["customer_id", *schema.names]
-    if labeled:
-        header.append("label")
-    writer.writerow(header)
-    for p in profiles:
-        row = [p.customer_id, *[repr(v) for v in p.values]]
-        if labeled:
-            row.append("" if p.label is None else str(p.label))
-        writer.writerow(row)
+    labels = [] if profiles.labels is None else [profiles.labels.tolist()]
+    writer.writerow(["customer_id", *profiles.schema.names, *(["label"] if labels else [])])
+    rows = zip(profiles.ids, profiles.values.tolist(), *labels)
+    writer.writerows([cid, *map(repr, values), *label] for cid, values, *label in rows)
 
 
-def read_profiles(source: IO[str], schema: AttributeSchema) -> list[CustomerProfile]:
+def read_profiles(source: IO[str], schema: AttributeSchema) -> Profiles:
+    """What ``write_profiles`` wrote; no labels when a label cell or the
+    column is missing.  A malformed line raises ValueError naming it."""
     reader = csv.reader(source)
-    header = next(reader)
+    header = next(reader, [])
     expected = ["customer_id", *schema.names]
     has_label = header == expected + ["label"]
     if not has_label and header != expected:
-        raise ValueError(f"profile header {header[:4]}... does not match schema")
+        raise ValueError(f"line 1: profile header {header[:4]}... does not match schema")
     width = len(schema)
-    profiles = []
-    for row in reader:
-        if len(row) != len(header):
-            raise ValueError(
-                f"profile CSV line {reader.line_num}: {len(row)} fields, expected {len(header)}"
-            )
-        values = tuple(float(v) for v in row[1 : 1 + width])
-        label = int(row[1 + width]) if has_label and row[1 + width] != "" else None
-        profiles.append(CustomerProfile(row[0], values, label))
-    return profiles
+    ids, rows, labels = [], [], []
+    try:
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} fields, expected {len(header)}")
+            rows.append([float(v) for v in row[1 : 1 + width]])
+            if has_label:
+                labels.append(int(row[-1]) if row[-1] else None)
+            ids.append(row[0])
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
+    labeled = has_label and None not in labels
+    return Profiles(schema, tuple(ids), np.array(rows, dtype=np.float64).reshape(len(ids), width),
+                    np.array(labels, dtype=np.int64) if labeled else None)
 
 
 def write_schema_sidecar(
@@ -668,7 +662,7 @@ def write_schema_sidecar(
 def read_schema_sidecar(path: Path | str) -> tuple[AttributeSchema, Optional[DiscretizationSchema], dict]:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    schema = from_json(AttributeSchema, obj["schema"], "schema")
+    schema = from_json(AttributeSchema, obj.get("schema"), "schema")
     dschema = (
         from_json(DiscretizationSchema, obj["discretization"], "discretization")
         if "discretization" in obj else None

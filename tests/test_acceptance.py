@@ -23,10 +23,10 @@ from amlprofiler.evaluation import SplitSpec, classes_to_clusters, cv_folds, hol
 from amlprofiler.ingest import FilterPolicy, TransactionReader, filter_insignificant, parse_customers
 from amlprofiler.manifest import sha256_file
 from amlprofiler.profiling import (
+    Profiles,
     apply_discretization,
     build_profiles_phase2,
     fit_discretization,
-    profile_matrix,
 )
 from amlprofiler.rules import (
     InductionParams,
@@ -51,15 +51,14 @@ def load_ledger(out_dir, window):
     with open(out_dir / "transactions.csv", newline="") as fh:
         reader = TransactionReader(fh, window=window, register=customers, error_cap=100)
         stream = filter_insignificant(reader, FILTER)
-        schema, profiles = build_profiles_phase2(stream, customers, window)
-    return schema, profiles
+        return build_profiles_phase2(stream, customers, window)
 
 
 def ground_truth_labels(out_dir, profiles):
     with open(out_dir / "ground_truth.csv", newline="") as fh:
         truth = {row["customer_id"]: row["archetype"] for row in csv.DictReader(fh)}
     names = sorted(set(truth.values()))
-    return np.array([names.index(truth[p.customer_id]) for p in profiles])
+    return np.array([names.index(truth[cid]) for cid in profiles.ids])
 
 
 @pytest.fixture(scope="session")
@@ -77,8 +76,7 @@ def six_dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("six")
     config = synthgen.six_archetype_config(n_customers=1_500, seed=11)
     synthgen.generate_files(config, out)
-    schema, profiles = load_ledger(out, config.window)
-    return schema, profiles
+    return load_ledger(out, config.window)
 
 
 @pytest.fixture(scope="session")
@@ -87,11 +85,11 @@ def labeled_6k(tmp_path_factory):
     out = tmp_path_factory.mktemp("labeled6k")
     config = synthgen.default_config(n_customers=6_000, seed=21)
     synthgen.generate_files(config, out)
-    schema, profiles = load_ledger(out, config.window)
-    X = profile_matrix(profiles)
-    model = clustering.kmeans_best_of(X, schema, 7, runs=10, base_seed=1)
+    profiles = load_ledger(out, config.window)
+    X = profiles.values
+    model = clustering.kmeans_best_of(X, profiles.schema, 7, runs=10, base_seed=1)
     y = clustering.assign(model, X)
-    return schema, X, y
+    return profiles.schema, X, y
 
 
 @pytest.fixture(scope="session")
@@ -103,8 +101,8 @@ def ruleset_registry():
 def test_criterion_1_classes_to_clusters(bundled_ledger):
     out, config = bundled_ledger
     started = time.perf_counter()
-    schema, profiles = load_ledger(out, config.window)
-    X = profile_matrix(profiles)
+    profiles = load_ledger(out, config.window)
+    schema, X = profiles.schema, profiles.values
     ref = ground_truth_labels(out, profiles)
     assert len(profiles) == 50_000
 
@@ -122,8 +120,7 @@ def test_criterion_1_classes_to_clusters(bundled_ledger):
 
 
 def test_criterion_2_k_selection(six_dataset):
-    schema, profiles = six_dataset
-    X = profile_matrix(profiles)
+    schema, X = six_dataset.schema, six_dataset.values
     started = time.perf_counter()
     hits = {"silhouette": 0, "vrc": 0}
     for rep in range(10):
@@ -298,17 +295,13 @@ def test_criterion_5_oracle_equivalence(labeled_6k):
 
 def test_criterion_6_structural_rule_quality(labeled_6k, ruleset_registry):
     # induction battery across algorithms, attribute kinds and coverage floors
-    from amlprofiler.profiling import CustomerProfile
-
     schema, X, y = labeled_6k
-    profiles = [CustomerProfile(str(i), tuple(row)) for i, row in enumerate(X)]
-    dschema = fit_discretization(profiles, schema)
-    nominal_schema, nominal_profiles = apply_discretization(profiles, schema, dschema)
-    X_nom = profile_matrix(nominal_profiles)
+    profiles = Profiles(schema, tuple(map(str, range(len(X)))), X)
+    nominal = apply_discretization(profiles, fit_discretization(profiles))
     battery = []
     for kind, (sch, data) in {
         "numeric": (schema, X),
-        "nominal": (nominal_schema, X_nom),
+        "nominal": (nominal.schema, nominal.values),
     }.items():
         for mi in (2, 100, 1000):
             params = InductionParams(min_instances=mi, seed=7)
@@ -376,7 +369,7 @@ def test_criterion_8_split_contracts():
 
 def test_criterion_9_sse_monotonicity(six_dataset, labeled_6k):
     datasets = {
-        "six_archetypes": (six_dataset[0], profile_matrix(six_dataset[1])),
+        "six_archetypes": (six_dataset.schema, six_dataset.values),
         "bundled_6k": (labeled_6k[0], labeled_6k[1]),
     }
     for name, (schema, X) in datasets.items():

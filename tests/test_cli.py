@@ -41,6 +41,13 @@ def csv_rows(path):
         return list(csv.DictReader(fh))
 
 
+def with_field(line, index, value):
+    """The CSV line ``line`` with field ``index`` replaced by ``value``."""
+    fields = line.split(",")
+    fields[index] = value
+    return ",".join(fields)
+
+
 class TestStages:
     def test_synth_artifacts(self, pipeline_dir):
         out, _ = pipeline_dir
@@ -474,6 +481,63 @@ class TestDiagnostics:
         assert not (tmp_path / "rejected_rows.csv").exists()
         manifest = json.loads((tmp_path / "profile.manifest.json").read_text())
         assert "rejected_rows.csv" not in manifest["outputs"]
+
+    def test_rerun_without_discretize_removes_stale_nominal_files(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"window": {"start": "2014-01-01", "end": "2014-12-31"},
+                                        "filter_policy": {"excluded_txn_type_codes": [99]}}))
+        args = ["--config", str(cfg_path), "--out-dir", str(tmp_path)]
+        assert main([*args, "--seed", "1", "synth", "--n-customers", "80"]) == 0
+        assert main([*args, "profile", "--discretize"]) == 0
+        assert main([*args, "cluster", "--k", "3"]) == 0
+        assert (tmp_path / "labeled_profiles_nominal.csv").exists()
+        assert main([*args, "--seed", "7", "synth", "--n-customers", "80"]) == 0
+        assert main([*args, "profile"]) == 0
+        for name in ("profiles_nominal.csv", "profiles_nominal.schema.json"):
+            assert not (tmp_path / name).exists()
+        assert main([*args, "cluster", "--k", "3"]) == 0
+        assert not (tmp_path / "labeled_profiles_nominal.csv").exists()
+        manifest = json.loads((tmp_path / "cluster.manifest.json").read_text())
+        assert "labeled_profiles_nominal.csv" not in manifest["outputs"]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "rules", "--attribute-kind", "nominal"])
+        assert exc.value.code == 2
+        assert "missing labeled_profiles_nominal.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, edit, stage, message", [
+        ("profiles.csv", lambda lines: with_field(lines[2], 1, "abc"), ["sweep"],
+         "profiles.csv: line 3: could not convert string to float: 'abc'"),
+        ("labeled_profiles.csv", lambda lines: lines[4] + ",9", ["rules"],
+         "labeled_profiles.csv: line 5: 21 fields, expected 20"),
+        ("profiles.csv", lambda lines: lines[0].replace("total_credited,total_debited",
+                                                        "total_debited,total_credited"),
+         ["cluster"], "profiles.csv: line 1: profile header"),
+        ("labeled_profiles.csv", lambda lines: with_field(lines[3], -1, "x1"), ["eval"],
+         "labeled_profiles.csv: line 4: invalid literal for int() with base 10: 'x1'"),
+        ("profiles.schema.json", None, ["sweep"],
+         "profiles.schema.json: Expecting value: line 2 column 13"),
+        ("profiles_nominal.schema.json", None, ["cluster"],
+         "profiles_nominal.schema.json: Expecting value: line 2 column 13"),
+    ], ids=["value", "row_width", "header", "label", "sidecar", "nominal_sidecar"])
+    def test_malformed_profile_file_is_one_line_diagnostic(self, pipeline_dir, tmp_path, capsys,
+                                                          name, edit, stage, message):
+        out, _ = pipeline_dir
+        for path in out.glob("*profiles*"):
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        if edit is None:  # the sidecar cut off inside its first value
+            (tmp_path / name).write_text('{\n  "schema": ')
+        else:
+            lines = (tmp_path / name).read_text().splitlines()
+            line_no = int(message.split("line ")[1].split(":")[0])
+            lines[line_no - 1] = edit(lines)
+            (tmp_path / name).write_text("\n".join(lines) + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--out-dir", str(tmp_path), *stage])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / name}: ") and err.count("\n") == 1
+        assert message in err
 
     @pytest.mark.parametrize("stage, message", [
         (["sweep"], "error: cannot sweep k in 2..10 over 1 profiles: k must lie within [2, 0]\n"),

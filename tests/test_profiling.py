@@ -25,17 +25,22 @@ from amlprofiler.ingest import (
 )
 from amlprofiler.profiling import (
     Attribute,
+    AttributeCuts,
     AttributeSchema,
-    CustomerProfile,
+    DiscretizationSchema,
+    Profiles,
     aggregate,
     apply_discretization,
-    bin_index,
     build_profiles_phase1,
     build_profiles_phase2,
     fifo_lag,
     fit_discretization,
     merge_totals,
+    profile_labels,
+    profile_matrix,
     profiles_of,
+    read_profiles,
+    write_profiles,
 )
 
 Q1 = Window(datetime(2014, 1, 1), datetime(2014, 3, 31, 23, 59, 59))
@@ -51,8 +56,18 @@ def chunked(txns):
     return [TransactionChunk.from_records(txns)]
 
 
-def by_name(schema, profile, name):
-    return profile.values[schema.index(name)]
+def by_name(profiles, cid, name):
+    """Attribute ``name`` of customer ``cid``'s profile."""
+    return profiles.values[profiles.ids.index(cid), profiles.schema.index(name)]
+
+
+def bin_index(value, cut_points):
+    """Closed-left binning, one value at a time: a value equal to a cut point
+    takes the lower bin, and values beyond the cuts clamp to the outer bins."""
+    for i, cut in enumerate(cut_points):
+        if value <= cut:
+            return i
+    return len(cut_points)
 
 
 # Spans 1970-01-01 and, under New York's rule, the DST switches of
@@ -171,44 +186,41 @@ class TestPhase1:
 
     def test_monthly_average_forced(self):
         txns, register = self.ledger()
-        schema, profiles = build_profiles_phase1(chunked(txns), register, Q1)
-        a = next(p for p in profiles if p.customer_id == "A")
-        assert by_name(schema, a, "monthly_txns_avg") == 2.0
-        assert by_name(schema, a, "monthly_credits_avg") == 2.0
-        assert by_name(schema, a, "monthly_debits_avg") == 0.0
-        assert by_name(schema, a, "monthly_services_avg") == 2.0
+        profiles = build_profiles_phase1(chunked(txns), register, Q1)
+        assert by_name(profiles, "A", "monthly_txns_avg") == 2.0
+        assert by_name(profiles, "A", "monthly_credits_avg") == 2.0
+        assert by_name(profiles, "A", "monthly_debits_avg") == 0.0
+        assert by_name(profiles, "A", "monthly_services_avg") == 2.0
 
     def test_zero_variance_customer(self):
         txns, register = self.ledger()
-        schema, profiles = build_profiles_phase1(chunked(txns), register, Q1)
-        a = next(p for p in profiles if p.customer_id == "A")
-        for name in schema.names:
+        profiles = build_profiles_phase1(chunked(txns), register, Q1)
+        for name in profiles.schema.names:
             if name.endswith("_std"):
-                assert by_name(schema, a, name) == 0.0
+                assert by_name(profiles, "A", name) == 0.0
 
     def test_constructed_ledger_exact_table(self):
         # expectations hand-aggregated from the ledger definition
         txns, register = self.ledger()
-        schema, profiles = build_profiles_phase1(chunked(txns), register, Q1)
-        b = next(p for p in profiles if p.customer_id == "B")
-        assert by_name(schema, b, "monthly_txns_avg") == pytest.approx(4 / 3)
-        assert by_name(schema, b, "monthly_txns_std") == pytest.approx(math.sqrt(14) / 3)
-        assert by_name(schema, b, "monthly_debits_avg") == pytest.approx(2 / 3)
-        assert by_name(schema, b, "monthly_debits_std") == pytest.approx(math.sqrt(8) / 3)
-        assert by_name(schema, b, "monthly_credits_avg") == pytest.approx(2 / 3)
-        assert by_name(schema, b, "monthly_credits_std") == pytest.approx(math.sqrt(2) / 3)
-        assert by_name(schema, b, "monthly_services_avg") == pytest.approx(2 / 3)
-        assert by_name(schema, b, "amount_avg") == pytest.approx(27.5)
+        profiles = build_profiles_phase1(chunked(txns), register, Q1)
+        assert by_name(profiles, "B", "monthly_txns_avg") == pytest.approx(4 / 3)
+        assert by_name(profiles, "B", "monthly_txns_std") == pytest.approx(math.sqrt(14) / 3)
+        assert by_name(profiles, "B", "monthly_debits_avg") == pytest.approx(2 / 3)
+        assert by_name(profiles, "B", "monthly_debits_std") == pytest.approx(math.sqrt(8) / 3)
+        assert by_name(profiles, "B", "monthly_credits_avg") == pytest.approx(2 / 3)
+        assert by_name(profiles, "B", "monthly_credits_std") == pytest.approx(math.sqrt(2) / 3)
+        assert by_name(profiles, "B", "monthly_services_avg") == pytest.approx(2 / 3)
+        assert by_name(profiles, "B", "amount_avg") == pytest.approx(27.5)
         # amounts 50, 30, 10, 20: population variance 218.75
-        assert by_name(schema, b, "amount_std") == pytest.approx(math.sqrt(218.75))
-        assert by_name(schema, b, "services_distinct_total") == 1.0
+        assert by_name(profiles, "B", "amount_std") == pytest.approx(math.sqrt(218.75))
+        assert by_name(profiles, "B", "services_distinct_total") == 1.0
         expected_age = (date(2014, 3, 31) - date(2012, 7, 1)).days / 365.25
-        assert by_name(schema, b, "account_age_years") == pytest.approx(expected_age)
+        assert by_name(profiles, "B", "account_age_years") == pytest.approx(expected_age)
 
     def test_profile_count_equals_distinct_customers(self):
         txns, register = self.ledger()
-        _, profiles = build_profiles_phase1(chunked(txns), register, Q1)
-        assert sorted(p.customer_id for p in profiles) == ["A", "B", "C"]
+        profiles = build_profiles_phase1(chunked(txns), register, Q1)
+        assert sorted(profiles.ids) == ["A", "B", "C"]
 
     def test_unknown_customer_rejected(self):
         txns, register = self.ledger()
@@ -216,12 +228,12 @@ class TestPhase1:
         ledger = io.StringIO()
         write_transactions(txns, ledger)
         reader = TransactionReader(io.StringIO(ledger.getvalue()), window=Q1, register=register)
-        _, profiles = build_profiles_phase1(reader, register, Q1)
+        profiles = build_profiles_phase1(reader, register, Q1)
         # the header is line 1, so the last of len(txns) rows is on line len(txns) + 1
         assert [(e.line_no, e.reason) for e in reader.errors] == [
             (len(txns) + 1, "customer 'GHOST' not in register")
         ]
-        assert sorted(p.customer_id for p in profiles) == ["A", "B", "C"]
+        assert sorted(profiles.ids) == ["A", "B", "C"]
         with pytest.raises(ValueError, match="GHOST"):
             build_profiles_phase1(chunked(txns), register, Q1)
 
@@ -235,8 +247,8 @@ class TestPhase2:
             txn("P", 1, 5, 100000, "credit"),
             txn("P", 1, 5, 100000, "debit", cp="BANK_02"),
         ]
-        schema, profiles = build_profiles_phase2(chunked(txns), self.register("P"), Q1)
-        assert by_name(schema, profiles[0], "in_out_lag_days") == 0.0
+        profiles = build_profiles_phase2(chunked(txns), self.register("P"), Q1)
+        assert by_name(profiles, "P", "in_out_lag_days") == 0.0
 
     def test_all_interbank_debits_ratio_one(self):
         txns = [
@@ -244,9 +256,9 @@ class TestPhase2:
             txn("P", 1, 8, 3000, "debit", cp="BANK_01"),
             txn("P", 2, 9, 2000, "debit", cp="BANK_07"),
         ]
-        schema, profiles = build_profiles_phase2(chunked(txns), self.register("P"), Q1)
-        assert by_name(schema, profiles[0], "interbank_outflow_ratio") == 1.0
-        assert by_name(schema, profiles[0], "intrabank_transfer_ratio") == 0.0
+        profiles = build_profiles_phase2(chunked(txns), self.register("P"), Q1)
+        assert by_name(profiles, "P", "interbank_outflow_ratio") == 1.0
+        assert by_name(profiles, "P", "intrabank_transfer_ratio") == 0.0
 
     def test_fifo_matching_oracle(self):
         # credits on day 1 and day 10 of 100.00 each, one 200.00 debit on day 11:
@@ -256,13 +268,13 @@ class TestPhase2:
             txn("F", 1, 10, 10000, "credit"),
             txn("F", 1, 11, 20000, "debit"),
         ]
-        schema, profiles = build_profiles_phase2(chunked(txns), self.register("F"), Q1)
-        assert by_name(schema, profiles[0], "in_out_lag_days") == pytest.approx(5.5)
+        profiles = build_profiles_phase2(chunked(txns), self.register("F"), Q1)
+        assert by_name(profiles, "F", "in_out_lag_days") == pytest.approx(5.5)
 
     def test_zero_debit_sentinel_is_window_length(self):
         txns = [txn("S", 1, 5, 1000, "credit")]
-        schema, profiles = build_profiles_phase2(chunked(txns), self.register("S"), Q1)
-        assert by_name(schema, profiles[0], "in_out_lag_days") == pytest.approx(Q1.days)
+        profiles = build_profiles_phase2(chunked(txns), self.register("S"), Q1)
+        assert by_name(profiles, "S", "in_out_lag_days") == pytest.approx(Q1.days)
 
     def test_totals_and_share(self):
         txns = [
@@ -270,13 +282,12 @@ class TestPhase2:
             txn("T", 1, 20, 10000, "debit"),
             txn("T", 2, 3, 10000, "debit", cp="BANK_01"),
         ]
-        schema, profiles = build_profiles_phase2(chunked(txns), self.register("T"), Q1)
-        p = profiles[0]
-        assert by_name(schema, p, "total_credited") == 300.0
-        assert by_name(schema, p, "total_debited") == 200.0
-        assert by_name(schema, p, "outflow_share") == pytest.approx(0.4)
-        assert by_name(schema, p, "interbank_outflow_ratio") == pytest.approx(0.5)
-        assert by_name(schema, p, "intrabank_transfer_ratio") == pytest.approx(0.5)
+        profiles = build_profiles_phase2(chunked(txns), self.register("T"), Q1)
+        assert by_name(profiles, "T", "total_credited") == 300.0
+        assert by_name(profiles, "T", "total_debited") == 200.0
+        assert by_name(profiles, "T", "outflow_share") == pytest.approx(0.4)
+        assert by_name(profiles, "T", "interbank_outflow_ratio") == pytest.approx(0.5)
+        assert by_name(profiles, "T", "intrabank_transfer_ratio") == pytest.approx(0.5)
 
     def ledger_many(self, rng):
         txns = []
@@ -306,21 +317,22 @@ class TestPhase2:
         ledger_csv = io.StringIO()
         write_transactions(shuffled, ledger_csv)
         with host_zone("UTC"):
-            _, base = build_profiles_phase2(chunked(txns), register, EPOCH_WINDOW)
+            base = build_profiles_phase2(chunked(txns), register, EPOCH_WINDOW)
         for zone in ("UTC", "EST5EDT,M3.2.0,M11.1.0"):
             with host_zone(zone):
                 reader = TransactionReader(io.StringIO(ledger_csv.getvalue()), window=EPOCH_WINDOW,
                                            register=register)
-                _, again = build_profiles_phase2(reader, register, EPOCH_WINDOW)
+                again = build_profiles_phase2(reader, register, EPOCH_WINDOW)
             assert reader.rejected == 0
-            assert [p.values for p in again] == [p.values for p in base]
+            assert again.ids == base.ids
+            assert again.values.tolist() == base.values.tolist()
 
     def test_credit_matches_before_debit_at_equal_timestamps(self):
         credit, debit = txn("T", 2, 5, 100, "credit"), txn("T", 2, 5, 100, "debit")
-        schema, credit_first = build_profiles_phase2(chunked([credit, debit]), self.register("T"), Q1)
-        _, debit_first = build_profiles_phase2(chunked([debit, credit]), self.register("T"), Q1)
-        assert debit_first[0].values == credit_first[0].values
-        assert by_name(schema, debit_first[0], "in_out_lag_days") == 0.0
+        credit_first = build_profiles_phase2(chunked([credit, debit]), self.register("T"), Q1)
+        debit_first = build_profiles_phase2(chunked([debit, credit]), self.register("T"), Q1)
+        assert debit_first.values.tolist() == credit_first.values.tolist()
+        assert by_name(debit_first, "T", "in_out_lag_days") == 0.0
 
     def test_pre_1970_ledger(self):
         window = Window(datetime(1965, 1, 1), datetime(1965, 3, 31, 23, 59, 59))
@@ -329,8 +341,8 @@ class TestPhase2:
             TransactionRecord("P", "acc_P", datetime(1965, 1, 7, 10), 100, "debit", 1, 1, None),
         ]
         register = {"P": CustomerRecord("P", date(1960, 1, 1))}
-        schema, profiles = build_profiles_phase2(chunked(txns), register, window)
-        assert by_name(schema, profiles[0], "in_out_lag_days") == 2.0
+        profiles = build_profiles_phase2(chunked(txns), register, window)
+        assert by_name(profiles, "P", "in_out_lag_days") == 2.0
 
     def test_host_time_zone_does_not_change_lag(self):
         # A credit and a debit straddling the 2014 US daylight-saving switch.
@@ -339,8 +351,8 @@ class TestPhase2:
         lags = []
         for zone in ("UTC", "EST5EDT,M3.2.0,M11.1.0"):
             with host_zone(zone):
-                schema, profiles = build_profiles_phase2(chunked(txns), self.register("T"), Q1)
-            lags.append(by_name(schema, profiles[0], "in_out_lag_days"))
+                profiles = build_profiles_phase2(chunked(txns), self.register("T"), Q1)
+            lags.append(by_name(profiles, "T", "in_out_lag_days"))
         assert lags == [2.0, 2.0]
 
     @given(event_logs())
@@ -356,26 +368,25 @@ class TestPhase2:
         # the exact integers
         amounts = [MAX_AMOUNT_CENTS, MAX_AMOUNT_CENTS - 1, MAX_AMOUNT_CENTS // 3, 12345]
         txns = [txn("T", 1, 1 + i, c, ("credit", "debit")[i % 2]) for i, c in enumerate(amounts)]
-        schema, profiles = build_profiles_phase2(chunked(txns), self.register("T"), Q1)
+        profiles = build_profiles_phase2(chunked(txns), self.register("T"), Q1)
         n, total, sqsum = len(amounts), sum(amounts), sum(c * c for c in amounts)
         assert sqsum > 2**63
-        p = profiles[0]
-        assert by_name(schema, p, "amount_avg") == total / (n * 100)
-        assert by_name(schema, p, "amount_std") == math.sqrt(n * sqsum - total * total) / (n * 100)
-        assert by_name(schema, p, "total_credited") == (amounts[0] + amounts[2]) / 100
-        assert by_name(schema, p, "total_debited") == (amounts[1] + amounts[3]) / 100
+        assert by_name(profiles, "T", "amount_avg") == total / (n * 100)
+        assert by_name(profiles, "T", "amount_std") == math.sqrt(n * sqsum - total * total) / (n * 100)
+        assert by_name(profiles, "T", "total_credited") == (amounts[0] + amounts[2]) / 100
+        assert by_name(profiles, "T", "total_debited") == (amounts[1] + amounts[3]) / 100
 
     def test_invariant_ranges(self):
         rng = random.Random(11)
         txns, register = self.ledger_many(rng)
-        schema, profiles = build_profiles_phase2(chunked(txns), register, Q1)
-        for p in profiles:
+        profiles = build_profiles_phase2(chunked(txns), register, Q1)
+        for cid in profiles.ids:
             for name in ("interbank_outflow_ratio", "intrabank_transfer_ratio", "outflow_share"):
-                assert 0.0 <= by_name(schema, p, name) <= 1.0
-            assert 0.0 <= by_name(schema, p, "in_out_lag_days") <= Q1.days
-            for name in schema.names:
+                assert 0.0 <= by_name(profiles, cid, name) <= 1.0
+            assert 0.0 <= by_name(profiles, cid, "in_out_lag_days") <= Q1.days
+            for name in profiles.schema.names:
                 if name.endswith("_std"):
-                    assert by_name(schema, p, name) >= 0.0
+                    assert by_name(profiles, cid, name) >= 0.0
 
 
 class TestRangesAndShards:
@@ -412,7 +423,7 @@ class TestRangesAndShards:
     def test_merged_streams_give_the_one_stream_profiles(self, flows, seed):
         txns, register = self.ledger(seed)
         build = build_profiles_phase2 if flows else build_profiles_phase1
-        schema, whole = build([TransactionChunk.from_records(txns)], register, Q1)
+        whole = build([TransactionChunk.from_records(txns)], register, Q1)
         rng = random.Random(seed)
         cuts = sorted(rng.randint(0, len(txns)) for _ in range(rng.randint(1, 4)))
         streams = [txns[a:b] for a, b in zip([0, *cuts], [*cuts, len(txns)])]
@@ -427,88 +438,121 @@ class TestRangesAndShards:
         finally:
             for spill in spills:
                 spill.close()
-        merged_schema, merged = profiles_of(totals, register, Q1, len(streams))
-        assert merged_schema == schema
-        assert [(p.customer_id, p.values) for p in merged] == [
-            (p.customer_id, p.values) for p in whole]
+        merged = profiles_of(totals, register, Q1, len(streams))
+        assert merged.schema == whole.schema
+        assert merged.ids == whole.ids
+        assert merged.values.tolist() == whole.values.tolist()
 
 
-def numeric_profiles(values_per_attr):
+def numeric_profiles(values_per_attr, labels=None):
     n = len(next(iter(values_per_attr.values())))
     schema = AttributeSchema(tuple(Attribute(name) for name in values_per_attr))
-    profiles = [
-        CustomerProfile(f"c{i}", tuple(values_per_attr[a][i] for a in values_per_attr))
-        for i in range(n)
-    ]
-    return schema, profiles
+    values = np.array(list(values_per_attr.values()), dtype=np.float64).T.reshape(n, len(schema))
+    return Profiles(schema, tuple(f"c{i}" for i in range(n)), values,
+                    None if labels is None else np.array(labels, dtype=np.int64))
+
+
+def roundtrip(profiles):
+    """The CSV of ``profiles`` and the table read back from it."""
+    buf = io.StringIO()
+    write_profiles(buf, profiles)
+    return buf.getvalue(), read_profiles(io.StringIO(buf.getvalue()), profiles.schema)
+
+
+def cuts_of(*cut_points):
+    levels = ("low", "high") if len(cut_points) == 1 else ("low", "mid", "high")
+    return DiscretizationSchema((AttributeCuts("x", cut_points, levels),))
+
+
+def nominal_bins(profiles, dschema, column=0):
+    return apply_discretization(profiles, dschema).values[:, column].tolist()
 
 
 class TestPersistence:
     def test_profiles_csv_roundtrip(self):
-        import io
+        profiles = numeric_profiles({"x": [0.1, 2.5, 3.75], "y": [1e9, 0.01, 536852446.89]},
+                                    labels=[0, 4, 1])
+        text, again = roundtrip(profiles)
+        assert again.ids == profiles.ids
+        assert again.values.tolist() == profiles.values.tolist()
+        assert again.labels.tolist() == [0, 4, 1] and again.labels.dtype == np.int64
+        assert text.splitlines()[:2] == ["customer_id,x,y,label", "c0,0.1,1000000000.0,0"]
+        assert roundtrip(again)[0] == text
 
-        from amlprofiler.profiling import read_profiles, write_profiles
+    @pytest.mark.parametrize("values", [{"x": [0.1, -2.5, 1e-300], "y": [3.0, 0.0, 7.25]},
+                                        {"x": [], "y": []}])
+    def test_unlabeled_and_empty_tables_roundtrip(self, values):
+        profiles = numeric_profiles(values)
+        text, again = roundtrip(profiles)
+        assert again.labels is None
+        assert again.values.shape == (len(values["x"]), 2)
+        assert again.values.tolist() == profiles.values.tolist()
+        assert roundtrip(again)[0] == text
+        assert len(text.splitlines()) == len(values["x"]) + 1
 
-        schema, profiles = numeric_profiles(
-            {"x": [0.1, 2.5, 3.75], "y": [1e9, 0.01, 536852446.89]}
-        )
-        profiles[1].label = 4
-        profiles[0].label = 0
-        profiles[2].label = 1
-        buf = io.StringIO()
-        write_profiles(buf, schema, profiles)
-        buf.seek(0)
-        again = read_profiles(buf, schema)
-        assert [(p.customer_id, p.values, p.label) for p in again] == [
-            (p.customer_id, p.values, p.label) for p in profiles
-        ]
+    def test_an_empty_label_cell_leaves_the_table_unlabeled(self):
+        schema = numeric_profiles({"x": [0.0]}).schema
+        again = read_profiles(io.StringIO("customer_id,x,label\nc0,1.0,3\nc1,2.0,\n"), schema)
+        assert again.labels is None and again.ids == ("c0", "c1")
+        with pytest.raises(ValueError, match="not labeled"):
+            profile_labels(again)
 
     @pytest.mark.parametrize("bad_row", ["c1,0.5", "c1,0.5,2.0,3,9"])
     def test_profiles_csv_row_width_checked(self, bad_row):
-        import io
-
-        from amlprofiler.profiling import read_profiles
-
-        schema, _ = numeric_profiles({"x": [0.0], "y": [0.0]})
+        schema = numeric_profiles({"x": [0.0], "y": [0.0]}).schema
         text = f"customer_id,x,y,label\nc0,1.0,2.0,3\n{bad_row}\n"
         with pytest.raises(ValueError, match="line 3"):
             read_profiles(io.StringIO(text), schema)
 
+    @pytest.mark.parametrize("text, message", [
+        ("customer_id,x,y\nc0,1.0,2.0\nc1,abc,2.0\n", "line 3: could not convert string to float: 'abc'"),
+        ("customer_id,x,y,label\nc0,1.0,2.0,1.5\n", "line 2: invalid literal for int"),
+        ("customer_id,y,x\nc0,1.0,2.0\n", "line 1: profile header"),
+        ("", "line 1: profile header"),
+    ])
+    def test_malformed_profile_csv_names_its_line(self, text, message):
+        schema = numeric_profiles({"x": [0.0], "y": [0.0]}).schema
+        with pytest.raises(ValueError, match=message):
+            read_profiles(io.StringIO(text), schema)
+
+    def test_matrix_and_labels_are_the_table_columns(self):
+        profiles = numeric_profiles({"x": [1.0, 2.0]}, labels=[1, 0])
+        assert profile_matrix(profiles) is profiles.values
+        assert profile_labels(profiles) is profiles.labels
+
 
 class TestDiscretization:
     def test_uniform_1_to_9(self):
-        schema, profiles = numeric_profiles({"x": [float(v) for v in range(1, 10)]})
-        d = fit_discretization(profiles, schema)
+        profiles = numeric_profiles({"x": [float(v) for v in range(1, 10)]})
+        d = fit_discretization(profiles)
         cuts = d.for_attribute("x")
         assert cuts.cut_points == (3.0, 6.0)
         assert cuts.levels == ("low", "mid", "high")
-        _, nominal = apply_discretization(profiles, schema, d)
-        bins = [p.values[0] for p in nominal]
-        assert bins == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+        assert nominal_bins(profiles, d) == [0, 0, 0, 1, 1, 1, 2, 2, 2]
 
     def test_concentration_fallback_two_levels(self):
         values = [0.0] * 12 + [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
-        schema, profiles = numeric_profiles({"x": values})
-        d = fit_discretization(profiles, schema)
+        profiles = numeric_profiles({"x": values})
+        d = fit_discretization(profiles)
         cuts = d.for_attribute("x")
         assert cuts.levels == ("low", "high")
         assert cuts.cut_points == (0.0,)
-        _, nominal = apply_discretization(profiles, schema, d)
-        bins = [p.values[0] for p in nominal]
+        bins = nominal_bins(profiles, d)
         assert bins[:12] == [0] * 12 and set(bins[12:]) == {1}
 
     def test_constant_attribute_skipped(self):
-        schema, profiles = numeric_profiles({"x": [5.0] * 10, "y": [float(i) for i in range(10)]})
-        d = fit_discretization(profiles, schema)
+        profiles = numeric_profiles({"x": [5.0] * 10, "y": [float(i) for i in range(10)]},
+                                    labels=list(range(10)))
+        d = fit_discretization(profiles)
         assert d.skipped == ("x",)
-        nominal_schema, nominal = apply_discretization(profiles, schema, d)
-        assert nominal_schema.names == ("y",)
+        nominal = apply_discretization(profiles, d)
+        assert nominal.schema.names == ("y",)
+        assert nominal.ids == profiles.ids and nominal.labels is profiles.labels
 
     def test_lognormal_matches_sort_oracle(self):
         rng = np.random.default_rng(3)
         values = rng.lognormal(0, 1, size=10_000).tolist()
-        schema, profiles = numeric_profiles({"x": values})
-        d = fit_discretization(profiles, schema)
+        d = fit_discretization(numeric_profiles({"x": values}))
         # independent oracle: index the sorted sample at ceil(n/3), ceil(2n/3)
         s = sorted(values)
         n = len(s)
@@ -518,29 +562,50 @@ class TestDiscretization:
     def test_bin_populations_balanced(self):
         rng = np.random.default_rng(8)
         values = rng.normal(0, 1, size=902).tolist()  # all distinct w.p. 1
-        schema, profiles = numeric_profiles({"x": values})
-        d = fit_discretization(profiles, schema)
-        _, nominal = apply_discretization(profiles, schema, d)
-        counts = np.bincount([int(p.values[0]) for p in nominal], minlength=3)
+        profiles = numeric_profiles({"x": values})
+        bins = nominal_bins(profiles, fit_discretization(profiles))
+        counts = np.bincount(np.array(bins, dtype=np.int64), minlength=3)
         assert counts.max() - counts.min() <= 1
 
     def test_cut_point_assigns_lower_bin(self):
         assert bin_index(3.0, (3.0, 6.0)) == 0
         assert bin_index(6.0, (3.0, 6.0)) == 1
+        assert nominal_bins(numeric_profiles({"x": [3.0, 6.0]}), cuts_of(3.0, 6.0)) == [0, 1]
 
     def test_clamping(self):
         assert bin_index(-100.0, (3.0, 6.0)) == 0
         assert bin_index(1e9, (3.0, 6.0)) == 2
+        assert nominal_bins(numeric_profiles({"x": [-100.0, 1e9]}), cuts_of(3.0, 6.0)) == [0, 2]
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=4, max_size=200))
     @settings(max_examples=60)
     def test_total_mapping(self, values):
         if len(set(values)) < 2:
             return
-        schema, profiles = numeric_profiles({"x": values})
-        d = fit_discretization(profiles, schema)
+        d = fit_discretization(numeric_profiles({"x": values}))
         cuts = d.for_attribute("x")
         if cuts is None:
             return
         for v in values + [min(values) - 1, max(values) + 1]:
             assert 0 <= bin_index(v, cuts.cut_points) < len(cuts.levels)
+
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=60),
+           st.lists(st.floats(allow_nan=False), max_size=20),
+           st.floats(0.2, 1.0))
+    @settings(max_examples=200)
+    def test_binning_equals_the_one_value_oracle(self, sample, probes, threshold):
+        """Fitted on ``sample``, then applied to the sample, its cut points,
+        values next to them, the probes and values beyond the range."""
+        fitted = numeric_profiles({"x": sample, "y": [1.0] * len(sample)})
+        d = fit_discretization(fitted, threshold)
+        cuts = d.for_attribute("x")
+        if cuts is None:
+            assert d.skipped[0] == "x"
+            return
+        edges = [np.nextafter(c, side) for c in cuts.cut_points for side in (-np.inf, np.inf)]
+        values = [*sample, *cuts.cut_points, *edges, *probes, -np.inf, np.inf]
+        table = numeric_profiles({"x": values, "y": [0.0] * len(values)})
+        nominal = apply_discretization(table, d)
+        assert nominal.schema.names == ("x",) and d.skipped == ("y",)
+        assert nominal.values[:, 0].tolist() == [float(bin_index(v, cuts.cut_points))
+                                                 for v in values]

@@ -15,7 +15,7 @@ from amlprofiler.ingest import (
     filter_insignificant,
     parse_customers,
 )
-from amlprofiler.profiling import build_profiles_phase2, profile_matrix
+from amlprofiler.profiling import build_profiles_phase2
 
 
 def generate_to_strings(config):
@@ -110,9 +110,8 @@ class TestGeneratedLedgerQuality:
         passthrough = next(a for a in base.archetypes if a.name == "passthrough_risk")
         cfg = replace(base, archetypes=(replace(passthrough, proportion=1.0),))
         _, tx, reg, _ = generate_to_strings(cfg)
-        schema, profiles = profile_ledger(tx, reg, cfg.window)
-        lag_idx = schema.index("in_out_lag_days")
-        lags = np.array([p.values[lag_idx] for p in profiles])
+        profiles = profile_ledger(tx, reg, cfg.window)
+        lags = profiles.values[:, profiles.schema.index("in_out_lag_days")]
         assert np.median(lags) < 1.0
 
     def test_legal_limits_amounts_under_threshold(self):
@@ -139,9 +138,8 @@ class TestGeneratedLedgerQuality:
             archetypes=(replace(dormant, proportion=0.5), replace(corporate, proportion=0.5)),
         )
         _, tx, reg, _ = generate_to_strings(cfg)
-        schema, profiles = profile_ledger(tx, reg, cfg.window)
-        X = profile_matrix(profiles)
-        result = validity.k_sweep(X, schema, range(2, 6), runs=3, base_seed=1)
+        profiles = profile_ledger(tx, reg, cfg.window)
+        result = validity.k_sweep(profiles.values, profiles.schema, range(2, 6), runs=3, base_seed=1)
         assert result.recommended["silhouette"] == 2
 
     def test_noise_customers_blend(self):
