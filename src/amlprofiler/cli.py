@@ -511,6 +511,15 @@ def cmd_sweep(args, config: PipelineConfig, out_dir: Path) -> StageResult:
 def cmd_cluster(args, config: PipelineConfig, out_dir: Path) -> StageResult:
     opts = _override(config.clustering, "clustering", k=args.k, runs=args.runs, seed=args.seed)
     csv_path, schema_path, profiles = _load_profiles(out_dir)
+    inputs = [csv_path, schema_path]
+    # the nominal sidecar is read first, so that a malformed one leaves no new model
+    nominal_schema_path = out_dir / PROFILES_NOMINAL_SCHEMA
+    dschema = None
+    if nominal_schema_path.exists():
+        _, dschema, _ = _read_sidecar(nominal_schema_path)
+        if dschema is None:
+            raise StageError(f"{nominal_schema_path}: no discretization; rerun 'profile'")
+        inputs.append(nominal_schema_path)
     X = profiles.values
     distinct = _distinct_rows(X)
     if opts.k > distinct:
@@ -523,9 +532,7 @@ def cmd_cluster(args, config: PipelineConfig, out_dir: Path) -> StageResult:
     with open(out_dir / LABELED_CSV, "w", encoding="utf-8", newline="") as fh:
         write_profiles(fh, labeled)
     outputs = [out_dir / MODEL_JSON, out_dir / LABELED_CSV]
-    nominal_schema_path = out_dir / PROFILES_NOMINAL_SCHEMA
-    if nominal_schema_path.exists():
-        _, dschema, _ = _read_sidecar(nominal_schema_path)
+    if dschema is not None:
         with open(out_dir / LABELED_NOMINAL_CSV, "w", encoding="utf-8", newline="") as fh:
             write_profiles(fh, apply_discretization(labeled, dschema))
         outputs.append(out_dir / LABELED_NOMINAL_CSV)
@@ -537,7 +544,7 @@ def cmd_cluster(args, config: PipelineConfig, out_dir: Path) -> StageResult:
         {"k": opts.k, "seed": opts.seed, "runs": opts.runs, "distance": opts.distance,
          "max_iter": opts.max_iter, "sse": model.sse,
          "best_seed": model.seed, "iterations": model.iterations_run},
-        [csv_path, schema_path],
+        inputs,
         outputs,
         f"cluster: k={opts.k} sse={model.sse:.4f} sizes={sizes}",
     )

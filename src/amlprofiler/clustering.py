@@ -5,6 +5,8 @@ magnitude) and compared by difference; nominal attributes contribute 0 when
 equal and 1 when different.  Centroids hold per-attribute means for numeric
 columns and the modal level for nominal ones.  Everything is seeded and
 tie-breaks are fixed, so a fit is a pure function of (data, k, kind, seed).
+Every distance, of seeding, assignment and the silhouettes, comes from one
+kernel, ``distances``.
 A fit keeps the labels of the rows it was fitted on.  ``seeded_fits`` runs
 the fits of several k and seeds on ``parallel.pmap``'s workers; ``sweep``'s
 90 fits and ``cluster``'s restarts go through it.
@@ -113,22 +115,34 @@ class ClusterModel:
             return ClusterModel.from_json(json.load(fh))
 
 
-def _diffs(X: np.ndarray, center: np.ndarray, nominal_cols: np.ndarray) -> np.ndarray:
-    d = np.abs(X - center)
-    if nominal_cols.size:
-        d[:, nominal_cols] = d[:, nominal_cols] != 0
-    return d
+def distances(
+    X: np.ndarray, centers: np.ndarray, kind: str, nominal_cols: np.ndarray
+) -> np.ndarray:
+    """Distances from each row of ``centers`` to every row of X: a (centers x
+    rows) matrix.  Nominal columns count 0 when equal and 1 when different.
+    Each center's differences go through one reused (rows x d) buffer; the
+    Euclidean kind squares them without taking ``abs`` first, since
+    (-x)**2 == x**2 exactly."""
+    if kind not in (EUCLIDEAN, MANHATTAN):
+        raise ValueError(f"unknown distance kind {kind!r}")
+    out = np.empty((centers.shape[0], X.shape[0]))
+    d = np.empty(X.shape)
+    for center, row in zip(centers, out):
+        np.subtract(X, center, out=d)
+        if nominal_cols.size:
+            d[:, nominal_cols] = d[:, nominal_cols] != 0
+        if kind == EUCLIDEAN:
+            np.sqrt(np.einsum("ij,ij->i", d, d), out=row)
+        else:
+            np.abs(d, out=d)
+            d.sum(axis=1, out=row)
+    return out
 
 
 def distances_to(
     X: np.ndarray, center: np.ndarray, kind: str, nominal_cols: np.ndarray
 ) -> np.ndarray:
-    d = _diffs(X, center, nominal_cols)
-    if kind == EUCLIDEAN:
-        return np.sqrt(np.einsum("ij,ij->i", d, d))
-    if kind == MANHATTAN:
-        return d.sum(axis=1)
-    raise ValueError(f"unknown distance kind {kind!r}")
+    return distances(X, center[None, :], kind, nominal_cols)[0]
 
 
 def pairwise_distances(
@@ -136,25 +150,13 @@ def pairwise_distances(
 ) -> np.ndarray:
     """Distances from the rows ``rows`` of X (all by default) to every row of
     X, one result row each; the full matrix is quadratic, callers cap n."""
-    nominal_cols = np.flatnonzero(~schema.numeric_mask())
-    block = X[rows]
-    out = np.zeros((block.shape[0], X.shape[0]))
-    for i, x in enumerate(block):
-        out[i] = distances_to(X, x, kind, nominal_cols)
-    return out
+    return distances(X, X[rows], kind, np.flatnonzero(~schema.numeric_mask()))
 
 
 def _nearest(X: np.ndarray, centroids: np.ndarray, kind: str, nominal_cols: np.ndarray):
     """Labels (lowest index wins ties) and distance of each row to its centroid."""
-    n = X.shape[0]
-    best = np.full(n, np.inf)
-    labels = np.zeros(n, dtype=np.int64)
-    for j in range(centroids.shape[0]):
-        dj = distances_to(X, centroids[j], kind, nominal_cols)
-        better = dj < best
-        labels[better] = j
-        best[better] = dj[better]
-    return labels, best
+    d = distances(X, centroids, kind, nominal_cols)
+    return d.argmin(axis=0), d.min(axis=0)
 
 
 def seed_indices(X: np.ndarray, k: int, kind: str, nominal_cols: np.ndarray, rng) -> list[int]:
@@ -163,8 +165,8 @@ def seed_indices(X: np.ndarray, k: int, kind: str, nominal_cols: np.ndarray, rng
 
     Each step draws a few weighted candidates and keeps the one that lowers
     the total potential most (the greedy refinement from the algorithm's
-    reference implementations); every candidate draw follows the squared-
-    distance law.
+    reference implementations; the first of equal potentials); every
+    candidate draw follows the squared-distance law.
     """
     n = X.shape[0]
     trials = 2 + 2 * int(math.log2(k)) if k > 1 else 1
@@ -175,17 +177,11 @@ def seed_indices(X: np.ndarray, k: int, kind: str, nominal_cols: np.ndarray, rng
         if total <= 0:
             raise ValueError("fewer distinct profiles than requested clusters")
         candidates = rng.choice(n, size=trials, p=best / total)
-        next_idx = -1
-        next_best = None
-        next_potential = math.inf
-        for cand in candidates:
-            d2 = distances_to(X, X[int(cand)], kind, nominal_cols) ** 2
-            np.minimum(d2, best, out=d2)
-            potential = float(d2.sum())
-            if potential < next_potential:
-                next_idx, next_best, next_potential = int(cand), d2, potential
-        chosen.append(next_idx)
-        best = next_best
+        d2 = distances(X, X[candidates], kind, nominal_cols) ** 2
+        np.minimum(d2, best, out=d2)
+        pick = int(np.argmin(d2.sum(axis=1)))
+        chosen.append(int(candidates[pick]))
+        best = d2[pick]
     return chosen
 
 

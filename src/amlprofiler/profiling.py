@@ -636,6 +636,8 @@ def read_profiles(source: IO[str], schema: AttributeSchema) -> Profiles:
             rows.append([float(v) for v in row[1 : 1 + width]])
             if has_label:
                 labels.append(int(row[-1]) if row[-1] else None)
+                if labels[-1] is not None and not -2**63 <= labels[-1] < 2**63:
+                    raise ValueError(f"label {labels[-1]} does not fit in 64 bits")
             ids.append(row[0])
     except (ValueError, csv.Error) as exc:
         raise ValueError(f"line {reader.line_num}: {exc}") from None
@@ -662,6 +664,8 @@ def write_schema_sidecar(
 def read_schema_sidecar(path: Path | str) -> tuple[AttributeSchema, Optional[DiscretizationSchema], dict]:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError("the schema sidecar is not a JSON object")
     schema = from_json(AttributeSchema, obj.get("schema"), "schema")
     dschema = (
         from_json(DiscretizationSchema, obj["discretization"], "discretization")

@@ -8,9 +8,17 @@ compare against).  All of them are reported per k so disagreements between
 metrics stay visible.
 
 ``k_sweep`` runs in two phases: the seeded fits, each with its VRC, on
-``clustering.seeded_fits``'s workers, then the silhouettes of all fits in
-one blocked pass (``silhouette`` takes a stack of labelings), so that no
-process holds an n x n distance matrix.
+``clustering.seeded_fits``'s workers, then the silhouettes of all fits
+(``silhouette`` takes a stack of labelings), each distinct partition
+scored once in blocks of points on ``parallel.pmap``'s workers.  No
+process holds an n x n distance matrix, and no sum that reaches
+``sweep.csv`` goes through BLAS: its bytes are the same on any CPU mask
+and BLAS thread count.  That fixed order rests on numpy summing a
+(rows x block) array along axis 0 one row after another, which is how its
+reduction loop works but not documented behaviour.
+``tests/test_validity.py::test_sweep_shape_matches_fixed_order_sums``
+pins it: a numpy upgrade that fails that test breaks the reproducibility
+of ``sweep.csv``, not only a test.
 """
 
 from __future__ import annotations
@@ -24,14 +32,26 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from . import clustering
+from . import clustering, parallel
 from .clustering import EUCLIDEAN, ClusterModel, Normalization
 from .profiling import AttributeSchema
 
 log = logging.getLogger(__name__)
 
 DEFAULT_SILHOUETTE_SAMPLE = 2000
-SILHOUETTE_BLOCK = 64  # rows of distances per product
+SILHOUETTE_BLOCK = 64  # most points per block of distances
+
+
+def distinct_partitions(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct partitions among the rows of a (labelings x n) stack,
+    each with its clusters numbered 0, 1, ... in order of first appearance,
+    and the index of each labeling's partition among them."""
+    renumbered = np.empty(stack.shape, dtype=np.int64)
+    for row, out in zip(stack, renumbered):
+        _, first, inverse = np.unique(row, return_index=True, return_inverse=True)
+        out[:] = np.argsort(np.argsort(first))[inverse]
+    parts, which = np.unique(renumbered, axis=0, return_inverse=True)
+    return parts, which.reshape(-1)
 
 
 def silhouette(
@@ -51,12 +71,14 @@ def silhouette(
     their cluster contribute 0.  Above ``sample_size`` points, a seeded
     subsample is scored instead (exact when sample_size >= n).
 
-    All labelings are scored in one pass over blocks of ``SILHOUETTE_BLOCK``
-    rows of distances: each block times the one-hot matrix of every
-    labeling's clusters gives the block's summed distance to each cluster.
-    So no n x n matrix is held; memory is the one-hot matrix (n x the
-    labelings' summed cluster counts), a block, and the s(i) of every point
-    and labeling.
+    Labelings that split the points alike are one partition, scored once.
+    The points are scored in blocks of at most ``SILHOUETTE_BLOCK`` on
+    ``parallel.pmap``'s workers: a block's distances to every point,
+    summed per cluster one point after the other in ascending point order.
+    That order is fixed, so the bits of the result do not depend on the
+    CPUs, the workers or the BLAS library.  No n x n matrix is held; memory
+    is a block of distances, one cluster's rows of it, and the s(i) of
+    every point and partition.
     """
     stack = np.atleast_2d(labels)
     n = X.shape[0]
@@ -71,40 +93,38 @@ def silhouette(
         stack = stack[:, idx]
         n = sample_size
 
-    # column[l, i]: the one-hot column of point i's cluster under labeling l
-    column = np.empty(stack.shape, dtype=np.int64)
-    sizes, starts = [], [0]
-    for row, col in zip(stack, column):
-        member = np.unique(row, return_inverse=True)[1]
-        sizes.append(np.bincount(member))
-        if sizes[-1].size < 2:
-            raise ValueError("sample collapsed to a single cluster; enlarge sample_size")
-        col[:] = starts[-1] + member
-        starts.append(starts[-1] + sizes[-1].size)
-    sizes = np.concatenate(sizes)
-    starts = np.array(starts[:-1])
-    # Zero columns up to a multiple of 16 keep every labeling off the
-    # product's last columns, which OpenBLAS's edge kernels may sum in
-    # another order than one product per labeling does.
-    one_hot = np.zeros((n, -(-sizes.size // 16) * 16))
-    for col in column:
-        one_hot[np.arange(n), col] = 1.0
-    s = np.empty(column.shape)
-    for lo in range(0, n, SILHOUETTE_BLOCK):
-        block = slice(lo, min(lo + SILHOUETTE_BLOCK, n))
-        sums = (clustering.pairwise_distances(X, kind, schema, block) @ one_hot)[:, : sizes.size]
-        points = np.arange(sums.shape[0])
-        cols = column[:, block]
-        own = sizes[cols]
-        a = sums[points, cols] / np.maximum(own - 1, 1)
-        means = sums / sizes
-        means[points, cols] = np.inf
-        b = np.minimum.reduceat(means, starts, axis=1).T
-        denom = np.maximum(a, b)
-        # convention: points alone in their cluster contribute 0
-        s[:, block] = np.where((own > 1) & (denom > 0), (b - a) / np.where(denom > 0, denom, 1.0),
-                               0.0)
-    means = [float(row.sum()) / n for row in s]
+    parts, which = distinct_partitions(stack)
+    if (parts.max(axis=1) < 1).any():
+        raise ValueError("sample collapsed to a single cluster; enlarge sample_size")
+    sizes = [np.bincount(part) for part in parts]
+    members = [[np.flatnonzero(part == c) for c in range(size.size)]
+               for part, size in zip(parts, sizes)]
+    # Blocks split n evenly, so none is one point wide: numpy sums a one-column
+    # reduction pairwise, a wider one row after row.
+    count = -(-n // SILHOUETTE_BLOCK)
+    blocks = [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
+
+    def score(block: slice) -> np.ndarray:
+        dists = np.ascontiguousarray(clustering.pairwise_distances(X, kind, schema, block).T)
+        points = np.arange(dists.shape[1])
+        s = np.empty((len(parts), points.size))
+        for part, size, clusters, out in zip(parts, sizes, members, s):
+            sums = np.array([dists[m].sum(axis=0) for m in clusters])
+            cols = part[block]
+            own = size[cols]
+            a = sums[cols, points] / np.maximum(own - 1, 1)
+            means = sums / size[:, None]
+            means[cols, points] = np.inf
+            b = means.min(axis=0)
+            denom = np.maximum(a, b)
+            # convention: points alone in their cluster contribute 0
+            out[:] = np.where((own > 1) & (denom > 0), (b - a) / np.where(denom > 0, denom, 1.0),
+                              0.0)
+        return s
+
+    s = np.concatenate(parallel.pmap(score, blocks), axis=1)
+    scores = [float(row.sum()) / n for row in s]
+    means = [scores[p] for p in which]
     return means if np.ndim(labels) == 2 else means[0]
 
 
@@ -167,16 +187,15 @@ def partition_agreement(labels_a: np.ndarray, labels_b: np.ndarray) -> tuple[flo
     n = a.shape[0]
     if n < 2:
         raise ValueError("need at least two instances")
-    _, ai = np.unique(a, return_inverse=True)
-    _, bi = np.unique(b, return_inverse=True)
-    n_a = ai.max() + 1
+    ai = np.unique(a, return_inverse=True)[1]
+    bi = np.unique(b, return_inverse=True)[1]
     n_b = bi.max() + 1
-    table = np.zeros((n_a, n_b), dtype=np.int64)
-    np.add.at(table, (ai, bi), 1)
+    table = np.bincount(ai * n_b + bi, minlength=(ai.max() + 1) * n_b).reshape(-1, n_b)
 
     pairs = n * (n - 1) // 2
-    same_a = int((np.bincount(ai) * (np.bincount(ai) - 1) // 2).sum())
-    same_b = int((np.bincount(bi) * (np.bincount(bi) - 1) // 2).sum())
+    rows, cols = table.sum(axis=1), table.sum(axis=0)
+    same_a = int((rows * (rows - 1) // 2).sum())
+    same_b = int((cols * (cols - 1) // 2).sum())
     same_both = int((table * (table - 1) // 2).sum())
     # agreements: together in both, or apart in both
     rand = (pairs + 2 * same_both - same_a - same_b) / pairs

@@ -74,6 +74,10 @@ class TestStages:
         assert len(rows) == 220
         assert all(r["label"] != "" for r in rows)
         assert (out / "labeled_profiles_nominal.csv").exists()
+        # the nominal sidecar's cuts made labeled_profiles_nominal.csv
+        manifest = json.loads((out / "cluster.manifest.json").read_text())
+        assert sorted(manifest["inputs"]) == ["profiles.csv", "profiles.schema.json",
+                                              "profiles_nominal.schema.json"]
 
     def test_rules_and_kb_export(self, pipeline_dir):
         out, args = pipeline_dir
@@ -499,6 +503,7 @@ class TestDiagnostics:
         assert not (tmp_path / "labeled_profiles_nominal.csv").exists()
         manifest = json.loads((tmp_path / "cluster.manifest.json").read_text())
         assert "labeled_profiles_nominal.csv" not in manifest["outputs"]
+        assert "profiles_nominal.schema.json" not in manifest["inputs"]
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             main([*args, "rules", "--attribute-kind", "nominal"])
@@ -515,18 +520,25 @@ class TestDiagnostics:
          ["cluster"], "profiles.csv: line 1: profile header"),
         ("labeled_profiles.csv", lambda lines: with_field(lines[3], -1, "x1"), ["eval"],
          "labeled_profiles.csv: line 4: invalid literal for int() with base 10: 'x1'"),
-        ("profiles.schema.json", None, ["sweep"],
+        ("labeled_profiles.csv", lambda lines: with_field(lines[3], -1, str(2**70)), ["rules"],
+         f"labeled_profiles.csv: line 4: label {2**70} does not fit in 64 bits"),
+        ("profiles.schema.json", '{\n  "schema": ', ["sweep"],
          "profiles.schema.json: Expecting value: line 2 column 13"),
-        ("profiles_nominal.schema.json", None, ["cluster"],
+        ("profiles_nominal.schema.json", '{\n  "schema": ', ["cluster"],
          "profiles_nominal.schema.json: Expecting value: line 2 column 13"),
-    ], ids=["value", "row_width", "header", "label", "sidecar", "nominal_sidecar"])
+        ("profiles.schema.json", "[]", ["sweep"],
+         "profiles.schema.json: the schema sidecar is not a JSON object"),
+        ("profiles_nominal.schema.json", '{"schema": {"attributes": []}}', ["cluster"],
+         "profiles_nominal.schema.json: no discretization"),
+    ], ids=["value", "row_width", "header", "label", "label_beyond_int64", "sidecar",
+            "nominal_sidecar", "sidecar_not_object", "nominal_sidecar_without_cuts"])
     def test_malformed_profile_file_is_one_line_diagnostic(self, pipeline_dir, tmp_path, capsys,
                                                           name, edit, stage, message):
         out, _ = pipeline_dir
         for path in out.glob("*profiles*"):
             (tmp_path / path.name).write_bytes(path.read_bytes())
-        if edit is None:  # the sidecar cut off inside its first value
-            (tmp_path / name).write_text('{\n  "schema": ')
+        if isinstance(edit, str):  # a whole new sidecar
+            (tmp_path / name).write_text(edit)
         else:
             lines = (tmp_path / name).read_text().splitlines()
             line_no = int(message.split("line ")[1].split(":")[0])
@@ -538,6 +550,7 @@ class TestDiagnostics:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {tmp_path / name}: ") and err.count("\n") == 1
         assert message in err
+        assert not (tmp_path / "cluster_model.json").exists()  # a failed cluster writes no model
 
     @pytest.mark.parametrize("stage, message", [
         (["sweep"], "error: cannot sweep k in 2..10 over 1 profiles: k must lie within [2, 0]\n"),

@@ -79,6 +79,28 @@ class TestDistance:
         assert d[0, 0] == d[1, 1] == 0.0
 
 
+    @pytest.mark.parametrize("kind", ["euclidean", "manhattan"])
+    def test_kernel_rows_are_the_one_center_distances(self, kind):
+        """Each row of ``distances`` has the bits of ``distances_to`` and of
+        the formula on |x - c|, with two nominal columns."""
+        rng = np.random.default_rng(4)
+        X = np.c_[rng.random((500, 4)), rng.integers(0, 3, size=(500, 2))]
+        centers = np.r_[X[:3], rng.random((2, 6))]
+        nominal_cols = np.array([4, 5])
+        got = clustering.distances(X, centers, kind, nominal_cols)
+        assert got.shape == (5, 500)
+        for center, row in zip(centers, got):
+            d = np.abs(X - center)
+            d[:, nominal_cols] = d[:, nominal_cols] != 0
+            direct = np.sqrt(np.einsum("ij,ij->i", d, d)) if kind == "euclidean" else d.sum(axis=1)
+            assert np.array_equal(row, distances_to(X, center, kind, nominal_cols))
+            assert np.array_equal(row, direct)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown distance kind"):
+            clustering.distances(np.zeros((2, 1)), np.zeros((1, 1)), "cosine", np.array([], int))
+
+
 class TestKMeansFit:
     def test_symmetric_four_points(self):
         schema = numeric_schema(2)

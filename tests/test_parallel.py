@@ -14,6 +14,7 @@ import io
 import json
 import multiprocessing
 import os
+import subprocess
 import sys
 import tempfile
 from concurrent.futures.process import BrokenProcessPool
@@ -140,6 +141,34 @@ def test_default_workers_match_one_cpu(pipeline_dir, monkeypatch, tmp_path, stag
         assert len(forked) > 1 and len(serial) == 1
         # the planted rows lie in more than one range
         assert len({sum(r.start <= at for r in forked) for at in planted}) > 1
+
+
+def test_sweep_csv_is_the_same_on_any_cpu_mask_and_blas_thread_count(tmp_path):
+    """The ``amlprofiler`` command writes the same ``sweep.csv`` at the
+    default mask, on one CPU and on one BLAS thread.  At 400 customers a
+    silhouette summed by a BLAS product changed its last bits between these."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    config = os.path.join(os.path.dirname(__file__), "..", "configs", "pipeline.example.json")
+    args = ["--config", config, "--out-dir", str(tmp_path)]
+    assert main([*args, "synth", "--n-customers", "400"]) == 0
+    assert main([*args, "profile", "--assume-sorted"]) == 0
+    first_cpu = min(os.sched_getaffinity(0))
+    runs = {"default": ({}, None),
+            "one_cpu": ({}, lambda: os.sched_setaffinity(0, {first_cpu})),
+            "one_blas_thread": ({"OPENBLAS_NUM_THREADS": "1"}, None)}
+    sweeps = {}
+    for name, (env, preexec) in runs.items():
+        out = tmp_path / name
+        out.mkdir()
+        for profile in tmp_path.glob("profiles*"):
+            (out / profile.name).write_bytes(profile.read_bytes())
+        subprocess.run([sys.executable, "-m", "amlprofiler.cli", "--config", config,
+                        "--out-dir", str(out), "sweep"],
+                       env={**os.environ, "PYTHONPATH": src, **env}, preexec_fn=preexec,
+                       check=True, capture_output=True)
+        sweeps[name] = (out / "sweep.csv").read_bytes()
+    assert sweeps["one_cpu"] == sweeps["default"]
+    assert sweeps["one_blas_thread"] == sweeps["default"]
 
 
 def test_error_cap_abort_in_several_ranges_matches_one_cpu(pipeline_dir, monkeypatch, tmp_path,

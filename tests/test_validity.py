@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amlprofiler import clustering
+from amlprofiler import clustering, validity
 from amlprofiler.clustering import kmeans_fit
 from amlprofiler.profiling import NOMINAL, Attribute, AttributeSchema
 from amlprofiler.validity import (
@@ -118,38 +118,60 @@ class TestSilhouette:
         assert sampled == pytest.approx(exact, abs=0.05)
 
 
-def gemm_silhouette(pairwise, labels):
-    """One labeling's silhouette as one product of the full n x n distance
-    matrix with the labeling's one-hot matrix: the formula that the blocked
-    pass over all labelings replaced."""
+def silhouette_from_sums(sums, labels):
+    """One labeling's silhouette from ``sums[c, i]``, point i's summed
+    distance to cluster c (labels 0..k-1)."""
     n = len(labels)
-    uniq, member = np.unique(labels, return_inverse=True)
-    sizes = np.bincount(member)
-    sums = pairwise @ np.eye(uniq.size)[member]
+    sizes = np.bincount(labels)
     rows = np.arange(n)
-    own = sizes[member]
-    a = sums[rows, member] / np.maximum(own - 1, 1)
-    means = sums / sizes
-    means[rows, member] = np.inf
-    b = means.min(axis=1)
+    own = sizes[labels]
+    a = sums[labels, rows] / np.maximum(own - 1, 1)
+    means = sums / sizes[:, None]
+    means[labels, rows] = np.inf
+    b = means.min(axis=0)
     denom = np.maximum(a, b)
     s = np.where((own > 1) & (denom > 0), (b - a) / np.where(denom > 0, denom, 1.0), 0.0)
     return float(s.sum()) / n
 
 
+def fixed_order_silhouette(pairwise, labels):
+    """One labeling's silhouette from the full n x n distance matrix, each
+    cluster's column summed one point at a time in ascending point order."""
+    labels = np.unique(labels, return_inverse=True)[1]
+    columns = np.ascontiguousarray(pairwise.T)
+    sums = np.zeros((labels.max() + 1, len(labels)))
+    for j, c in enumerate(labels):
+        sums[c] += columns[j]
+    return silhouette_from_sums(sums, labels)
+
+
+def gemm_silhouette(pairwise, labels):
+    """One labeling's silhouette as one product of the full n x n distance
+    matrix with the labeling's one-hot matrix, summed in BLAS's order."""
+    labels = np.unique(labels, return_inverse=True)[1]
+    return silhouette_from_sums((pairwise @ np.eye(labels.max() + 1)[labels]).T, labels)
+
+
+def mixed_points(rng, n):
+    """n points of three numeric and two nominal columns, and their schema."""
+    X = np.c_[rng.normal(size=(n, 3)), rng.integers(0, 4, size=(n, 2))]
+    schema = AttributeSchema((*numeric_schema(3).attributes,
+                              Attribute("u", NOMINAL, ("a", "b", "c", "d")),
+                              Attribute("v", NOMINAL, ("a", "b", "c", "d"))))
+    return X, schema
+
+
 class TestBatchedSilhouette:
     @pytest.mark.parametrize("kind", ["euclidean", "manhattan"])
     @pytest.mark.parametrize("n", [2400, 1800])
-    def test_sweep_shape_matches_one_product_per_labeling(self, kind, n):
+    def test_sweep_shape_matches_fixed_order_sums(self, kind, n):
         """At the sweep's shape (90 labelings, k 2..10, the 2,000-row default
         sample drawn from more rows, or all of fewer), every labeling's mean
-        has the bits of its own n x n product.  Each labeling has a singleton
-        cluster among the scored rows; two columns are nominal."""
+        has the bits of the per-point loop over the n x n matrix, and agrees
+        with one BLAS product per labeling to rounding.  Each labeling has a
+        singleton cluster among the scored rows; two columns are nominal."""
         rng = np.random.default_rng(11)
-        X = np.c_[rng.normal(size=(n, 3)), rng.integers(0, 4, size=(n, 2))]
-        schema = AttributeSchema((*numeric_schema(3).attributes,
-                                  Attribute("u", NOMINAL, ("a", "b", "c", "d")),
-                                  Attribute("v", NOMINAL, ("a", "b", "c", "d"))))
+        X, schema = mixed_points(rng, n)
         scored = np.sort(np.random.default_rng(1).choice(n, size=2000, replace=False)) \
             if n > 2000 else np.arange(n)
         stack = []
@@ -161,7 +183,38 @@ class TestBatchedSilhouette:
         stack = np.array(stack)
         got = silhouette(X, stack, schema, kind=kind, seed=1)
         pairwise = clustering.pairwise_distances(X[scored], kind, schema)
-        assert got == [gemm_silhouette(pairwise, row[scored]) for row in stack]
+        assert got == [fixed_order_silhouette(pairwise, row[scored]) for row in stack]
+        assert got == pytest.approx([gemm_silhouette(pairwise, row[scored]) for row in stack],
+                                    rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 63, 65, 129, 193])
+    def test_no_block_is_one_point_wide(self, n):
+        """n of 1 modulo 64 would leave a one-point block at 64 points a block,
+        which numpy would sum pairwise."""
+        rng = np.random.default_rng(n)
+        X, schema = mixed_points(rng, n)
+        stack = rng.integers(0, 3, size=(4, n))
+        stack[:, :2] = [0, 1]
+        pairwise = clustering.pairwise_distances(X, "euclidean", schema)
+        assert silhouette(X, stack, schema) == [fixed_order_silhouette(pairwise, row)
+                                                for row in stack]
+
+    def test_equal_partitions_score_equal_bits(self):
+        rng = np.random.default_rng(14)
+        X, schema = mixed_points(rng, 300)
+        base = rng.integers(0, 4, size=(3, 300))
+        permuted = np.array([3, 0, 2, 1])[base]
+        shifted = base * 7 + 5
+        stack = np.concatenate([base, permuted, base, shifted])
+        got = silhouette(X, stack, schema)
+        assert got[:3] == got[3:6] == got[6:9] == got[9:]
+        assert got == [silhouette(X, row, schema) for row in stack]
+
+    def test_distinct_partitions(self):
+        stack = np.array([[5, 5, 2, 9], [1, 1, 0, 2], [0, 0, 1, 1], [2, 2, 7, 7], [5, 5, 2, 9]])
+        parts, which = validity.distinct_partitions(stack)
+        assert parts.tolist() == [[0, 0, 1, 1], [0, 0, 1, 2]]
+        assert which.tolist() == [1, 1, 0, 0, 1]
 
     def test_one_labeling_is_the_one_row_case(self):
         rng = np.random.default_rng(12)
@@ -169,7 +222,7 @@ class TestBatchedSilhouette:
         labels = rng.integers(0, 4, size=(3, 70))
         schema = numeric_schema(3)
         for row, mean in zip(labels, silhouette(X, labels, schema)):
-            assert silhouette(X, row, schema) == pytest.approx(mean, rel=1e-12)
+            assert silhouette(X, row, schema) == mean
             assert silhouette(X, row, schema) == pytest.approx(
                 silhouette_oracle(X, row, schema), rel=1e-12)
 
