@@ -400,7 +400,7 @@ def cmd_profile(args, config: PipelineConfig, out_dir: Path) -> StageResult:
             error_cap=config.error_cap,
             delimiter=config.delimiter,
         )
-        ranges = ledger_ranges(tx_path, parallel.worker_count())
+        ranges = ledger_ranges(tx_path, parallel.worker_count(), delimiter=config.delimiter)
         parted = None
         if len(ranges) > 1:
             try:
@@ -412,7 +412,7 @@ def cmd_profile(args, config: PipelineConfig, out_dir: Path) -> StageResult:
             profiles, counts = parted
         else:
             stats = FilterStats()
-            with open(tx_path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            with open(tx_path, "rb") as fh:
                 whole = reader(fh)
                 stream = filter_insignificant(whole, config.filter_policy, stats)
                 build = build_profiles_phase1 if config.phase == 1 else build_profiles_phase2

@@ -5,29 +5,30 @@ both CSV with a header row.  Parsing is single-pass: the ledger is yielded
 in chunks of numpy columns (``TransactionChunk``), and malformed rows are
 collected with their line numbers instead of being silently dropped.
 
-The ledger has two tokenizers that split it into the same rows.  Up to its
-first quote character it is read in text blocks of about ``BLOCK_CHARS``
-characters that end on a line end.  A plain block, one that is ASCII and
-holds no NUL and no carriage return other than before a newline, has
-nothing that ``csv.reader`` treats specially, so it is split at its
-newlines and delimiters with numpy, one chunk per block.  Any other block
-goes through ``csv.reader``, and so does the rest of the ledger from the
-line of its first quote on, since a quoted field may span lines; that path
-yields a chunk per ``CHUNK_ROWS`` records.  Either way, the fields of rows
-in the canonical form that ``write_transactions`` produces are converted by
-one set of array conversions, which take a character matrix per field; every
-other row is parsed on its own by ``_parse_row``, which decides whether it
-is accepted and why not.  Amounts are kept exact (integer cents) so that
-downstream aggregation is independent of row order.
+The ledger has one tokenizer, which splits its bytes into the records
+and fields that ``csv.reader`` splits from its text.  It reads blocks of
+about ``BLOCK_CHARS`` bytes that end on a line end (``\\n``, ``\\r\\n`` or a
+lone ``\\r``) and finds each block's structure with numpy: from the runs
+of adjacent quotes it tells which bytes lie inside quoted fields, as
+``csv.reader``'s states do, and the line ends and delimiters outside them
+end the records and fields.  Rows in the canonical form that
+``write_transactions`` produces, quoted or not, are converted by one set of
+array conversions, which take a byte matrix per field; every other row is
+cut into fields at the same ends (a quoted field loses its quotes, and
+``""`` in it becomes ``"``) and parsed on its own by ``_parse_row``, which
+decides whether it is accepted and why not.  ``csv.reader`` reads the
+header, and any record longer than ``csv.field_size_limit()`` bytes or
+than its block: it rejects a field over that many characters, and where
+it resumes then is its own.  Amounts are kept exact (integer cents) so
+that downstream aggregation is independent of row order.
 
 A ledger may also be read in byte ranges (``ledger_ranges``), each by its
 own reader that sees the header and then the range (``LedgerRange.open``).
-Every range ends just after a newline, and a ledger with a quote after its
-header is not cut, so the readers of the ranges split the records that one
-reader of the whole ledger splits; ``join_rejections`` numbers their
-rejections as that reader does.  Lines are decoded with
-``errors="surrogateescape"``, so a line that is not UTF-8 is the same
-rejected row in whichever range it lies.
+Every range starts where the reader's own index starts a record, so the
+readers of the ranges split the records that one reader of the whole
+ledger splits; ``join_rejections`` numbers their rejections as that reader
+does.  A record with bytes that are not UTF-8 is the same rejected row in
+whichever range it lies.
 """
 
 from __future__ import annotations
@@ -40,9 +41,8 @@ import re
 from dataclasses import dataclass, fields
 from datetime import date, datetime, timedelta
 from decimal import Decimal, InvalidOperation
-from itertools import chain, islice, repeat
 from typing import (IO, Callable, Collection, Generator, Iterable, Iterator, NamedTuple, Optional,
-                    Sequence)
+                    Sequence, Union)
 
 import numpy as np
 
@@ -65,9 +65,6 @@ TRANSACTION_FIELDS = (
 CUSTOMER_FIELDS = ("customer_id", "account_open_date")
 # A chunk holds each row's signed cents, and its codes, in 64-bit integers.
 MAX_AMOUNT_CENTS = 2**63 - 1
-# Rows per chunk of the csv.reader path.  Small chunks keep the csv row lists
-# young, so the garbage collector does not rescan them while a chunk is read.
-CHUNK_ROWS = 2048
 # Naive ledger timestamps are read as UTC, whatever the host time zone.
 EPOCH = datetime(1970, 1, 1)
 # The characters that errors="surrogateescape" decodes the bytes of invalid
@@ -332,15 +329,15 @@ class TransactionChunk:
 
 
 # Canonical fields, the only ones the array conversions accept:
-# "YYYY-MM-DDTHH:MM:SS", amounts of 1 to 15 digits, a dot and two digits,
-# codes of 1 to 9 digits, all ASCII, and a lower-case direction.  Each
-# conversion takes a field as a character matrix and the texts' lengths: one
-# row of character codes per text, ``width`` wide.  A left-aligned matrix
-# holds a text's first characters and anything after them; a right-aligned
-# one holds its last characters after "0" fill.
+# "YYYY-MM-DDTHH:MM:SS" (or with a space for the "T"), amounts of 1 to 15
+# digits, a dot and two digits, codes of 1 to 9 digits, all ASCII, and a
+# lower-case direction.  Each conversion takes a field as a byte matrix and
+# the fields' lengths: one row of bytes per field, ``width`` wide.  A
+# left-aligned matrix holds a field's first bytes and anything after them;
+# a right-aligned one holds its last bytes after "0" fill.
 _ZERO = ord("0")
 _TS_WIDTH = 19
-_TS_SEPARATORS = {4: "-", 7: "-", 10: "T", 13: ":", 16: ":"}
+_TS_SEPARATORS = {4: "-", 7: "-", 10: "T ", 13: ":", 16: ":"}
 _TS_DIGITS = [i for i in range(_TS_WIDTH) if i not in _TS_SEPARATORS]
 # Place values of year, month, day, hour, minute and second, one column
 # each.  These and the code weights are float64, which multiplies faster and
@@ -359,10 +356,11 @@ _ID_WIDTH = 64
 # NUL bytes on either side of a block, so that the bytes gathered for a
 # field, at most this many, lie inside
 _PAD = _ID_WIDTH
-# Whitespace that str.strip removes, other than line ends, which no field holds
-_BLANK = np.array([chr(c).isspace() and chr(c) not in "\r\n" for c in range(33)])
-# Characters per block of the ledger's array path, which also reads on to
-# the end of the block's last line.  Each block's index arrays stay at a few MB.
+# The ASCII whitespace that str.strip removes; a quoted field may hold line ends
+_BLANK = np.array([chr(c).isspace() for c in range(33)])
+_QUOTE, _LF, _CR = b'"\n\r'
+# Bytes per block of the ledger, which ends at the last line end of those
+# bytes.  Each block's index arrays stay at a few MB.
 BLOCK_CHARS = 1 << 18
 
 
@@ -379,8 +377,8 @@ def _timestamps(chars: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.
     """Epoch seconds, months since 1970-01, and which texts are canonical
     valid timestamps; ``chars`` is left-aligned."""
     ok = (lengths == _TS_WIDTH) & _is_digit(chars)[:, _TS_DIGITS].all(axis=1)
-    for i, sep in _TS_SEPARATORS.items():
-        ok &= chars[:, i] == ord(sep)
+    for i, seps in _TS_SEPARATORS.items():
+        ok &= (chars[:, i] == ord(seps[0])) | (chars[:, i] == ord(seps[-1]))
     year, month, day, hour, minute, second = _number(chars, _TS_WEIGHTS).T
     ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
     ok &= (hour <= 23) & (minute <= 59) & (second <= 59)
@@ -416,18 +414,9 @@ def _signs(chars: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return credit.astype(np.int64) - debit
 
 
-def _text_matrix(texts: Sequence[str], width: int, right: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The character matrix of ``texts`` as code points, and their lengths."""
-    lengths = np.fromiter(map(len, texts), np.int64, len(texts))
-    if right:
-        texts = list(map(str.rjust, texts, repeat(width), repeat("0")))
-    chars = np.array(texts, dtype=f"U{width}").view(np.uint32).reshape(len(texts), width)
-    return chars, lengths
-
-
 def _byte_matrix(padded: np.ndarray, start: np.ndarray, end: np.ndarray, width: int,
                  right: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The character matrix of the fields ``start:end`` of a block, and their
+    """The byte matrix of the fields ``start:end`` of a block, and their
     lengths; ``padded`` holds the block's bytes between ``_PAD`` NULs on
     either side."""
     lengths = end - start
@@ -443,66 +432,162 @@ def _byte_matrix(padded: np.ndarray, start: np.ndarray, end: np.ndarray, width: 
     return chars, lengths
 
 
-def _plain(block: str) -> bool:
-    """Whether ``block`` holds nothing that ``csv.reader`` treats specially
-    other than the delimiter and line ends: it is ASCII, without NUL and
-    without a carriage return except before a newline.  The caller has
-    checked it for quotes."""
-    return (block.isascii() and "\0" not in block
-            and ("\r" not in block or block.count("\r") == block.count("\r\n")))
+def _count(positions: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """How many of the sorted ``positions`` lie in each ``start:end``."""
+    return np.searchsorted(positions, end) - np.searchsorted(positions, start)
 
 
-def _blocks(source: IO[str]) -> Iterator[str]:
-    """The rest of ``source`` in blocks of about ``BLOCK_CHARS`` characters,
-    each ending at a line end, the last one where the text ends."""
-    while block := source.read(BLOCK_CHARS):
-        if block[-1] != "\n":
-            block += source.readline()
-        yield block
+# A line and its end, which is "\n", "\r\n" or a lone "\r", as in a text
+# stream opened with newline="", or the last line without one
+_LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 
-class _Unsplit(list):
-    """In place of a record that ``csv.reader`` would not split, such as one
-    with a field over its size limit: an empty row with the reason."""
+class _Ledger:
+    """The unread bytes of a binary ledger stream, taken in blocks that end
+    on a line end, or line by line for ``csv.reader``."""
 
-    def __init__(self, reason: str):
-        super().__init__()
-        self.reason = reason
+    def __init__(self, source: IO[bytes]):
+        self._source = source
+        self._data = b""
+        self._pos = 0  # of the next unread byte in _data
+        self.offset = 0  # of that byte in the stream
+        self.eof = False
+
+    def take(self, size: int) -> None:
+        self._pos += size
+        self.offset += size
+
+    def block(self, size: int) -> memoryview:
+        """The unread bytes up to the last line end among the next ``size``
+        or more, or all of them once the stream ends; empty at its end.  Not
+        a binary ``readline``, which ends lines at ``\\n`` only and would
+        read a lone-CR ledger whole."""
+        while True:
+            if len(self._data) - self._pos < size and not self.eof:
+                more = self._source.read(max(size, BLOCK_CHARS) - len(self._data) + self._pos)
+                self._data, self._pos, self.eof = self._data[self._pos:] + more, 0, not more
+            data, pos = self._data, self._pos
+            # a \r at the end may be the first half of a \r\n
+            end = len(data) if self.eof else max(data.rfind(b"\n", pos),
+                                                 data.rfind(b"\r", pos, len(data) - 1)) + 1
+            if end or self.eof:
+                return memoryview(data)[pos:end]
+            size = len(data) - pos + BLOCK_CHARS
+
+    def rows(self, delimiter: str) -> Iterator[list[str]]:
+        """``csv.reader`` over the unread lines, decoded with
+        ``errors="surrogateescape"``.  Each line is taken as the reader asks
+        for it, so what it has not read stays unread."""
+
+        def lines() -> Iterator[str]:
+            while block := self.block(1):
+                for line in _LINE.finditer(block):
+                    self.take(len(line[0]))
+                    yield str(line[0], "utf-8", "surrogateescape")
+
+        return csv.reader(lines(), delimiter=delimiter)
 
 
-def _split(line: str, delimiter: str) -> list[str]:
-    """The fields ``csv.reader`` gives for a line of a plain block, without
-    its line end."""
-    if not line:
-        return []
-    fields = line.split(delimiter)
-    limit = csv.field_size_limit()
-    if len(line) > limit and max(map(len, fields)) > limit:
-        return _Unsplit(f"field larger than field limit ({limit})")
-    return fields
+def _split_block(ledger: _Ledger, block: memoryview, delimiter: str) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[Union[list[str], str]]]:
+    """The records of ``block``, the next unread bytes of ``ledger``, which
+    starts a record, taken from ``ledger`` but for a last one that a quoted
+    field carries past the block's end: ``padded``, the block and a final
+    line end if it has none, between ``_PAD`` NULs; the ``start`` and
+    ``end`` in the block of each record without its line end, and their
+    delimiters; and the fields that ``csv.reader`` read for the record after
+    them, or the reason it raised ``csv.Error``, if it read one.
 
+    A byte lies inside a quoted field as ``csv.reader`` reads it by the
+    runs of adjacent quotes before it, each of which opens or closes a
+    field, escapes quotes in it, or is text: at a field start a run of odd
+    length turns inside into outside and back, elsewhere it leaves outside
+    (as text, or closing the field).  Runs of even length change nothing.
+    A record longer than ``csv.field_size_limit()``, or one that a quoted
+    field carries past the end of a block that holds nothing else, is
+    ``csv.reader``'s, and the block ends after it."""
+    size = len(block)
+    padded = np.frombuffer(b"".join((bytes(_PAD), block, b"\n" * (block[-1] not in b"\r\n"),
+                                     bytes(_PAD))), np.uint8)
+    buf = padded[_PAD:-_PAD]
+    sep = np.frombuffer(delimiter.encode(), np.uint8)
+    delims = np.flatnonzero(buf == sep[0])
+    for i in range(1, len(sep)):
+        delims = delims[padded[_PAD + delims + i] == sep[i]]
+    breaks = np.flatnonzero(buf <= _CR)
+    breaks = breaks[(buf[breaks] == _LF) | (buf[breaks] == _CR)]
+    # the last byte of each line end, of which \r\n is one
+    ends = breaks[(buf[breaks] == _LF) | (padded[_PAD + breaks + 1] != _LF)]
+    quotes = np.flatnonzero(buf == _QUOTE)
+    left_open = False
+    if len(quotes):
+        run = np.flatnonzero(np.diff(quotes, prepend=-2) != 1)
+        odd = np.diff(run, append=len(quotes)) % 2 == 1
+        run = quotes[run]
+        field_start = np.zeros(len(buf) + 1, bool)
+        field_start[[0]] = field_start[breaks + 1] = field_start[delims + len(sep)] = True
+        turns = odd & field_start[run]
+        # the last run that leaves outside, and the turns since
+        last_out = np.maximum.accumulate(np.where(odd & ~turns, np.arange(len(run)), -1))
+        count = np.cumsum(turns)
+        inside = (count - np.where(last_out < 0, 0, count[last_out])) % 2 == 1
+        inside = np.append(inside, False)  # before the first run, at index -1
 
-def _records(reader: Iterator[list[str]]) -> Iterator[list[str]]:
-    """The records of ``reader``, with an ``_Unsplit`` for each that it
-    raises ``csv.Error`` on; it goes on with the next line."""
-    while True:
+        def outside(at: np.ndarray) -> np.ndarray:
+            return ~inside[np.searchsorted(run, at) - 1]
+
+        ends, delims, left_open = ends[outside(ends)], delims[outside(delims)], bool(inside[-2])
+    start = np.append(0, ends + 1)
+    end = ends - ((buf[ends] == _LF) & (padded[_PAD + ends - 1] == _CR))
+    if left_open and ledger.eof:  # the field runs to the end of the ledger
+        start, end = np.append(start, size), np.append(end, size)
+    n = len(end)
+    long = np.flatnonzero(end - start[:n] > csv.field_size_limit())[:1]
+    parsed = None
+    if len(long) or n == 0:
+        n = int(long[0]) if len(long) else 0
+        ledger.take(int(start[n]))
         try:
-            yield from reader
-            return
+            parsed = next(ledger.rows(delimiter))
         except csv.Error as exc:
-            yield _Unsplit(str(exc))
+            parsed = str(exc)
+    else:
+        ledger.take(min(int(start[n]), size))
+    return padded, start[:n], end[:n], delims[: np.searchsorted(delims, start[n])], parsed
+
+
+# A quoted field: the text up to its closing quote, if it has one, and the
+# text after that, which csv.reader reads on as it is
+_QUOTED = re.compile(rb'"((?:[^"]|"")*)"?(.*)', re.S)
+
+
+def _fields(buf: np.ndarray, start: int, end: int, delims: np.ndarray, width: int) -> list[str]:
+    """The fields of the record ``buf[start:end]`` as ``csv.reader`` gives
+    them, cut at ``delims``, each ``width`` bytes long: a quoted field
+    without its quotes and with each ``""`` in it as one quote."""
+    if start == end:
+        return []
+    record = buf[start:end].tobytes()
+    cuts = [-width, *(delims - start).tolist(), len(record)]
+    fields = (record[a + width:b] for a, b in zip(cuts, cuts[1:]))
+    return [(_unquote(f) if f[:1] == b'"' else f).decode("utf-8", "surrogateescape")
+            for f in fields]
+
+
+def _unquote(field: bytes) -> bytes:
+    inner, rest = _QUOTED.fullmatch(field).groups()
+    return inner.replace(b'""', b'"') + rest
 
 
 class TransactionReader:
     """Iterable over the ledger's accepted rows as ``TransactionChunk``s,
-    split by the two tokenizers of the module docstring.
+    split by the tokenizer of the module docstring.
 
-    ``source`` is text opened with ``newline=""``, as for ``csv.reader``,
-    and with ``errors="surrogateescape"``, so that a record holding bytes
-    that are not UTF-8 becomes a rejected row (``NOT_UTF8``); in a header
-    they are a ``ConfigError``.  A rejected row's ``line_no`` counts records
-    as ``csv.reader`` splits them, the header being record 1.  A record with
-    a field longer than ``csv.field_size_limit()`` is rejected on either path.
+    ``source`` is a binary stream.  A record holding bytes that are not
+    UTF-8 becomes a rejected row (``NOT_UTF8``); in the header they are a
+    ``ConfigError``.  A rejected row's ``line_no`` counts records as
+    ``csv.reader`` splits them, the header being record 1.  A record with a
+    field longer than ``csv.field_size_limit()`` characters is rejected.
 
     A row whose customer id is not in ``register`` is rejected, after the
     row's own field checks, unless the id is in ``rejected_customers``, whose
@@ -515,7 +600,7 @@ class TransactionReader:
 
     def __init__(
         self,
-        source: IO[str],
+        source: IO[bytes],
         mapping: Optional[ColumnMapping] = None,
         *,
         register: Collection[str],
@@ -542,139 +627,105 @@ class TransactionReader:
 
     def _body(self) -> Generator[TransactionChunk, None, int]:
         """The chunks of the ledger; returns the line number after its last record."""
-        source, delimiter = self._source, self._delimiter
-        first = source.readline()
-        if _UNDECODABLE.search(first):
-            raise ConfigError("ledger header is not valid UTF-8")
-        quoted = '"' in first
-        rows = csv.reader(chain([first], source) if quoted else [first], delimiter=delimiter)
+        ledger = _Ledger(self._source)
         try:
-            header = next(rows)
+            header = next(ledger.rows(self._delimiter))
         except StopIteration:
             raise ConfigError("empty input: no header row") from None
         except csv.Error as exc:
             raise ConfigError(f"unreadable header row: {exc}") from None
+        if _UNDECODABLE.search("".join(header)):
+            raise ConfigError("ledger header is not valid UTF-8")
         idx = self._mapping.resolve(header)
         line_no = 2
-        if quoted:
-            return (yield from self._csv_chunks(rows, line_no, idx))
-        for block in _blocks(source):
-            quote = block.find('"')
-            if quote >= 0:
-                cut = block.rfind("\n", 0, quote) + 1
-                block, rest = block[:cut], block[cut:]
-            if block and delimiter.isascii() and _plain(block):
-                chunk, lines = self._array_chunk(block, line_no, idx, len(header))
-                line_no += lines
-                if len(chunk):
-                    yield chunk
-            elif block:
-                lines = io.StringIO(block, newline="")
-                line_no = yield from self._csv_chunks(csv.reader(lines, delimiter=delimiter),
-                                                      line_no, idx)
-            if quote >= 0:
-                lines = chain(io.StringIO(rest, newline=""), source)
-                return (yield from self._csv_chunks(csv.reader(lines, delimiter=delimiter),
-                                                    line_no, idx))
-        return line_no
-
-    def _csv_chunks(self, reader: Iterator[list[str]], line_no: int,
-                    idx: dict[str, int]) -> Generator[TransactionChunk, None, int]:
-        """The chunks of ``csv.reader`` records numbered from ``line_no``;
-        returns the number after the last."""
-        records = _records(reader)
-        while rows := list(islice(records, CHUNK_ROWS)):
-            chunk = self._chunk(rows, line_no, idx)
-            line_no += len(rows)
+        while block := ledger.block(BLOCK_CHARS):
+            chunk, records = self._array_chunk(ledger, block, line_no, idx, len(header))
+            line_no += records
             if len(chunk):
                 yield chunk
         return line_no
 
-    def _chunk(self, rows: list[list[str]], first_line: int, idx: dict[str, int]) -> TransactionChunk:
-        """Canonical rows through array conversions, the rest through
-        ``_parse_row`` in line order."""
-        n_cols = max(idx.values()) + 1
-        if min(map(len, rows)) < n_cols:
-            # a short row becomes a blank one here, which no check accepts
-            blank = [""] * n_cols
-            columns = list(zip(*(row if len(row) >= n_cols else blank for row in rows)))
-        else:
-            columns = list(zip(*rows))
-        values, ok = self._canonical(
-            lambda field, width, right: _text_matrix(columns[idx[field]], width, right))
-        if (max(map(len, rows)) > len(columns)
-                or not all(map(str.isascii, map("".join, columns)))):
-            # a field that no check reads may hold undecodable bytes
-            ok &= np.fromiter((not _UNDECODABLE.search("".join(row)) for row in rows), bool,
-                              len(rows))
-        chunk = None
-        if values is not None:
-            customer_ids = columns[idx["customer_id"]]
-            ok &= np.fromiter(map(self._register.__contains__, customer_ids), bool, len(rows))
-            interbank = np.fromiter(map(bool, map(str.strip, columns[idx["counterparty_bank"]])),
-                                    bool, len(rows))
-            chunk = TransactionChunk(np.array(customer_ids, dtype=object), *values, interbank)
-        slow = np.flatnonzero(~ok).tolist()
-        return self._merge(chunk, ok, [(first_line + i, rows[i]) for i in slow], idx)
-
-    def _array_chunk(self, block: str, first_line: int, idx: dict[str, int],
-                     n_fields: int) -> tuple[TransactionChunk, int]:
-        """The chunk of a plain block, split with array operations, and its
-        number of lines.  A line with another count of fields than the
-        header, or that is not canonical, goes through ``_parse_row``."""
-        data = block.encode("ascii") + b"\n" * (block[-1] != "\n")
-        padded = np.frombuffer(b"".join((bytes(_PAD), data, bytes(_PAD))), np.uint8)
+    def _array_chunk(self, ledger: _Ledger, block: memoryview, first_line: int,
+                     idx: dict[str, int], n_fields: int) -> tuple[TransactionChunk, int]:
+        """The chunk of the records of ``block`` (``_split_block``), and
+        their number.  A record with another count of fields than the
+        header, or that is not canonical, goes through ``_parse_row``, and so
+        does one that ``csv.reader`` read."""
+        padded, line_start, line_end, delims, parsed = _split_block(ledger, block, self._delimiter)
         buf = padded[_PAD:-_PAD]
-        line_end = np.flatnonzero(buf == ord("\n"))
-        line_start = np.r_[0, line_end[:-1] + 1]
-        line_end -= buf[line_end - 1] == ord("\r")
-        delimiters = np.flatnonzero(buf == ord(self._delimiter))
-        first = np.searchsorted(delimiters, line_start)
-        lines = np.flatnonzero((np.searchsorted(delimiters, line_end) - first == n_fields - 1)
-                               & (line_end - line_start <= csv.field_size_limit()))
-        # field j of line lines[i] is buf[bounds[i, j] + 1 : bounds[i, j + 1]]
+        width = len(self._delimiter.encode())
+        first = np.searchsorted(delims, line_start)
+        n_delims = np.searchsorted(delims, line_end) - first
+        lines = np.flatnonzero(n_delims == n_fields - 1)
+        # field j of line lines[i] is buf[bounds[i, j] + width : bounds[i, j + 1]]
         bounds = np.empty((len(lines), n_fields + 1), np.int64)
-        bounds[:, 0] = line_start[lines] - 1
-        bounds[:, 1:-1] = delimiters[first[lines, None] + np.arange(n_fields - 1)]
+        bounds[:, 0] = line_start[lines] - width
+        bounds[:, 1:-1] = delims[first[lines, None] + np.arange(n_fields - 1)]
         bounds[:, -1] = line_end[lines]
 
+        opened = buf[bounds[:, :-1] + width] == _QUOTE
+
         def field(name: str) -> tuple[np.ndarray, np.ndarray]:
-            return bounds[:, idx[name]] + 1, bounds[:, idx[name] + 1]
+            """The bytes of a field, inside its quotes if it is quoted."""
+            quoted = opened[:, idx[name]]
+            return bounds[:, idx[name]] + width + quoted, bounds[:, idx[name] + 1] - quoted
 
         values, ok = self._canonical(
             lambda name, width, right: _byte_matrix(padded, *field(name), width, right))
         chunk = None
         if values is not None:
+            # a quoted field that is read is its inner bytes when it ends in
+            # its closing quote
+            read = np.array([i for name, i in idx.items() if name != "account_id"])
+            hi = bounds[:, read + 1]
+            ok &= ~(opened[:, read] & ((buf[hi - 1] != _QUOTE)
+                                       | (hi - bounds[:, read] - width < 2))).any(axis=1)
+            high = np.flatnonzero(buf >= 0x80)
+            try:
+                str(block, "utf-8")
+            except UnicodeDecodeError:  # _merge finds the rows that are not UTF-8
+                ok &= _count(high, line_start[lines], line_end[lines]) == 0
             start, end = field("customer_id")
             ok &= end - start <= _ID_WIDTH
-            width = max(1, int((end - start)[ok].max(initial=0)))
-            chars, lengths = _byte_matrix(padded, start, end, width, False)
-            chars *= np.ascontiguousarray((np.arange(width)[:, None] < lengths).T)
-            ids = chars.view(f"S{width}").ravel()
+            id_width = max(1, int((end - start)[ok].max(initial=0)))
+            chars, lengths = _byte_matrix(padded, start, end, id_width, False)
+            in_id = np.ascontiguousarray((np.arange(id_width)[:, None] < lengths).T)
+            # "" in a quoted id stands for one quote, and the id view below
+            # drops trailing NULs
+            ok &= ~(((chars == _QUOTE) | (chars == 0)) & in_id).any(axis=1)
+            chars *= in_id
+            ids = chars.view(f"S{id_width}").ravel()
             # a ledger grouped by customer repeats each id in runs
             head = np.r_[True, ids[1:] != ids[:-1]]
             distinct, inverse = np.unique(ids[head], return_inverse=True)
             inverse = inverse[np.cumsum(head) - 1]
-            names = np.array([i.decode("ascii") for i in distinct.tolist()], dtype=object)
+            names = np.array([i.decode("utf-8", "surrogateescape") for i in distinct.tolist()],
+                             dtype=object)
             ok &= np.fromiter(map(self._register.__contains__, names), bool, len(names))[inverse]
             start, end = field("counterparty_bank")
             low = np.flatnonzero(buf <= 32)
             blank = low[_BLANK[buf[low]]]
-            interbank = end - start > np.searchsorted(blank, end) - np.searchsorted(blank, start)
+            # a field of blanks and other bytes is blank to str.strip when
+            # those are Unicode whitespace, which only _parse_row tells
+            highs = _count(high, start, end)
+            interbank = end - start > _count(blank, start, end) + highs
+            ok &= interbank | (highs == 0)
             chunk = TransactionChunk(names[inverse], *values, interbank)
         canonical = np.zeros(len(line_end), bool)
         canonical[lines[ok]] = True
-        slow = np.flatnonzero(~canonical).tolist()
-        rows = [(first_line + i, _split(block[line_start[i]:line_end[i]], self._delimiter))
-                for i in slow]
-        return self._merge(chunk, ok, rows, idx), len(line_end)
+        rows = [(first_line + i, _fields(buf, line_start[i], line_end[i],
+                                         delims[first[i]:first[i] + n_delims[i]], width))
+                for i in np.flatnonzero(~canonical).tolist()]
+        if parsed is not None:
+            rows.append((first_line + len(line_end), parsed))
+        return self._merge(chunk, ok, rows, idx), len(line_end) + (parsed is not None)
 
     def _canonical(
         self, matrix: Callable[[str, int, bool], tuple[np.ndarray, np.ndarray]]
     ) -> tuple[Optional[tuple[np.ndarray, ...]], np.ndarray]:
         """The timestamp, month, signed cents, service and type code columns
         of the rows, and which rows are canonical and in the window;
-        ``matrix(field, width, right)`` gives a field's character matrix and
+        ``matrix(field, width, right)`` gives a field's byte matrix and
         lengths.  The conversions stop, with no columns, once no row is left:
         a ledger written in another form costs little more than its
         ``_parse_row`` calls."""
@@ -697,19 +748,21 @@ class TransactionReader:
         return (seconds.astype(np.float64), months, cents * sign, service, txn_type), ok
 
     def _merge(self, chunk: Optional[TransactionChunk], ok: np.ndarray,
-               rows: list[tuple[int, list[str]]], idx: dict[str, int]) -> TransactionChunk:
+               rows: list[tuple[int, Union[list[str], str]]],
+               idx: dict[str, int]) -> TransactionChunk:
         """The canonical rows of ``chunk`` that ``ok`` marks and the accepted
-        ``(line_no, row)`` pairs of ``rows``, which are judged one by one in
-        line order."""
+        ``(line_no, fields)`` pairs of ``rows``, which are judged one by one
+        in line order; a reason in place of the fields rejects its line."""
         self.accepted += int(ok.sum())
         if not rows:
             return chunk
         n_cols = max(idx.values()) + 1
         records = []
         for line_no, row in rows:
+            if isinstance(row, str):
+                self._record_error(line_no, row)
+                continue
             if not row:
-                if isinstance(row, _Unsplit):
-                    self._record_error(line_no, row.reason)
                 continue
             if _UNDECODABLE.search("".join(row)):
                 self._record_error(line_no, NOT_UTF8)
@@ -780,36 +833,47 @@ class LedgerRange(NamedTuple):
     start: int
     end: int
 
-    def open(self, path) -> IO[str]:
-        """The header and the range as one text stream, which
+    def open(self, path) -> IO[bytes]:
+        """The header and the range as one binary stream, which
         ``TransactionReader`` reads as a ledger whose records are the range's."""
-        raw = _Slices(path, [(0, self.header), (self.start, self.end)])
-        return io.TextIOWrapper(io.BufferedReader(raw, 1 << 16), encoding="utf-8",
-                                errors="surrogateescape", newline="")
+        return io.BufferedReader(_Slices(path, [(0, self.header), (self.start, self.end)]), 1 << 16)
 
 
-def ledger_ranges(path, parts: int) -> list[LedgerRange]:
+def ledger_ranges(path, parts: int, delimiter: str = ",") -> list[LedgerRange]:
     """Up to ``parts`` consecutive ranges that hold the ledger's records,
-    each ending just after a newline, so that the readers of the ranges
-    together split the records that one reader of the ledger splits.  A
-    ledger under ``MIN_SPLIT_BYTES``, or with a quote after its header,
-    where a quoted field may hold a newline, is one range."""
+    each starting at the first record start of the reader's own index
+    (``_split_block``) past an even share of the bytes, so that the readers
+    of the ranges together split the records that one reader of the ledger
+    splits.  No range starts with ``\\n``: after a header that ends in a lone
+    ``\\r`` it would read as ``\\r\\n``.  A ledger under ``MIN_SPLIT_BYTES`` is
+    one range."""
     size = os.path.getsize(path)
+    whole = [LedgerRange(0, 0, size)]
     if parts < 2 or size < MIN_SPLIT_BYTES:
-        return [LedgerRange(0, 0, size)]
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        header = len(fh.readline().encode("utf-8", "surrogateescape"))
-    cuts = [header]
+        return whole
     with open(path, "rb") as fh:
-        fh.seek(header)
-        while block := fh.read(1 << 20):
-            if b'"' in block:
-                return [LedgerRange(header, header, size)]
-        for i in range(1, parts):
-            fh.seek(max(cuts[-1], header + (size - header) * i // parts))
-            cut = fh.tell() + len(fh.readline())
-            if cuts[-1] < cut < size:
-                cuts.append(cut)
+        ledger = _Ledger(fh)
+        try:
+            next(ledger.rows(delimiter), None)
+        except csv.Error:
+            return whole
+        header = ledger.offset
+        targets = [header + (size - header) * i // parts for i in range(1, parts)]
+        cuts = [header]
+        while targets and (block := ledger.block(BLOCK_CHARS)):
+            at = ledger.offset
+            if at + len(block) <= targets[0] and b'"' not in bytes(block):
+                # no cut here, and every line end of a block without quotes
+                # ends a record, so its index, most of the cost on a plain
+                # ledger, is not needed
+                ledger.take(len(block))
+                continue
+            padded, start, *_ = _split_block(ledger, block, delimiter)
+            start = at + start[padded[_PAD + start] != _LF]
+            while targets and len(start) and targets[0] <= start[-1]:
+                cut = int(start[np.searchsorted(start, targets.pop(0))])
+                if cuts[-1] < cut:
+                    cuts.append(cut)
     return [LedgerRange(header, start, end) for start, end in zip(cuts, cuts[1:] + [size])]
 
 

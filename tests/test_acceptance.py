@@ -48,7 +48,7 @@ def report(criterion, message):
 def load_ledger(out_dir, window):
     with open(out_dir / "register.csv", newline="") as fh:
         customers, _ = parse_customers(fh, window=window)
-    with open(out_dir / "transactions.csv", newline="") as fh:
+    with open(out_dir / "transactions.csv", "rb") as fh:
         reader = TransactionReader(fh, window=window, register=customers, error_cap=100)
         stream = filter_insignificant(reader, FILTER)
         return build_profiles_phase2(stream, customers, window)

@@ -1,6 +1,8 @@
 import csv
 import io
+import itertools
 import os
+import re
 import tempfile
 from datetime import datetime
 from unittest import mock
@@ -51,7 +53,8 @@ def make_row(
 
 def read_all(text, register=frozenset({"c1"}), **kw):
     """All accepted rows as one chunk, and the reader."""
-    reader = TransactionReader(io.StringIO(text, newline=""), register=register, **kw)
+    reader = TransactionReader(io.BytesIO(text.encode("utf-8", "surrogateescape")),
+                               register=register, **kw)
     return concat(list(reader)), reader
 
 
@@ -119,7 +122,8 @@ class TestParseTransactions:
             else:
                 parts.append(make_row(cid=f"c{i % 50}", amount=f"{(i % 90) + 1}.25"))
         register = {f"c{i}" for i in range(50)}
-        reader = TransactionReader(io.StringIO("".join(parts)), register=register, error_cap=10)
+        reader = TransactionReader(io.BytesIO("".join(parts).encode()), register=register,
+                                   error_cap=10)
         count = sum(len(chunk) for chunk in reader)
         assert count == n_rows - 3 == 999_997
         assert reader.accepted == 999_997
@@ -307,19 +311,29 @@ class TestRegisterDuplicates:
 
 DIFF_WINDOW = Window(datetime(2014, 1, 1), datetime(2016, 12, 31, 23, 59, 59))
 REGISTER_IDS = frozenset({"c1", "c2", "c3", "ç3"})
+UNDECODABLE = re.compile("[\udc80-\udcff]")
+# csv.reader before Python 3.11 rejects a line with NUL, which the reader
+# reads as an ordinary byte: the oracles hand it this stand-in instead
+NUL_STAND_IN = "\uf000"
 
 
 def row_at_a_time(text, window, register, error_cap, delimiter=","):
-    """Accepted records and errors of a sequential parse with ``_parse_row``,
-    or the errors and ``TooManyRowErrors`` when it aborts."""
+    """Accepted records and errors of a sequential parse with ``csv.reader``
+    and ``_parse_row``, or the errors and ``TooManyRowErrors`` when it
+    aborts.  ``text`` holds bytes that are not UTF-8 as
+    ``errors="surrogateescape"`` decodes them."""
     records, errors = [], []
-    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    reader = csv.reader(io.StringIO(text.replace("\0", NUL_STAND_IN), newline=""),
+                        delimiter=delimiter)
     idx = ColumnMapping.identity().resolve(next(reader))
     n_cols = max(idx.values()) + 1
     for line_no, row in enumerate(reader, start=2):
         if not row:
             continue
-        if len(row) < n_cols:
+        row = [field.replace(NUL_STAND_IN, "\0") for field in row]
+        if UNDECODABLE.search("".join(row)):
+            reason = "line is not valid UTF-8"
+        elif len(row) < n_cols:
             reason = f"expected at least {n_cols} columns, got {len(row)}"
         else:
             try:
@@ -344,13 +358,14 @@ def row_tuples(chunk):
 
 
 FIELD_MUTATIONS = {
-    "customer_id": ["c1 ", "C1", "GHOST", "", "c\x001"],
+    "customer_id": ["c1 ", "C1", "GHOST", "", "c\x001", "c1\x00", 'c"1'],
     "timestamp": [
         "2014-02-29T10:00:00", "2016-02-29T10:00:00", "2014-03-05T24:00:00",
         "2014-03-05T23:59:60", "2014-03-05T10:00:00.123456", "2014-03-05T10:00:00Z",
         "2014-03-05T10:00:00+02:00", "2014-03-05 10:00:00", "2014-03-05", " 2014-03-05T10:00:00",
         "2014-03-05T10:00", "٢٠١٤-03-05T10:00:00", "2014-13-05T10:00:00", "0000-01-01T00:00:00",
         "2013-12-31T23:59:59", "2017-01-01T00:00:00", "2014-03-05T10:00:00\x00", "",
+        "2014-03-05_10:00:00", "2014-02-30 10:00:00",
     ],
     "amount": [
         "1.005", "12345678901234567890", "99999999999999999999.00", "92233720368547758.07",
@@ -361,27 +376,37 @@ FIELD_MUTATIONS = {
     "direction": ["Credit", "DEBIT", "credit ", " debit", "credits", "cred", ""],
     "service_code": ["+3", " 3", "3 ", "1_0", "٣", "²", "-4", "1234567890", "99999999999999999999", ""],
     "txn_type_code": ["+99", "99 ", "٩٩", "0099", ""],
-    "counterparty_bank": [" ", "BANK,01", "BANK\n01", "\x00"],
+    "counterparty_bank": [" ", "BANK,01", "BANK\n01", "\x00", "　", "  ", "Crédit"],
 }
+# Values for any field: NUL, non-ASCII text, a byte that is not UTF-8, and
+# what csv.writer quotes: quotes, delimiters and line ends
+ANY_FIELD = ["\x00", "é", "\udcff", 'x"y', '""', "a,b", "a;b", "a\nb", "a\r\nb", "\r"]
+# Fields written as they are, with quotes that neither open a field at its
+# start nor close one before a delimiter or a line end: in an unquoted
+# field, before text after a closing quote, and a quote that none closes
+IRREGULAR = ['a"b', 'a""b', '"ab"c', '""x', '"a"b"c', '"a']
 
 
 @st.composite
 def mutated_ledgers(draw):
-    """A ledger text of canonical rows, some with a mutated field, some with
-    an extra or a missing field, some quoted, some empty, and the delimiter
-    it is written with.  Lines end in newlines or in CRLF, a few in a lone
-    carriage return, and the last one may have no line end.  Quoted rows,
-    lone carriage returns and a non-ASCII customer id each appear in some
-    ledgers only, so that many ledgers keep long stretches of plain blocks."""
+    """A ledger text of canonical rows written by ``csv.writer``, and the
+    delimiter it is written with.  The rows are quoted as one of
+    QUOTE_MINIMAL, QUOTE_ALL and QUOTE_NONNUMERIC writes them, and end in
+    newlines, CRLF or lone carriage returns, a few in another of them; the
+    last one may have no line end.  Some have a mutated field, some a field
+    from ANY_FIELD, some an extra or a missing field, and some are empty.
+    Some ledgers have rows with a field from IRREGULAR, written as they are."""
     delimiter = draw(st.sampled_from([",", ";"]))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
-    ends = [newline] * 9 + draw(st.sampled_from([[], ["\r"]]))
-    shapes = ["plain"] * 6 + ["extra", "missing", "empty"] + draw(st.sampled_from([[], ["quoted"]]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL, csv.QUOTE_NONNUMERIC]))
+    ends = [newline] * 9 + draw(st.sampled_from([[], ["\r"], ["\n"]]))
+    shapes = ["plain"] * 6 + ["extra", "missing", "empty"] + draw(st.sampled_from([[], ["raw"]]))
+    separator = draw(st.sampled_from("T "))
     canonical = st.fixed_dictionaries({
         "customer_id": st.sampled_from(["c1", "c2", "c3"] + draw(st.sampled_from([[], ["ç3"]]))),
         "account_id": st.just("a1"),
         "timestamp": st.datetimes(datetime(2013, 12, 31, 23), datetime(2017, 1, 1, 1)).map(
-            lambda t: t.replace(microsecond=0).isoformat()),
+            lambda t: t.replace(microsecond=0).isoformat(separator)),
         "amount": st.integers(1, 10**15).map(format_amount),
         "direction": st.sampled_from(["credit", "debit"]),
         "service_code": st.integers(0, 10**9).map(str),
@@ -389,13 +414,15 @@ def mutated_ledgers(draw):
         "counterparty_bank": st.sampled_from(["", "BANK_01"]),
     })
     buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=delimiter, lineterminator=newline)
+    writer = csv.writer(buf, delimiter=delimiter, lineterminator=newline, quoting=quoting)
     writer.writerow(list(TRANSACTION_FIELDS))
     end = newline
     for fields in draw(st.lists(canonical, max_size=40)):
         row = [fields[f] for f in TRANSACTION_FIELDS]
         for field in draw(st.lists(st.sampled_from(sorted(FIELD_MUTATIONS)), max_size=2)):
             row[TRANSACTION_FIELDS.index(field)] = draw(st.sampled_from(FIELD_MUTATIONS[field]))
+        if draw(st.integers(0, 9)) == 0:
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(ANY_FIELD))
         shape = draw(st.sampled_from(shapes))
         if shape == "extra":
             row.append("x")
@@ -403,10 +430,12 @@ def mutated_ledgers(draw):
             row = row[: draw(st.integers(1, len(row) - 1))]
         elif shape == "empty":
             row = []
-        if shape == "quoted":
-            buf.write(delimiter.join(f'"{v}"' for v in row) + newline)
+        if shape == "raw":
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(IRREGULAR))
+            buf.write(delimiter.join(row) + newline)
         else:
-            writer.writerow(row)
+            # QUOTE_NONNUMERIC leaves numbers unquoted
+            writer.writerow([int(v) if v.isdecimal() and str(int(v)) == v else v for v in row])
         end = draw(st.sampled_from(ends))
         if end != newline:
             buf.seek(buf.tell() - len(newline))
@@ -418,24 +447,25 @@ def mutated_ledgers(draw):
     return text, delimiter
 
 
+def ledger_bytes(text):
+    return text.encode("utf-8", "surrogateescape")
+
+
 class TestColumnarReader:
     @given(
         mutated_ledgers(),
         st.sampled_from([REGISTER_IDS, REGISTER_IDS | set(FIELD_MUTATIONS["customer_id"])]),
         st.sampled_from([0, 2, 5, 1000]),
-        st.sampled_from([3, 7, 2048]),
         st.sampled_from([1, 16, 97, 1 << 18]),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_row_at_a_time_parse(self, ledger, register, error_cap, chunk_rows,
-                                         block_chars):
+    def test_matches_row_at_a_time_parse(self, ledger, register, error_cap, block_chars):
         text, delimiter = ledger
         expected, expected_errors = row_at_a_time(text, DIFF_WINDOW, register, error_cap,
                                                   delimiter)
-        reader = TransactionReader(io.StringIO(text, newline=""), window=DIFF_WINDOW,
+        reader = TransactionReader(io.BytesIO(ledger_bytes(text)), window=DIFF_WINDOW,
                                    register=register, error_cap=error_cap, delimiter=delimiter)
-        with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows), \
-                mock.patch.object(ingest, "BLOCK_CHARS", block_chars):
+        with mock.patch.object(ingest, "BLOCK_CHARS", block_chars):
             if expected is None:
                 with pytest.raises(TooManyRowErrors) as exc:
                     list(reader)
@@ -448,46 +478,90 @@ class TestColumnarReader:
         assert row_tuples(concat(chunks)) == row_tuples(TransactionChunk.from_records(expected))
 
     def test_canonical_rows_take_the_array_path(self):
-        text = HEADER + make_row() + make_row(direction="debit", counterparty="B")
+        text = (HEADER + make_row() + make_row(direction="debit", counterparty="B")
+                + make_row(ts="2014-03-05 10:00:00"))
         with mock.patch.object(ingest, "_parse_row", side_effect=AssertionError):
             chunk, reader = read_all(text, window=WINDOW, register={"c1"})
-        assert chunk.cents.tolist() == [1000, -1000]
-        assert chunk.interbank.tolist() == [False, True]
+        assert chunk.cents.tolist() == [1000, -1000, 1000]
+        assert chunk.interbank.tolist() == [False, True, False]
+        assert chunk.timestamp[0] == chunk.timestamp[2]
 
-    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
-    def test_canonical_ledger_never_reaches_csv_reader(self, newline):
-        rows = [make_row(cid=f"c{i % 3 + 1}", amount=f"{i + 1}.25",
-                         direction=("credit", "debit")[i % 2]) for i in range(60)]
-        text = (HEADER + "".join(rows)).replace("\n", newline)
-        tokenized = []
+    @pytest.mark.parametrize("newline,quoting,account", [
+        pytest.param("\n", csv.QUOTE_MINIMAL, "acc1", id="\n"),
+        pytest.param("\r\n", csv.QUOTE_MINIMAL, "acc1", id="\r\n"),
+        pytest.param("\r", csv.QUOTE_MINIMAL, "acc1", id="\r"),
+        pytest.param("\n", csv.QUOTE_ALL, "acc1", id="all-quoted"),
+        pytest.param("\r\n", csv.QUOTE_ALL, "cuenta-ñ", id="non-ascii-account"),
+    ])
+    def test_canonical_ledger_never_reaches_csv_reader(self, newline, quoting, account):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator=newline, quoting=quoting)
+        writer.writerow(HEADER.strip().split(","))
+        writer.writerows([f"c{i % 3 + 1}", account, "2014-03-05T10:00:00", f"{i + 1}.25",
+                          ("credit", "debit")[i % 2], 1, 1, ""] for i in range(60))
+        readers = []
 
         def spy(lines, *args, real=csv.reader, **kwargs):
-            tokenized.append(lines)
-            return real(lines, *args, **kwargs)
+            readers.append(real(lines, *args, **kwargs))
+            return readers[-1]
 
         with mock.patch.object(ingest, "BLOCK_CHARS", 200), \
                 mock.patch.object(ingest.csv, "reader", spy):
-            chunk, reader = read_all(text, window=WINDOW, register={"c1", "c2", "c3"})
-        assert tokenized == [[HEADER.replace("\n", newline)]]
+            chunk, reader = read_all(buf.getvalue(), window=WINDOW, register={"c1", "c2", "c3"})
+        assert [r.line_num for r in readers] == [1]  # the header only
         assert reader.accepted == 60 and reader.rejected == 0
         assert sorted(zip(chunk.customer_id.tolist(), chunk.cents.tolist())) == sorted(
             (f"c{i % 3 + 1}", (i * 100 + 125) * (1, -1)[i % 2]) for i in range(60))
 
+    def test_nul_is_an_ordinary_byte(self):
+        # csv.reader before Python 3.11 raised "line contains NUL" instead
+        text = HEADER + make_row(counterparty="\x00") + make_row(cid="c1\x00")
+        chunk, reader = read_all(text, window=WINDOW)
+        assert chunk.interbank.tolist() == [True]
+        assert reader.errors == [RowError(3, "customer 'c1\\x00' not in register")]
+
     @pytest.mark.parametrize("before", [
         "",  # every line on the array path
-        '"c1",a1,2014-03-05T09:00:00,1.00,credit,1,1,\n',  # csv.reader from the quote on
-        "c1,açc,2014-03-05T09:00:00,1.00,credit,1,1,\n",  # a block that is not ASCII
+        '"c1",a1,2014-03-05T09:00:00,1.00,credit,1,1,\n',  # a quoted field
+        "c1,açc,2014-03-05T09:00:00,1.00,credit,1,1,\n",  # a line that is not ASCII
     ])
     def test_field_over_the_csv_limit_is_a_rejected_row(self, before):
         limit = csv.field_size_limit()
+        # the limit counts characters: "é" * limit is twice as many bytes
         text = (HEADER + before + make_row(counterparty="B" * (limit + 1))
-                + make_row(counterparty="B" * limit) + make_row(direction="debit"))
+                + make_row(counterparty="B" * limit) + make_row(counterparty=f'"{"é" * limit}"')
+                + make_row(direction="debit"))
         chunk, reader = read_all(text, window=WINDOW)
         line = 2 + bool(before)
         assert reader.errors == [RowError(line, f"field larger than field limit ({limit})")]
-        assert reader.accepted == 2 + bool(before)
-        assert sorted(chunk.cents.tolist()) == sorted([-1000, 1000] + [100] * bool(before))
-        assert chunk.interbank.tolist().count(True) == 1
+        assert reader.accepted == 3 + bool(before)
+        assert sorted(chunk.cents.tolist()) == sorted([-1000, 1000, 1000] + [100] * bool(before))
+        assert chunk.interbank.tolist().count(True) == 2
+
+
+def record_starts(data, delimiter=","):
+    """The byte offsets at which ``csv.reader`` starts each record of
+    ``data``, the header first, and the offset of its end."""
+    lines = data.splitlines(keepends=True)  # at \n, \r\n and lone \r, as csv.reader's lines
+    offsets = list(itertools.accumulate(map(len, lines), initial=0))
+    taken = 0
+
+    def text():
+        nonlocal taken
+        for line in lines:
+            taken += 1
+            yield line.decode("utf-8", "surrogateescape").replace("\0", NUL_STAND_IN)
+
+    reader = csv.reader(text(), delimiter=delimiter)
+    starts = [0]
+    while True:
+        try:
+            next(reader)
+        except StopIteration:
+            return starts
+        except csv.Error:
+            pass
+        starts.append(offsets[taken])
 
 
 class TestLedgerRanges:
@@ -518,16 +592,16 @@ class TestLedgerRanges:
     def test_ranges_read_as_the_whole_ledger(self, ledger, error_cap, cut_picks, bad_picks,
                                              block_chars):
         text, delimiter = ledger
-        data = text.encode("utf-8")
-        header = data.find(b"\n") + 1 or len(data)
+        data = ledger_bytes(text)
+        header = record_starts(data, delimiter)[1]
         for pick in bad_picks if len(data) > header else []:
             # a byte that is not UTF-8, after the header
             at = header + pick % (len(data) - header + 1)
             data = data[:at] + b"\xff" + data[at:]
-        # line ends outside quoted fields, where a reader of the ledger ends a record
-        ends = [i + 1 for i in range(header, len(data) - 1)
-                if data[i] == ord("\n") and data[:i].count(b'"') % 2 == 0]
-        cuts = sorted({ends[p % len(ends)] for p in cut_picks} if ends else set())
+        # record starts, as ledger_ranges cuts, but for those at a \n, which
+        # would end a header that ends in a lone \r as \r\n does
+        starts = [i for i in record_starts(data, delimiter)[2:-1] if data[i] != ord("\n")]
+        cuts = sorted({starts[p % len(starts)] for p in cut_picks} if starts else set())
         ranges = [LedgerRange(header, a, b)
                   for a, b in zip([header, *cuts], [*cuts, len(data)])]
         kw = dict(window=DIFF_WINDOW, register=REGISTER_IDS, error_cap=error_cap,
@@ -537,13 +611,16 @@ class TestLedgerRanges:
             path = os.path.join(tmp, "ledger.csv")
             with open(path, "wb") as fh:
                 fh.write(data)
-            with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            with open(path, "rb") as fh:
                 whole = TransactionReader(fh, **kw)
                 try:
                     chunks, aborted = list(whole), None
                 except TooManyRowErrors as exc:
                     chunks, aborted = [], exc
             parts = self.read(path, ranges, **kw)
+            with mock.patch.object(ingest, "MIN_SPLIT_BYTES", 0):
+                cut = ledger_ranges(path, 4, delimiter)
+        assert {r.start for r in cut[1:]} <= set(starts)
         if aborted is not None:
             with pytest.raises(TooManyRowErrors) as exc:
                 join_rejections([(r.errors, r.records) for _, r, _ in parts], error_cap)
@@ -572,13 +649,76 @@ class TestLedgerRanges:
         assert all(data[r.end - 2 : r.end] == b"\r\n" for r in ranges)
         assert max(r.end - r.start for r in ranges) < len(data) / 3
 
-    @pytest.mark.parametrize("quote", [False, True])
-    def test_small_or_quoted_ledger_is_one_range(self, tmp_path, quote):
+    @pytest.mark.parametrize("header_end, row_end", [
+        ("\r", "\n\n"),  # an empty record after each row
+        ("\r", "\r"),
+        ("\n", "\r\n\r\n"),
+    ])
+    def test_ranges_never_start_at_a_newline(self, tmp_path, header_end, row_end):
         path = tmp_path / "ledger.csv"
-        rows = [make_row(counterparty='"B"' if quote and i == 150 else "") for i in range(300)]
+        rows = [make_row(cid=f"c{i % 3 + 1}", amount="0.00" if i % 50 == 7 else f"{i + 1}.00")
+                for i in range(300)]
+        data = (HEADER[:-1] + header_end + "".join(r[:-1] + row_end for r in rows)).encode()
+        path.write_bytes(data)
+        with mock.patch.object(ingest, "MIN_SPLIT_BYTES", 0), \
+                mock.patch.object(ingest, "BLOCK_CHARS", 97):
+            ranges = ledger_ranges(path, 4)
+        assert len(ranges) == 4
+        assert all(data[r.start] != ord("\n") for r in ranges)
+        kw = dict(window=WINDOW, register={"c1", "c2", "c3"})
+        with open(path, "rb") as fh:
+            whole = TransactionReader(fh, **kw)
+            list(whole)
+        parts = self.read(path, ranges, **kw)
+        assert join_rejections([(r.errors, r.records) for _, r, _ in parts], 100) == whole.errors
+        assert sum(r.records for _, r, _ in parts) == whole.records
+        assert sum(r.accepted for _, r, _ in parts) == whole.accepted == 294
+
+    @pytest.mark.parametrize("delimiter", [",", ";"])
+    @pytest.mark.parametrize("account", [
+        'a"\n{delimiter}\r\n{i}',  # quoted, with quotes, delimiters and line ends
+        'a"b{i}',  # a quote in an unquoted field
+        '"a{delimiter}"b{i}',  # text after a closing quote
+    ])
+    def test_quoted_ledger_is_cut_between_records(self, tmp_path, delimiter, account):
+        path = tmp_path / "ledger.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(delimiter.join(TRANSACTION_FIELDS) + "\n")
+            writer = csv.writer(fh, delimiter=delimiter, quoting=csv.QUOTE_ALL)
+            for i in range(300):
+                text = account.format(delimiter=delimiter, i=i)
+                if "\n" in text:
+                    writer.writerow([f"c{i % 3 + 1}", text, "2014-03-05T10:00:00", f"{i + 1}.00",
+                                     "credit", 1, 1, "BANK\n01"])
+                else:  # as it is, irregular quotes and all
+                    fh.write(delimiter.join([f"c{i % 3 + 1}", text, "2014-03-05T10:00:00",
+                                             f"{i + 1}.00", "credit", "1", "1", "B"]) + "\n")
+        data = path.read_bytes()
+        with mock.patch.object(ingest, "MIN_SPLIT_BYTES", 0):
+            ranges = ledger_ranges(path, 4, delimiter=delimiter)
+        assert len(ranges) == 4
+        starts = record_starts(data, delimiter)
+        assert ranges[0].header == starts[1]
+        assert {r.start for r in ranges} < set(starts)
+        kw = dict(window=WINDOW, register={"c1", "c2", "c3"}, delimiter=delimiter)
+        parts = self.read(path, ranges, **kw)
+        assert sum(r.accepted for _, r, _ in parts) == 300
+        assert sum(r.records for _, r, _ in parts) == 300
+
+    def test_unclosed_quote_leaves_no_cut_after_it(self, tmp_path):
+        path = tmp_path / "ledger.csv"
+        rows = [make_row(cid=f"c{i % 3 + 1}") for i in range(300)]
+        rows[10] = '"' + rows[10]  # a quoted field that runs to the end of the ledger
         path.write_text(HEADER + "".join(rows))
+        with mock.patch.object(ingest, "MIN_SPLIT_BYTES", 0), \
+                mock.patch.object(ingest, "BLOCK_CHARS", 97):
+            assert len(ledger_ranges(path, 4)) == 1
+
+    def test_small_ledger_is_one_range(self, tmp_path):
+        path = tmp_path / "ledger.csv"
+        path.write_text(HEADER + make_row() * 300)
         size = path.stat().st_size
         assert ledger_ranges(path, 4) == [LedgerRange(0, 0, size)]  # under the floor
         with mock.patch.object(ingest, "MIN_SPLIT_BYTES", 0):
-            assert (len(ledger_ranges(path, 4)) == 1) == quote
+            assert len(ledger_ranges(path, 4)) == 4
             assert ledger_ranges(path, 1) == [LedgerRange(0, 0, size)]

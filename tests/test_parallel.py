@@ -88,8 +88,8 @@ def ranges_seen(monkeypatch) -> list:
     monkeypatch.setattr(ingest, "MIN_SPLIT_BYTES", 0)
     seen = []
     real = cli.ledger_ranges
-    monkeypatch.setattr(cli, "ledger_ranges", lambda path, parts: seen.append(real(path, parts))
-                        or seen[-1])
+    monkeypatch.setattr(cli, "ledger_ranges",
+                        lambda path, parts, **kw: seen.append(real(path, parts, **kw)) or seen[-1])
     return seen
 
 

@@ -227,7 +227,7 @@ class TestPhase1:
         txns.append(txn("GHOST", 1, 5, 100, "credit"))
         ledger = io.StringIO()
         write_transactions(txns, ledger)
-        reader = TransactionReader(io.StringIO(ledger.getvalue()), window=Q1, register=register)
+        reader = TransactionReader(io.BytesIO(ledger.getvalue().encode()), window=Q1, register=register)
         profiles = build_profiles_phase1(reader, register, Q1)
         # the header is line 1, so the last of len(txns) rows is on line len(txns) + 1
         assert [(e.line_no, e.reason) for e in reader.errors] == [
@@ -320,7 +320,7 @@ class TestPhase2:
             base = build_profiles_phase2(chunked(txns), register, EPOCH_WINDOW)
         for zone in ("UTC", "EST5EDT,M3.2.0,M11.1.0"):
             with host_zone(zone):
-                reader = TransactionReader(io.StringIO(ledger_csv.getvalue()), window=EPOCH_WINDOW,
+                reader = TransactionReader(io.BytesIO(ledger_csv.getvalue().encode()), window=EPOCH_WINDOW,
                                            register=register)
                 again = build_profiles_phase2(reader, register, EPOCH_WINDOW)
             assert reader.rejected == 0

@@ -26,7 +26,7 @@ def generate_to_strings(config):
 
 def profile_ledger(tx_text, reg_text, window):
     customers, _ = parse_customers(io.StringIO(reg_text), window=window)
-    reader = TransactionReader(io.StringIO(tx_text), window=window, register=customers,
+    reader = TransactionReader(io.BytesIO(tx_text.encode()), window=window, register=customers,
                                error_cap=50)
     stream = filter_insignificant(reader, FilterPolicy(frozenset({synthgen.BANK_CHARGE_TYPE_CODE})))
     return build_profiles_phase2(stream, customers, window)
@@ -93,7 +93,7 @@ class TestGeneratedLedgerQuality:
         cfg = synthgen.default_config(n_customers=50, seed=3)
         _, tx, reg, _ = generate_to_strings(cfg)
         customers, _ = parse_customers(io.StringIO(reg), window=cfg.window)
-        reader = TransactionReader(io.StringIO(tx), window=cfg.window, register=customers,
+        reader = TransactionReader(io.BytesIO(tx.encode()), window=cfg.window, register=customers,
                                    error_cap=1)
         chunk = TransactionChunk.concat(list(reader))
         assert reader.rejected == 0
