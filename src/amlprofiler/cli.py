@@ -381,7 +381,7 @@ def cmd_profile(args, config: PipelineConfig, out_dir: Path) -> StageResult:
 
     reg_errors: list = []
     try:
-        with open(reg_path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        with open(reg_path, "rb") as fh:
             register, reg_errors = parse_customers(
                 fh,
                 config.register_mapping and ColumnMapping(config.register_mapping, CUSTOMER_FIELDS),

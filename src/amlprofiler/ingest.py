@@ -5,18 +5,18 @@ both CSV with a header row.  Parsing is single-pass: the ledger is yielded
 in chunks of numpy columns (``TransactionChunk``), and malformed rows are
 collected with their line numbers instead of being silently dropped.
 
-The ledger has one tokenizer, which splits its bytes into the records
-and fields that ``csv.reader`` splits from its text.  It reads blocks of
+Both inputs have one tokenizer, which splits their bytes into the records
+and fields that ``csv.reader`` splits from their text.  It reads blocks of
 about ``BLOCK_CHARS`` bytes that end on a line end (``\\n``, ``\\r\\n`` or a
 lone ``\\r``) and finds each block's structure with numpy: from the runs
 of adjacent quotes it tells which bytes lie inside quoted fields, as
 ``csv.reader``'s states do, and the line ends and delimiters outside them
-end the records and fields.  Rows in the canonical form that
+end the records and fields.  Ledger rows in the canonical form that
 ``write_transactions`` produces, quoted or not, are converted by one set of
-array conversions, which take a byte matrix per field; every other row is
-cut into fields at the same ends (a quoted field loses its quotes, and
-``""`` in it becomes ``"``) and parsed on its own by ``_parse_row``, which
-decides whether it is accepted and why not.  ``csv.reader`` reads the
+array conversions, which take a byte matrix per field; every other ledger
+row, and every register row, is cut into fields at the same ends (a quoted
+field loses its quotes, and ``""`` in it becomes ``"``) and judged on its
+own, a ledger row by ``_parse_row``.  ``csv.reader`` reads the
 header, and any record longer than ``csv.field_size_limit()`` bytes or
 than its block: it rejects a field over that many characters, and where
 it resumes then is its own.  Amounts are kept exact (integer cents) so
@@ -443,8 +443,8 @@ _LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 
 class _Ledger:
-    """The unread bytes of a binary ledger stream, taken in blocks that end
-    on a line end, or line by line for ``csv.reader``."""
+    """The unread bytes of a binary CSV stream, taken in blocks that end on
+    a line end, or line by line for ``csv.reader``."""
 
     def __init__(self, source: IO[bytes]):
         self._source = source
@@ -486,6 +486,19 @@ class _Ledger:
                     yield str(line[0], "utf-8", "surrogateescape")
 
         return csv.reader(lines(), delimiter=delimiter)
+
+    def header(self, delimiter: str, name: str) -> list[str]:
+        """The header's fields; a ``ConfigError`` that names the ``name``
+        file if there is none, ``csv.reader`` rejects it or it is not UTF-8."""
+        try:
+            header = next(self.rows(delimiter))
+        except StopIteration:
+            raise ConfigError(f"empty {name}: no header row") from None
+        except csv.Error as exc:
+            raise ConfigError(f"unreadable {name} header row: {exc}") from None
+        if _UNDECODABLE.search("".join(header)):
+            raise ConfigError(f"{name} header is not valid UTF-8")
+        return header
 
 
 def _split_block(ledger: _Ledger, block: memoryview, delimiter: str) -> tuple[
@@ -579,6 +592,32 @@ def _unquote(field: bytes) -> bytes:
     return inner.replace(b'""', b'"') + rest
 
 
+def _records(ledger: _Ledger, delimiter: str) -> Iterator[Union[list[str], str]]:
+    """The fields of each record from ``ledger``'s next unread byte on, or
+    the reason ``csv.reader`` rejected it."""
+    width = len(delimiter.encode())
+    while block := ledger.block(BLOCK_CHARS):
+        padded, start, end, delims, parsed = _split_block(ledger, block, delimiter)
+        cuts = np.searchsorted(delims, [start, end]).T.tolist()
+        for a, b, (i, j) in zip(start.tolist(), end.tolist(), cuts):
+            yield _fields(padded[_PAD:-_PAD], a, b, delims[i:j], width)
+        if parsed is not None:
+            yield parsed
+
+
+def _row_fault(row: Union[list[str], str], n_cols: int) -> Optional[str]:
+    """Why a record is rejected before its fields are read: the reason
+    ``csv.reader`` gave, bytes that are not UTF-8, or fewer than ``n_cols``
+    fields; None if it is none of these."""
+    if isinstance(row, str):
+        return row
+    if _UNDECODABLE.search("".join(row)):
+        return NOT_UTF8
+    if len(row) < n_cols:
+        return f"expected at least {n_cols} columns, got {len(row)}"
+    return None
+
+
 class TransactionReader:
     """Iterable over the ledger's accepted rows as ``TransactionChunk``s,
     split by the tokenizer of the module docstring.
@@ -628,14 +667,7 @@ class TransactionReader:
     def _body(self) -> Generator[TransactionChunk, None, int]:
         """The chunks of the ledger; returns the line number after its last record."""
         ledger = _Ledger(self._source)
-        try:
-            header = next(ledger.rows(self._delimiter))
-        except StopIteration:
-            raise ConfigError("empty input: no header row") from None
-        except csv.Error as exc:
-            raise ConfigError(f"unreadable header row: {exc}") from None
-        if _UNDECODABLE.search("".join(header)):
-            raise ConfigError("ledger header is not valid UTF-8")
+        header = ledger.header(self._delimiter, "ledger")
         idx = self._mapping.resolve(header)
         line_no = 2
         while block := ledger.block(BLOCK_CHARS):
@@ -759,29 +791,23 @@ class TransactionReader:
         n_cols = max(idx.values()) + 1
         records = []
         for line_no, row in rows:
-            if isinstance(row, str):
-                self._record_error(line_no, row)
-                continue
             if not row:
                 continue
-            if _UNDECODABLE.search("".join(row)):
-                self._record_error(line_no, NOT_UTF8)
-                continue
-            if len(row) < n_cols:
-                self._record_error(line_no, f"expected at least {n_cols} columns, got {len(row)}")
-                continue
-            try:
-                record = _parse_row(row, idx, self._window)
-            except ValueError as exc:
-                self._record_error(line_no, str(exc))
-                continue
-            if record.customer_id not in self._register:
-                if record.customer_id in self._rejected_customers:
-                    self.dropped += 1
+            reason = _row_fault(row, n_cols)
+            if reason is None:
+                try:
+                    record = _parse_row(row, idx, self._window)
+                except ValueError as exc:
+                    reason = str(exc)
                 else:
-                    self._record_error(line_no, f"customer {record.customer_id!r} not in register")
-                continue
-            records.append(record)
+                    if record.customer_id in self._register:
+                        records.append(record)
+                        continue
+                    if record.customer_id in self._rejected_customers:
+                        self.dropped += 1
+                        continue
+                    reason = f"customer {record.customer_id!r} not in register"
+            self._record_error(line_no, reason)
         self.accepted += len(records)
         slow = TransactionChunk.from_records(records)
         return slow if chunk is None else TransactionChunk.concat([chunk.take(ok), slow])
@@ -853,10 +879,7 @@ def ledger_ranges(path, parts: int, delimiter: str = ",") -> list[LedgerRange]:
         return whole
     with open(path, "rb") as fh:
         ledger = _Ledger(fh)
-        try:
-            next(ledger.rows(delimiter), None)
-        except csv.Error:
-            return whole
+        ledger.header(delimiter, "ledger")
         header = ledger.offset
         targets = [header + (size - header) * i // parts for i in range(1, parts)]
         cuts = [header]
@@ -894,45 +917,35 @@ def join_rejections(parts: Sequence[tuple[list[RowError], int]], cap: int) -> li
 
 
 def parse_customers(
-    source: IO[str],
+    source: IO[bytes],
     mapping: Optional[ColumnMapping] = None,
     *,
     window: Window,
     error_cap: int = 100,
     delimiter: str = ",",
 ) -> tuple[dict[str, CustomerRecord], list[RowError]]:
-    """Parse the customer register into a lookup keyed by customer id.
+    """Parse the customer register, a binary stream, into a lookup keyed by id.
 
-    An account opened after the window end is a rejected row: its age at
-    the window end would be negative.  A repeated customer id is a rejected
-    row; the first row is kept.  Read from a ``source`` opened with
-    ``errors="surrogateescape"``, a row that is not UTF-8 is a rejected row
-    too, and a header that is not is a ``ConfigError``.  A rejected row
-    names its customer id, if it has that column.
+    Its header, records and the faults that reject a record are those of the
+    ledger (``_Ledger.header``, ``_records``, ``_row_fault``).  An account
+    opened after the window end is a rejected row: its age at the window end
+    would be negative.  A repeated customer id is a rejected row; the first
+    row is kept.  A rejected row names its customer id, if it has that column.
     """
     mapping = mapping or ColumnMapping.identity(CUSTOMER_FIELDS)
-    reader = csv.reader(source, delimiter=delimiter)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ConfigError("empty register: no header row") from None
-    if _UNDECODABLE.search("".join(header)):
-        raise ConfigError("register header is not valid UTF-8")
-    idx = mapping.resolve(header)
+    stream = _Ledger(source)
+    idx = mapping.resolve(stream.header(delimiter, "register"))
     n_cols = max(idx.values()) + 1
     customers: dict[str, CustomerRecord] = {}
     first_lines: dict[str, int] = {}
     errors: list[RowError] = []
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in enumerate(_records(stream, delimiter), start=2):
         if not row:
             continue
-        message = None
-        cid = row[idx["customer_id"]] if len(row) > idx["customer_id"] else ""
-        if _UNDECODABLE.search("".join(row)):
-            message = NOT_UTF8
-        elif len(row) < n_cols:
-            message = f"expected at least {n_cols} columns, got {len(row)}"
-        else:
+        cid = (row[idx["customer_id"]]
+               if isinstance(row, list) and len(row) > idx["customer_id"] else "")
+        message = _row_fault(row, n_cols)
+        if message is None:
             try:
                 open_date = date.fromisoformat(row[idx["account_open_date"]])
             except ValueError:
@@ -974,17 +987,10 @@ def format_amount(cents: int) -> str:
     return f"{sign}{cents // 100}.{cents % 100:02d}"
 
 
-def write_transactions(
-    records: Iterable[TransactionRecord],
-    dest: IO[str],
-    mapping: Optional[ColumnMapping] = None,
-    *,
-    delimiter: str = ",",
-) -> int:
+def write_transactions(records: Iterable[TransactionRecord], dest: IO[str]) -> int:
     """Serialize records back to CSV; ``TransactionReader`` reads them."""
-    mapping = mapping or ColumnMapping.identity()
-    writer = csv.writer(dest, delimiter=delimiter, lineterminator="\n")
-    writer.writerow([mapping.columns[f] for f in mapping.fields])
+    writer = csv.writer(dest, lineterminator="\n")
+    writer.writerow(TRANSACTION_FIELDS)
     n = 0
     for r in records:
         writer.writerow(

@@ -46,7 +46,7 @@ def report(criterion, message):
 
 
 def load_ledger(out_dir, window):
-    with open(out_dir / "register.csv", newline="") as fh:
+    with open(out_dir / "register.csv", "rb") as fh:
         customers, _ = parse_customers(fh, window=window)
     with open(out_dir / "transactions.csv", "rb") as fh:
         reader = TransactionReader(fh, window=window, register=customers, error_cap=100)

@@ -226,6 +226,34 @@ class TestDiagnostics:
             ("3", "field larger than field limit (131072)")]
         assert len(csv_rows(tmp_path / "profiles.csv")) == 1
 
+    def test_register_field_over_the_csv_limit_is_rejected_row(self, tmp_path):
+        (tmp_path / "register.csv").write_text(
+            f"customer_id,account_open_date\nc1,2010-01-01\nc2,{'B' * 140_000}\nc3,2011-01-01\n")
+        (tmp_path / "transactions.csv").write_text(
+            "customer_id,account_id,timestamp,amount,direction,service_code,txn_type_code,"
+            "counterparty_bank\n"
+            "c1,a1,2014-03-08T12:00:00,10.00,credit,1,1,\n"
+            "c3,a3,2014-03-09T12:00:00,5.00,debit,1,1,\n"
+        )
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"window": {"start": "2014-01-01", "end": "2014-12-31"}}))
+        assert main(["--config", str(cfg_path), "--out-dir", str(tmp_path), "profile"]) == 0
+        assert (tmp_path / "rejected_rows.csv").read_text() == (
+            "source,line_no,reason\nregister,3,field larger than field limit (131072)\n")
+        assert [p["customer_id"] for p in csv_rows(tmp_path / "profiles.csv")] == ["c1", "c3"]
+
+    def test_register_header_over_the_csv_limit_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "register.csv").write_text(
+            f"customer_id,account_open_date,{'X' * 140_000}\nc1,2010-01-01\n")
+        (tmp_path / "transactions.csv").write_text(
+            "customer_id,account_id,timestamp,amount,direction,service_code,txn_type_code,"
+            "counterparty_bank\nc1,a1,2014-03-08T12:00:00,10.00,credit,1,1,\n")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"window": {"start": "2014-01-01", "end": "2014-12-31"}}))
+        assert main(["--config", str(cfg_path), "--out-dir", str(tmp_path), "profile"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "field larger than field limit" in err
+
     @pytest.mark.parametrize("line", [
         b"c1,a\xff1,2014-03-09T12:00:00,5.00,debit,1,1,\n",  # a field that no check reads
         b"c\xff1,a1,2014-03-09T12:00:00,5.00,debit,1,1,\n",

@@ -4,7 +4,7 @@ import itertools
 import os
 import re
 import tempfile
-from datetime import datetime
+from datetime import date, datetime
 from unittest import mock
 
 import pytest
@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 
 from amlprofiler import ingest
 from amlprofiler.ingest import (
+    CUSTOMER_FIELDS,
     TRANSACTION_FIELDS,
     ColumnMapping,
     ConfigError,
+    CustomerRecord,
     FilterPolicy,
     FilterStats,
     LedgerRange,
@@ -253,14 +255,14 @@ class TestWindow:
 class TestRegister:
     def test_parse(self):
         text = "customer_id,account_open_date\nc1,2010-05-01\nc2,2013-12-31\n"
-        customers, errors = parse_customers(io.StringIO(text), window=WINDOW)
+        customers, errors = parse_customers(io.BytesIO(text.encode()), window=WINDOW)
         assert set(customers) == {"c1", "c2"}
         assert customers["c1"].account_open_date.year == 2010
         assert errors == []
 
     def test_bad_date_collected(self):
         text = "customer_id,account_open_date\nc1,yesterday\n"
-        customers, errors = parse_customers(io.StringIO(text), window=WINDOW)
+        customers, errors = parse_customers(io.BytesIO(text.encode()), window=WINDOW)
         assert customers == {}
         assert errors[0].line_no == 2
 
@@ -268,7 +270,7 @@ class TestRegister:
         # customer_id comes after account_open_date, so a one-field row
         # holds a date but no id
         text = "account_open_date,customer_id\n2010-05-01,c1\n2011-01-01\n2012-02-02,c3\n"
-        customers, errors = parse_customers(io.StringIO(text), window=WINDOW)
+        customers, errors = parse_customers(io.BytesIO(text.encode()), window=WINDOW)
         assert set(customers) == {"c1", "c3"}
         assert [e.line_no for e in errors] == [3]
         assert "expected at least 2 columns" in errors[0].reason
@@ -277,7 +279,7 @@ class TestRegister:
     def test_account_opened_after_window_end_is_rejected(self):
         text = ("customer_id,account_open_date\n"
                 "c1,2014-12-31\nc2,2015-01-01\nc2,2013-01-01\n")
-        customers, errors = parse_customers(io.StringIO(text), window=WINDOW)
+        customers, errors = parse_customers(io.BytesIO(text.encode()), window=WINDOW)
         # opened on the last day: age 0; the day after: rejected, and the
         # later row for the same id is then the first accepted one
         assert customers["c1"].account_open_date.isoformat() == "2014-12-31"
@@ -289,7 +291,7 @@ class TestRegister:
     def test_post_window_rows_count_against_error_cap(self):
         text = "customer_id,account_open_date\n" + "".join(f"c{i},2016-01-01\n" for i in range(3))
         with pytest.raises(TooManyRowErrors) as exc:
-            parse_customers(io.StringIO(text), window=WINDOW, error_cap=2)
+            parse_customers(io.BytesIO(text.encode()), window=WINDOW, error_cap=2)
         assert [e.line_no for e in exc.value.errors] == [2, 3, 4]
 
 
@@ -297,7 +299,7 @@ class TestRegisterDuplicates:
     def test_duplicate_customer_is_rejected_row_naming_first_line(self):
         text = ("customer_id,account_open_date\n"
                 "c1,2010-05-01\nc2,2011-01-01\nc1,2012-02-02\nc1,2013-03-03\n")
-        customers, errors = parse_customers(io.StringIO(text), window=WINDOW)
+        customers, errors = parse_customers(io.BytesIO(text.encode()), window=WINDOW)
         assert customers["c1"].account_open_date.year == 2010
         assert set(customers) == {"c1", "c2"}
         assert [(e.line_no, e.reason) for e in errors] == [
@@ -537,6 +539,151 @@ class TestColumnarReader:
         assert reader.accepted == 3 + bool(before)
         assert sorted(chunk.cents.tolist()) == sorted([-1000, 1000, 1000] + [100] * bool(before))
         assert chunk.interbank.tolist().count(True) == 2
+
+
+# ---------------------------------------------------------------------------
+# The register's records against csv.reader over its text
+
+def register_at_a_time(text, window, error_cap, delimiter):
+    """Customers and errors of a sequential parse of the register text with
+    ``csv.reader``, which hands NUL as ``NUL_STAND_IN``, as ``row_at_a_time``
+    does, or None and the errors when it aborts."""
+    reader = csv.reader(io.StringIO(text.replace("\0", NUL_STAND_IN), newline=""),
+                        delimiter=delimiter)
+    idx = ColumnMapping.identity(CUSTOMER_FIELDS).resolve(next(reader))
+    n_cols = max(idx.values()) + 1
+    customers, first_lines, errors = {}, {}, []
+    for line_no in itertools.count(2):
+        cid = ""
+        try:
+            row = next(reader)
+        except StopIteration:
+            return customers, errors
+        except csv.Error as exc:
+            reason = str(exc)
+        else:
+            if not row:
+                continue
+            row = [field.replace(NUL_STAND_IN, "\0") for field in row]
+            cid = row[idx["customer_id"]] if len(row) > idx["customer_id"] else ""
+            if UNDECODABLE.search("".join(row)):
+                reason = "line is not valid UTF-8"
+            elif len(row) < n_cols:
+                reason = f"expected at least {n_cols} columns, got {len(row)}"
+            else:
+                try:
+                    opened = date.fromisoformat(row[idx["account_open_date"]])
+                except ValueError:
+                    reason = f"unparseable account_open_date in {row!r}"
+                else:
+                    if opened > window.end.date():
+                        reason = (f"account_open_date {opened.isoformat()} is after the window "
+                                  f"end {window.end.date().isoformat()}")
+                    elif cid in first_lines:
+                        reason = f"duplicate customer_id {cid!r}, first on line {first_lines[cid]}"
+                    else:
+                        first_lines[cid] = line_no
+                        customers[cid] = CustomerRecord(cid, opened)
+                        continue
+        errors.append(RowError(line_no, reason, "register", cid))
+        if len(errors) > error_cap:
+            return None, errors
+
+
+# a field longer than the field limit that the register oracle may set
+LONG_FIELD = "L" * 30
+
+
+@st.composite
+def mutated_registers(draw):
+    """A register text written by ``csv.writer`` and its delimiter: the
+    header in one of two column orders, perhaps with a third column, and
+    rows of repeated ids with good, bad and late dates, quoted as
+    QUOTE_MINIMAL or QUOTE_ALL writes them.  Rows end in newlines, CRLF or
+    lone carriage returns, a few in another of them, and the last may have
+    no line end.  Some rows have a field from ANY_FIELD or ``LONG_FIELD``,
+    some are short, long or blank, and some have a field from IRREGULAR,
+    written as they are."""
+    delimiter = draw(st.sampled_from([",", ";"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    ends = [newline] * 9 + draw(st.sampled_from([[], ["\r"], ["\n"]]))
+    header = draw(st.sampled_from([list(CUSTOMER_FIELDS), list(CUSTOMER_FIELDS[::-1])]))
+    header += draw(st.sampled_from([[], ["note"]]))
+    value = {
+        "customer_id": st.sampled_from(["c1", "c2", "c3", "ç3", " c1"]),
+        "account_open_date": st.sampled_from([
+            "2010-05-01", "2014-12-31", "2013-02-28",  # good
+            "2014-02-29", "2010-13-01", "yesterday", "", " 2010-05-01", "2010-05-01T00:00",
+            "20100501", "2010-05-01\x00", "٢٠١٠-05-01",  # bad
+            "2015-01-01", "9999-12-31",  # after the window end
+        ]),
+        "note": st.sampled_from(["", "x"]),
+    }
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=delimiter, lineterminator=newline, quoting=quoting)
+    writer.writerow(header)
+    end = newline
+    for _ in range(draw(st.integers(0, 30))):
+        row = [draw(value[name]) for name in header]
+        if draw(st.integers(0, 5)) == 0:
+            row[draw(st.integers(0, len(row) - 1))] = draw(
+                st.sampled_from(ANY_FIELD + [LONG_FIELD]))
+        shape = draw(st.sampled_from(["plain"] * 6 + ["extra", "short", "blank", "raw"]))
+        if shape == "extra":
+            row.append("x")
+        elif shape == "short":
+            row = row[: draw(st.integers(1, len(row) - 1))]
+        elif shape == "blank":
+            row = []
+        if shape == "raw":
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(IRREGULAR))
+            buf.write(delimiter.join(row) + newline)
+        else:
+            writer.writerow(row)
+        end = draw(st.sampled_from(ends))
+        if end != newline:
+            buf.seek(buf.tell() - len(newline))
+            buf.truncate()
+            buf.write(end)
+    text = buf.getvalue()
+    if draw(st.booleans()):
+        text = text[: len(text) - len(end)]
+    return text, delimiter
+
+
+class TestRegisterParity:
+    @given(
+        mutated_registers(),
+        st.sampled_from([0, 2, 1000]),
+        st.sampled_from([16, 97, 1 << 18]),
+        st.sampled_from([None, 24]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_csv_reader_over_text(self, register, error_cap, block_chars, field_limit):
+        """``parse_customers`` on the register's bytes gives the customers
+        and rejections of ``csv.reader`` over its text, also where records
+        cross block ends and where fields pass the field limit."""
+        text, delimiter = register
+        limit = csv.field_size_limit()
+        try:
+            if field_limit is not None:
+                csv.field_size_limit(field_limit)
+            expected, expected_errors = register_at_a_time(text, WINDOW, error_cap, delimiter)
+            source = io.BytesIO(text.encode("utf-8", "surrogateescape"))
+            with mock.patch.object(ingest, "BLOCK_CHARS", block_chars):
+                if expected is None:
+                    with pytest.raises(TooManyRowErrors) as exc:
+                        parse_customers(source, window=WINDOW, error_cap=error_cap,
+                                        delimiter=delimiter)
+                    assert exc.value.errors == expected_errors
+                    return
+                customers, errors = parse_customers(source, window=WINDOW, error_cap=error_cap,
+                                                    delimiter=delimiter)
+        finally:
+            csv.field_size_limit(limit)
+        assert errors == expected_errors
+        assert customers == expected
 
 
 def record_starts(data, delimiter=","):

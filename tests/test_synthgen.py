@@ -25,7 +25,7 @@ def generate_to_strings(config):
 
 
 def profile_ledger(tx_text, reg_text, window):
-    customers, _ = parse_customers(io.StringIO(reg_text), window=window)
+    customers, _ = parse_customers(io.BytesIO(reg_text.encode()), window=window)
     reader = TransactionReader(io.BytesIO(tx_text.encode()), window=window, register=customers,
                                error_cap=50)
     stream = filter_insignificant(reader, FilterPolicy(frozenset({synthgen.BANK_CHARGE_TYPE_CODE})))
@@ -92,7 +92,7 @@ class TestGeneratedLedgerQuality:
     def test_rows_parse_cleanly_and_in_customer_order(self):
         cfg = synthgen.default_config(n_customers=50, seed=3)
         _, tx, reg, _ = generate_to_strings(cfg)
-        customers, _ = parse_customers(io.StringIO(reg), window=cfg.window)
+        customers, _ = parse_customers(io.BytesIO(reg.encode()), window=cfg.window)
         reader = TransactionReader(io.BytesIO(tx.encode()), window=cfg.window, register=customers,
                                    error_cap=1)
         chunk = TransactionChunk.concat(list(reader))
