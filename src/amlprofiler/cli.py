@@ -36,6 +36,7 @@ from .ingest import (
     FilterPolicy,
     FilterStats,
     LedgerRange,
+    Register,
     TooManyRowErrors,
     TransactionReader,
     Window,
@@ -339,7 +340,7 @@ class _Counts:
 
 
 def _profile_ranges(tx_path: Path, ranges: list[LedgerRange], reader, config: PipelineConfig,
-                    register: dict, window: Window):
+                    register: Register, window: Window):
     """The profiles and counts of the ledger, each range aggregated by a
     worker of ``parallel.pmap`` and the parts merged in range order."""
     policy = config.filter_policy
@@ -396,7 +397,7 @@ def cmd_profile(args, config: PipelineConfig, out_dir: Path) -> StageResult:
             register=register,
             # a rejected register row is the one rejection of its customer's rows
             rejected_customers={e.customer_id for e in reg_errors if e.customer_id}
-            - register.keys(),
+            - register.code.keys(),
             error_cap=config.error_cap,
             delimiter=config.delimiter,
         )

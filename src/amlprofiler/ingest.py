@@ -20,7 +20,15 @@ own, a ledger row by ``_parse_row``.  ``csv.reader`` reads the
 header, and any record longer than ``csv.field_size_limit()`` bytes or
 than its block: it rejects a field over that many characters, and where
 it resumes then is its own.  Amounts are kept exact (integer cents) so
-that downstream aggregation is independent of row order.
+that downstream aggregation is independent of row order.  A timestamp or
+date is read only in a form that ``fromisoformat`` reads on every supported
+Python version (``_TIMESTAMP_FORM``, ``_DATE_FORM``).
+
+The register becomes one frozen ``Register`` table: the customer ids in
+sorted order, their account-open dates, and each id's position, which is
+how every later step names a customer.  The reader looks each ledger row's
+customer id up there once and hands on its position
+(``TransactionChunk.customer``), which the profile totals index by.
 
 A ledger may also be read in byte ranges (``ledger_ranges``), each by its
 own reader that sees the header and then the range (``LedgerRange.open``).
@@ -41,8 +49,9 @@ import re
 from dataclasses import dataclass, fields
 from datetime import date, datetime, timedelta
 from decimal import Decimal, InvalidOperation
-from typing import (IO, Callable, Collection, Generator, Iterable, Iterator, NamedTuple, Optional,
-                    Sequence, Union)
+from itertools import repeat
+from typing import (IO, Callable, Collection, Generator, Iterable, Iterator, Mapping, NamedTuple,
+                    Optional, Sequence, Union)
 
 import numpy as np
 
@@ -71,6 +80,15 @@ EPOCH = datetime(1970, 1, 1)
 # UTF-8 to; no valid UTF-8 text holds one.
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 NOT_UTF8 = "line is not valid UTF-8"
+# The forms that datetime.fromisoformat and date.fromisoformat read on Python
+# 3.10, where "*" is any one character:
+# YYYY-MM-DD[*HH[:MM[:SS[.fff[fff]]]][+HH:MM[:SS[.ffffff]]]] and YYYY-MM-DD.
+# From 3.11 on they read more of ISO 8601, such as 20140305T100000 and
+# 2014-W10-3, so a row in any other form is rejected on every version.
+_TIMESTAMP_FORM = re.compile(r"\d{4}-\d{2}-\d{2}"
+                             r"(?:.\d{2}(?::\d{2}(?::\d{2}(?:\.\d{3}(?:\d{3})?)?)?)?"
+                             r"(?:[+-]\d{2}:\d{2}(?::\d{2}(?:\.\d{6})?)?)?)?", re.ASCII | re.DOTALL)
+_DATE_FORM = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
 
 
 class ConfigError(ValueError):
@@ -104,9 +122,19 @@ class TransactionRecord(NamedTuple):
     counterparty_bank: Optional[str]
 
 
-class CustomerRecord(NamedTuple):
-    customer_id: str
-    account_open_date: date
+@dataclass(frozen=True)
+class Register:
+    """The accepted customers of a register: ``ids`` in sorted order, their
+    account-open dates ``opened``, and ``code``, each id's position."""
+
+    ids: tuple[str, ...]
+    opened: tuple[date, ...]
+    code: dict[str, int]
+
+    @staticmethod
+    def of(opened: Mapping[str, date]) -> "Register":
+        ids = tuple(sorted(opened))
+        return Register(ids, tuple(opened[c] for c in ids), {c: i for i, c in enumerate(ids)})
 
 
 @dataclass(frozen=True)
@@ -247,6 +275,8 @@ def _parse_row(
 ) -> TransactionRecord:
     raw_ts = row[idx["timestamp"]]
     try:
+        if not _TIMESTAMP_FORM.fullmatch(raw_ts):
+            raise ValueError
         ts = datetime.fromisoformat(raw_ts)
     except ValueError:
         raise ValueError(f"unparseable timestamp {raw_ts!r}") from None
@@ -287,13 +317,14 @@ def _parse_row(
 class TransactionChunk:
     """Accepted ledger rows as numpy columns, one entry per row.
 
-    ``timestamp`` holds epoch seconds of the naive ledger time read as UTC
-    and ``month`` the calendar months since 1970-01.  ``cents`` is signed:
+    ``customer`` holds the customer's position in the ``Register``,
+    ``timestamp`` epoch seconds of the naive ledger time read as UTC and
+    ``month`` the calendar months since 1970-01.  ``cents`` is signed:
     credits positive, debits negative.  ``interbank`` marks rows that name a
     counterparty bank.  The account id is not kept: no profile reads it.
     """
 
-    customer_id: np.ndarray  # object array of str
+    customer: np.ndarray  # int64
     timestamp: np.ndarray  # float64
     month: np.ndarray  # int64
     cents: np.ndarray  # int64
@@ -314,9 +345,17 @@ class TransactionChunk:
         )
 
     @staticmethod
-    def from_records(records: Sequence[TransactionRecord]) -> "TransactionChunk":
+    def from_records(records: Sequence[TransactionRecord], register: Register) -> "TransactionChunk":
+        """The chunk of ``records``; a ValueError names an id not in ``register``."""
+        customer = [register.code.get(r.customer_id, -1) for r in records]
+        if -1 in customer:
+            raise ValueError(f"customer {records[customer.index(-1)].customer_id!r} not in register")
+        return TransactionChunk._of(records, customer)
+
+    @staticmethod
+    def _of(records: Sequence[TransactionRecord], customer: Sequence[int]) -> "TransactionChunk":
         return TransactionChunk(
-            np.array([r.customer_id for r in records], dtype=object),
+            np.array(customer, dtype=np.int64),
             np.array([(r.timestamp - EPOCH).total_seconds() for r in records], dtype=np.float64),
             np.array([(r.timestamp.year - 1970) * 12 + r.timestamp.month - 1 for r in records],
                      dtype=np.int64),
@@ -574,15 +613,14 @@ def _split_block(ledger: _Ledger, block: memoryview, delimiter: str) -> tuple[
 _QUOTED = re.compile(rb'"((?:[^"]|"")*)"?(.*)', re.S)
 
 
-def _fields(buf: np.ndarray, start: int, end: int, delims: np.ndarray, width: int) -> list[str]:
-    """The fields of the record ``buf[start:end]`` as ``csv.reader`` gives
+def _fields(data: bytes, start: int, end: int, delims: list[int], width: int) -> list[str]:
+    """The fields of the record ``data[start:end]`` as ``csv.reader`` gives
     them, cut at ``delims``, each ``width`` bytes long: a quoted field
     without its quotes and with each ``""`` in it as one quote."""
     if start == end:
         return []
-    record = buf[start:end].tobytes()
-    cuts = [-width, *(delims - start).tolist(), len(record)]
-    fields = (record[a + width:b] for a, b in zip(cuts, cuts[1:]))
+    cuts = [start - width, *delims, end]
+    fields = (data[a + width:b] for a, b in zip(cuts, cuts[1:]))
     return [(_unquote(f) if f[:1] == b'"' else f).decode("utf-8", "surrogateescape")
             for f in fields]
 
@@ -597,10 +635,11 @@ def _records(ledger: _Ledger, delimiter: str) -> Iterator[Union[list[str], str]]
     the reason ``csv.reader`` rejected it."""
     width = len(delimiter.encode())
     while block := ledger.block(BLOCK_CHARS):
-        padded, start, end, delims, parsed = _split_block(ledger, block, delimiter)
-        cuts = np.searchsorted(delims, [start, end]).T.tolist()
+        _, start, end, delims, parsed = _split_block(ledger, block, delimiter)
+        data, cuts = bytes(block), np.searchsorted(delims, [start, end]).T.tolist()
+        delims = delims.tolist()
         for a, b, (i, j) in zip(start.tolist(), end.tolist(), cuts):
-            yield _fields(padded[_PAD:-_PAD], a, b, delims[i:j], width)
+            yield _fields(data, a, b, delims[i:j], width)
         if parsed is not None:
             yield parsed
 
@@ -642,7 +681,7 @@ class TransactionReader:
         source: IO[bytes],
         mapping: Optional[ColumnMapping] = None,
         *,
-        register: Collection[str],
+        register: Register,
         rejected_customers: Collection[str] = (),
         window: Optional[Window] = None,
         error_cap: int = 100,
@@ -730,10 +769,10 @@ class TransactionReader:
             # a ledger grouped by customer repeats each id in runs
             head = np.r_[True, ids[1:] != ids[:-1]]
             distinct, inverse = np.unique(ids[head], return_inverse=True)
-            inverse = inverse[np.cumsum(head) - 1]
-            names = np.array([i.decode("utf-8", "surrogateescape") for i in distinct.tolist()],
-                             dtype=object)
-            ok &= np.fromiter(map(self._register.__contains__, names), bool, len(names))[inverse]
+            names = (i.decode("utf-8", "surrogateescape") for i in distinct.tolist())
+            customer = np.fromiter(map(self._register.code.get, names, repeat(-1)), np.int64,
+                                   len(distinct))[inverse[np.cumsum(head) - 1]]
+            ok &= customer >= 0
             start, end = field("counterparty_bank")
             low = np.flatnonzero(buf <= 32)
             blank = low[_BLANK[buf[low]]]
@@ -742,11 +781,12 @@ class TransactionReader:
             highs = _count(high, start, end)
             interbank = end - start > _count(blank, start, end) + highs
             ok &= interbank | (highs == 0)
-            chunk = TransactionChunk(names[inverse], *values, interbank)
+            chunk = TransactionChunk(customer, *values, interbank)
         canonical = np.zeros(len(line_end), bool)
         canonical[lines[ok]] = True
-        rows = [(first_line + i, _fields(buf, line_start[i], line_end[i],
-                                         delims[first[i]:first[i] + n_delims[i]], width))
+        data = bytes(block)
+        rows = [(first_line + i, _fields(data, line_start[i], line_end[i],
+                                         delims[first[i]:first[i] + n_delims[i]].tolist(), width))
                 for i in np.flatnonzero(~canonical).tolist()]
         if parsed is not None:
             rows.append((first_line + len(line_end), parsed))
@@ -789,7 +829,7 @@ class TransactionReader:
         if not rows:
             return chunk
         n_cols = max(idx.values()) + 1
-        records = []
+        records, customer = [], []
         for line_no, row in rows:
             if not row:
                 continue
@@ -800,8 +840,9 @@ class TransactionReader:
                 except ValueError as exc:
                     reason = str(exc)
                 else:
-                    if record.customer_id in self._register:
+                    if (position := self._register.code.get(record.customer_id)) is not None:
                         records.append(record)
+                        customer.append(position)
                         continue
                     if record.customer_id in self._rejected_customers:
                         self.dropped += 1
@@ -809,7 +850,7 @@ class TransactionReader:
                     reason = f"customer {record.customer_id!r} not in register"
             self._record_error(line_no, reason)
         self.accepted += len(records)
-        slow = TransactionChunk.from_records(records)
+        slow = TransactionChunk._of(records, customer)
         return slow if chunk is None else TransactionChunk.concat([chunk.take(ok), slow])
 
     def _record_error(self, line_no: int, reason: str) -> None:
@@ -923,8 +964,8 @@ def parse_customers(
     window: Window,
     error_cap: int = 100,
     delimiter: str = ",",
-) -> tuple[dict[str, CustomerRecord], list[RowError]]:
-    """Parse the customer register, a binary stream, into a lookup keyed by id.
+) -> tuple[Register, list[RowError]]:
+    """Parse the customer register, a binary stream, into a ``Register``.
 
     Its header, records and the faults that reject a record are those of the
     ledger (``_Ledger.header``, ``_records``, ``_row_fault``).  An account
@@ -936,7 +977,7 @@ def parse_customers(
     stream = _Ledger(source)
     idx = mapping.resolve(stream.header(delimiter, "register"))
     n_cols = max(idx.values()) + 1
-    customers: dict[str, CustomerRecord] = {}
+    opened: dict[str, date] = {}
     first_lines: dict[str, int] = {}
     errors: list[RowError] = []
     for line_no, row in enumerate(_records(stream, delimiter), start=2):
@@ -946,8 +987,11 @@ def parse_customers(
                if isinstance(row, list) and len(row) > idx["customer_id"] else "")
         message = _row_fault(row, n_cols)
         if message is None:
+            raw_date = row[idx["account_open_date"]]
             try:
-                open_date = date.fromisoformat(row[idx["account_open_date"]])
+                if not _DATE_FORM.fullmatch(raw_date):
+                    raise ValueError
+                open_date = date.fromisoformat(raw_date)
             except ValueError:
                 message = f"unparseable account_open_date in {row!r}"
             else:
@@ -962,8 +1006,8 @@ def parse_customers(
                 raise TooManyRowErrors(errors, error_cap)
             continue
         first_lines[cid] = line_no
-        customers[cid] = CustomerRecord(cid, open_date)
-    return customers, errors
+        opened[cid] = open_date
+    return Register.of(opened), errors
 
 
 def filter_insignificant(

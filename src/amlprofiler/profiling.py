@@ -8,7 +8,10 @@ credited funds sit in the account before being moved out (FIFO-matched).
 
 ``build_profiles_phase1/2`` consume the ``TransactionChunk`` columns that
 ``ingest`` yields and aggregate each chunk with array operations; only the
-final per-customer arithmetic runs per customer.  All monetary aggregation
+final per-customer arithmetic runs per customer.  A chunk names each row's
+customer by its position in the ``ingest.Register``, so the totals index
+their arrays by that position, and the profiles take their ids and account
+ages from the register in that order.  All monetary aggregation
 happens on integer cents, summed exactly, so a profile is a pure function of
 the transaction multiset: shuffling the input stream cannot change a single
 bit of the output.  For the same reason a ledger may be cut into streams:
@@ -30,22 +33,20 @@ import logging
 import math
 from array import array
 from dataclasses import asdict, dataclass
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Optional, Sequence
+from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import parallel
-from .ingest import CustomerRecord, TransactionChunk, Window
+from .ingest import Register, TransactionChunk, Window
 from .manifest import from_json, write_json
 
 log = logging.getLogger(__name__)
 
 NUMERIC = "numeric"
 NOMINAL = "nominal"
-# Customer ids at the head of a chunk that show whether its ids come in runs
-RUN_PROBE = 256
 
 
 @dataclass(frozen=True)
@@ -193,8 +194,8 @@ def fifo_lag(timestamp: np.ndarray, cents: np.ndarray) -> tuple[float, int]:
 
 
 class _Totals:
-    """Per-customer aggregates of a chunk stream, customers coded by their
-    position in the sorted register.
+    """Per-customer aggregates of a chunk stream over ``customers``
+    customers, each named by its position in the ``Register``.
 
     Counts are int64 arrays over (customer, month slot) cells, the last slot
     of each customer taking rows from months outside the window.  Sums of
@@ -204,17 +205,16 @@ class _Totals:
     stream.
     """
 
-    def __init__(self, index: dict[str, int], window: Window, *, flows: bool):
-        self.index = index
-        self.customers = len(index)
+    def __init__(self, customers: int, window: Window, *, flows: bool):
+        self.customers = customers
         self.months = window.month_count()
         self.slots = self.months + 1
         self.first_month = (window.start.year - 1970) * 12 + window.start.month - 1
-        self.cells = len(index) * self.slots
+        self.cells = customers * self.slots
         self.txns = np.zeros(self.cells, dtype=np.int64)
         self.debits = np.zeros(self.cells, dtype=np.int64)
         # amount, amount squared; with flows credited, debited, interbank debited
-        self.sums = np.zeros((5 if flows else 2, len(index)), dtype=object)
+        self.sums = np.zeros((5 if flows else 2, customers), dtype=object)
         self.service_codes: dict[int, int] = {}
         # distinct (service, cell) keys, compacted once they pile up
         self.service_keys: list[np.ndarray] = []
@@ -225,12 +225,8 @@ class _Totals:
         self.runs = (array("i"), array("i"))
 
     def add(self, chunk: TransactionChunk) -> None:
-        code = self._codes(chunk.customer_id)
-        if (code < 0).any():
-            unknown = chunk.customer_id[np.flatnonzero(code < 0)[0]]
-            raise ValueError(f"customer {unknown!r} not in register")
         slot = chunk.month - self.first_month
-        cell = code * self.slots + np.where((slot >= 0) & (slot < self.months), slot, self.months)
+        cell = chunk.customer * self.slots + np.where((slot >= 0) & (slot < self.months), slot, self.months)
         order = np.argsort(cell, kind="stable")
         cell = cell[order]
         cents = chunk.cents[order]
@@ -267,22 +263,6 @@ class _Totals:
             self.events[1].frombytes(cents.tobytes())
             self.runs[0].frombytes(customer.astype(np.int32).tobytes())
             self.runs[1].frombytes(np.diff(np.r_[start, len(cell)]).astype(np.int32).tobytes())
-
-    def _codes(self, ids: np.ndarray) -> np.ndarray:
-        """The register positions of ``ids``, -1 for an id not in it.  Where
-        the first ids come in runs, as in a ledger grouped by customer, each
-        run of equal ids is looked up once."""
-        probe = ids[:RUN_PROBE]
-        if 2 * np.count_nonzero(_run_starts(probe)) > len(probe):
-            return np.fromiter(map(self.index.get, ids, repeat(-1)), np.int64, len(ids))
-        head = np.flatnonzero(_run_starts(ids))
-        code = np.fromiter(map(self.index.get, ids[head], repeat(-1)), np.int64, len(head))
-        return np.repeat(code, np.diff(np.r_[head, len(ids)]))
-
-    def __getstate__(self) -> dict:
-        # a worker's totals go back without the register index, which the
-        # parent holds
-        return {**vars(self), "index": None}
 
     def spill(self, dest: IO[bytes]) -> None:
         """Move the event logs to the file ``dest``, keeping their lengths,
@@ -386,7 +366,7 @@ def merge_totals(parts: Sequence[_Totals], spills: Sequence[IO[bytes]]) -> _Tota
 
 def aggregate(
     chunks: Iterable[TransactionChunk],
-    register: Mapping[str, CustomerRecord],
+    register: Register,
     window: Window,
     *,
     flows: bool,
@@ -394,7 +374,7 @@ def aggregate(
     """The totals of one stream of chunks, such as one range of a ledger."""
     if window.month_count() < 1:
         raise ValueError("analysis window must span at least one month")
-    totals = _Totals({cid: i for i, cid in enumerate(sorted(register))}, window, flows=flows)
+    totals = _Totals(len(register.ids), window, flows=flows)
     for chunk in chunks:
         if len(chunk):
             totals.add(chunk)
@@ -403,15 +383,14 @@ def aggregate(
 
 def profiles_of(
     totals: _Totals,
-    register: Mapping[str, CustomerRecord],
+    register: Register,
     window: Window,
     shards: int = 1,
 ) -> Profiles:
     """The profiles of the ``aggregate`` totals, in the register's order,
     FIFO-matched in ``shards`` shards."""
     flows = totals.flows
-    ids = sorted(register)
-    n, slots, months = len(ids), totals.slots, totals.months
+    n, slots, months = totals.customers, totals.slots, totals.months
     services_per_cell, services_total = totals.services()
     txns = totals.txns.reshape(n, slots)
     debits = totals.debits.reshape(n, slots)
@@ -432,12 +411,12 @@ def profiles_of(
             values.extend(_mean_std(months, total[c], sqsum[c]))
         sums = totals.sums[:, c]
         values.extend(_mean_std(n_txns[c], sums[0], sums[1], 100))
-        age_years = (window.end.date() - register[ids[c]].account_open_date).days / 365.25
+        age_years = (window.end.date() - register.opened[c]).days / 365.25
         values.extend((age_years, float(services_total[c])))
         if flows:
             values.extend(_phase2_extras(sums[2], sums[3], sums[4], weighted[c], matched[c], window))
         rows.append(values)
-    return Profiles(schema, tuple(ids[c] for c in customers),
+    return Profiles(schema, tuple(register.ids[c] for c in customers),
                     np.array(rows, dtype=np.float64).reshape(len(rows), len(schema)))
 
 
@@ -465,7 +444,7 @@ def _phase2_extras(
 
 def build_profiles_phase1(
     chunks: Iterable[TransactionChunk],
-    register: Mapping[str, CustomerRecord],
+    register: Register,
     window: Window,
 ) -> Profiles:
     """General activity profiles: monthly usage averages, dispersions, account age."""
@@ -474,7 +453,7 @@ def build_profiles_phase1(
 
 def build_profiles_phase2(
     chunks: Iterable[TransactionChunk],
-    register: Mapping[str, CustomerRecord],
+    register: Register,
     window: Window,
 ) -> Profiles:
     """Flow-oriented profiles: the general roster plus money-movement attributes.

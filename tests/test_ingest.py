@@ -17,10 +17,10 @@ from amlprofiler.ingest import (
     TRANSACTION_FIELDS,
     ColumnMapping,
     ConfigError,
-    CustomerRecord,
     FilterPolicy,
     FilterStats,
     LedgerRange,
+    Register,
     RowError,
     TooManyRowErrors,
     TransactionChunk,
@@ -53,19 +53,33 @@ def make_row(
     return f"{cid},acc1,{ts},{amount},{direction},{service},{ttype},{counterparty}\n"
 
 
+def register_of(ids):
+    """The register of ``ids``, every account opened on one day."""
+    return Register.of(dict.fromkeys(ids, date(2010, 1, 1)))
+
+
+def opened_on(register, cid):
+    return register.opened[register.code[cid]]
+
+
+def customer_ids(chunk, register):
+    return [register.ids[c] for c in chunk.customer.tolist()]
+
+
 def read_all(text, register=frozenset({"c1"}), **kw):
-    """All accepted rows as one chunk, and the reader."""
+    """All accepted rows as one chunk, and the reader, whose register holds
+    the ids ``register``."""
     reader = TransactionReader(io.BytesIO(text.encode("utf-8", "surrogateescape")),
-                               register=register, **kw)
+                               register=register_of(register), **kw)
     return concat(list(reader)), reader
 
 
 def concat(chunks):
-    return TransactionChunk.concat([TransactionChunk.from_records([]), *chunks])
+    return TransactionChunk.concat([TransactionChunk.from_records([], register_of(())), *chunks])
 
 
 def assert_chunks_equal(a, b):
-    for name in ("customer_id", "timestamp", "month", "cents", "service_code",
+    for name in ("customer", "timestamp", "month", "cents", "service_code",
                  "txn_type_code", "interbank"):
         assert getattr(a, name).tolist() == getattr(b, name).tolist(), name
 
@@ -74,7 +88,7 @@ class TestParseTransactions:
     def test_well_formed_row(self):
         chunk, reader = read_all(HEADER + make_row())
         assert len(chunk) == 1
-        assert chunk.customer_id.tolist() == ["c1"]
+        assert customer_ids(chunk, register_of({"c1"})) == ["c1"]
         assert chunk.cents.tolist() == [1000]  # credits are positive
         assert chunk.timestamp.tolist() == [(datetime(2014, 3, 5, 10) - datetime(1970, 1, 1)).total_seconds()]
         assert chunk.month.tolist() == [(2014 - 1970) * 12 + 2]
@@ -123,7 +137,7 @@ class TestParseTransactions:
                 parts.append(make_row(amount="bogus"))
             else:
                 parts.append(make_row(cid=f"c{i % 50}", amount=f"{(i % 90) + 1}.25"))
-        register = {f"c{i}" for i in range(50)}
+        register = register_of(f"c{i}" for i in range(50))
         reader = TransactionReader(io.BytesIO("".join(parts).encode()), register=register,
                                    error_cap=10)
         count = sum(len(chunk) for chunk in reader)
@@ -154,7 +168,36 @@ class TestParseTransactions:
         )
         text = "cust,acct,when,value,dir,svc,typ,bank\n" + make_row()
         chunk, _ = read_all(text, mapping=mapping)
-        assert chunk.customer_id.tolist() == ["c1"]
+        assert customer_ids(chunk, register_of({"c1"})) == ["c1"]
+
+
+class TestIsoForms:
+    """Timestamps and dates in the forms that ``fromisoformat`` reads on
+    Python 3.10 are read; the forms it reads only from 3.11 on are rejected
+    on every version, so the Python version does not change the profiles."""
+
+    LATER_TIMESTAMPS = ["20140305T100000", "2014-W10-3T10:00:00", "2014-03-05T10:00:00Z",
+                        "2014-03-05T1000", "2014-03-05T10:00:00,5"]
+    TIMESTAMPS = ["2014-03-05", "2014-03-05T10", "2014-03-05T10:00", "2014-03-05 10:00:00.500",
+                  "2014-03-05T10:00:00.250000"]
+
+    def test_timestamp_forms(self):
+        text = HEADER + "".join(make_row(ts=f'"{ts}"')  # quoted: one holds a comma
+                                for ts in self.LATER_TIMESTAMPS + self.TIMESTAMPS)
+        chunk, reader = read_all(text, window=WINDOW)
+        assert [(e.line_no, e.reason) for e in reader.errors] == [
+            (line, f"unparseable timestamp {ts!r}")
+            for line, ts in enumerate(self.LATER_TIMESTAMPS, start=2)]
+        assert reader.accepted == len(chunk) == len(self.TIMESTAMPS)
+
+    def test_register_date_forms(self):
+        text = "customer_id,account_open_date\nc1,20100501\nc2,2010-W18-6\nc3,2010-05-01\n"
+        customers, errors = parse_customers(io.BytesIO(text.encode()), window=WINDOW)
+        assert customers.ids == ("c3",)
+        assert [(e.line_no, e.reason) for e in errors] == [
+            (2, "unparseable account_open_date in ['c1', '20100501']"),
+            (3, "unparseable account_open_date in ['c2', '2010-W18-6']"),
+        ]
 
 
 class TestAmountParsing:
@@ -192,26 +235,33 @@ class TestRoundTrip:
         rows = csv.reader(io.StringIO(buf.getvalue()))
         idx = ColumnMapping.identity().resolve(next(rows))
         assert [_parse_row(row, idx, None) for row in rows] == records
-        chunk, reader = read_all(buf.getvalue(), register={r.customer_id for r in records})
+        ids = {r.customer_id for r in records}
+        chunk, reader = read_all(buf.getvalue(), register=ids)
         assert reader.rejected == 0
-        assert_chunks_equal(chunk, TransactionChunk.from_records(records))
+        assert_chunks_equal(chunk, TransactionChunk.from_records(records, register_of(ids)))
 
 
 class TestFilter:
+    @staticmethod
+    def register(codes):
+        return register_of(f"c{i}" for i in range(len(codes)))
+
     def chunks(self, codes):
-        """Two chunks holding rows with the given type codes."""
+        """Two chunks holding rows with the given type codes, customer ``c{i}``
+        at row ``i``."""
         records = [
             TransactionRecord(f"c{i}", "a", datetime(2014, 1, 2), 100, "credit", 1, code, None)
             for i, code in enumerate(codes)
         ]
-        half = len(records) // 2
-        return [TransactionChunk.from_records(records[:half]),
-                TransactionChunk.from_records(records[half:])]
+        half, register = len(records) // 2, self.register(codes)
+        return [TransactionChunk.from_records(records[:half], register),
+                TransactionChunk.from_records(records[half:], register)]
 
     def test_excludes_codes(self):
-        out = list(filter_insignificant(self.chunks([1, 99, 2]), FilterPolicy(frozenset({99}))))
+        codes = [1, 99, 2]
+        out = list(filter_insignificant(self.chunks(codes), FilterPolicy(frozenset({99}))))
         assert concat(out).txn_type_code.tolist() == [1, 2]
-        assert concat(out).customer_id.tolist() == ["c0", "c2"]
+        assert customer_ids(concat(out), self.register(codes)) == ["c0", "c2"]
 
     def test_empty_policy_is_identity(self):
         chunks = self.chunks([1, 2, 3])
@@ -256,14 +306,15 @@ class TestRegister:
     def test_parse(self):
         text = "customer_id,account_open_date\nc1,2010-05-01\nc2,2013-12-31\n"
         customers, errors = parse_customers(io.BytesIO(text.encode()), window=WINDOW)
-        assert set(customers) == {"c1", "c2"}
-        assert customers["c1"].account_open_date.year == 2010
+        assert customers.ids == ("c1", "c2")
+        assert customers.code == {"c1": 0, "c2": 1}
+        assert opened_on(customers, "c1").year == 2010
         assert errors == []
 
     def test_bad_date_collected(self):
         text = "customer_id,account_open_date\nc1,yesterday\n"
         customers, errors = parse_customers(io.BytesIO(text.encode()), window=WINDOW)
-        assert customers == {}
+        assert customers == Register.of({})
         assert errors[0].line_no == 2
 
     def test_row_too_short_for_customer_id_is_rejected(self):
@@ -271,7 +322,7 @@ class TestRegister:
         # holds a date but no id
         text = "account_open_date,customer_id\n2010-05-01,c1\n2011-01-01\n2012-02-02,c3\n"
         customers, errors = parse_customers(io.BytesIO(text.encode()), window=WINDOW)
-        assert set(customers) == {"c1", "c3"}
+        assert customers.ids == ("c1", "c3")
         assert [e.line_no for e in errors] == [3]
         assert "expected at least 2 columns" in errors[0].reason
 
@@ -282,8 +333,8 @@ class TestRegister:
         customers, errors = parse_customers(io.BytesIO(text.encode()), window=WINDOW)
         # opened on the last day: age 0; the day after: rejected, and the
         # later row for the same id is then the first accepted one
-        assert customers["c1"].account_open_date.isoformat() == "2014-12-31"
-        assert customers["c2"].account_open_date.isoformat() == "2013-01-01"
+        assert opened_on(customers, "c1").isoformat() == "2014-12-31"
+        assert opened_on(customers, "c2").isoformat() == "2013-01-01"
         assert [(e.line_no, e.reason) for e in errors] == [
             (3, "account_open_date 2015-01-01 is after the window end 2014-12-31"),
         ]
@@ -300,8 +351,8 @@ class TestRegisterDuplicates:
         text = ("customer_id,account_open_date\n"
                 "c1,2010-05-01\nc2,2011-01-01\nc1,2012-02-02\nc1,2013-03-03\n")
         customers, errors = parse_customers(io.BytesIO(text.encode()), window=WINDOW)
-        assert customers["c1"].account_open_date.year == 2010
-        assert set(customers) == {"c1", "c2"}
+        assert opened_on(customers, "c1").year == 2010
+        assert customers.ids == ("c1", "c2")
         assert [(e.line_no, e.reason) for e in errors] == [
             (4, "duplicate customer_id 'c1', first on line 2"),
             (5, "duplicate customer_id 'c1', first on line 2"),
@@ -354,7 +405,7 @@ def row_at_a_time(text, window, register, error_cap, delimiter=","):
 
 
 def row_tuples(chunk):
-    columns = (chunk.customer_id, chunk.timestamp, chunk.month, chunk.cents,
+    columns = (chunk.customer, chunk.timestamp, chunk.month, chunk.cents,
                chunk.service_code, chunk.txn_type_code, chunk.interbank)
     return sorted(zip(*(c.tolist() for c in columns)))
 
@@ -466,7 +517,8 @@ class TestColumnarReader:
         expected, expected_errors = row_at_a_time(text, DIFF_WINDOW, register, error_cap,
                                                   delimiter)
         reader = TransactionReader(io.BytesIO(ledger_bytes(text)), window=DIFF_WINDOW,
-                                   register=register, error_cap=error_cap, delimiter=delimiter)
+                                   register=register_of(register), error_cap=error_cap,
+                                   delimiter=delimiter)
         with mock.patch.object(ingest, "BLOCK_CHARS", block_chars):
             if expected is None:
                 with pytest.raises(TooManyRowErrors) as exc:
@@ -477,7 +529,8 @@ class TestColumnarReader:
         assert reader.errors == expected_errors
         assert reader.rejected == len(expected_errors)
         assert reader.accepted == len(expected)
-        assert row_tuples(concat(chunks)) == row_tuples(TransactionChunk.from_records(expected))
+        assert row_tuples(concat(chunks)) == row_tuples(
+            TransactionChunk.from_records(expected, register_of(register)))
 
     def test_canonical_rows_take_the_array_path(self):
         text = (HEADER + make_row() + make_row(direction="debit", counterparty="B")
@@ -512,7 +565,8 @@ class TestColumnarReader:
             chunk, reader = read_all(buf.getvalue(), window=WINDOW, register={"c1", "c2", "c3"})
         assert [r.line_num for r in readers] == [1]  # the header only
         assert reader.accepted == 60 and reader.rejected == 0
-        assert sorted(zip(chunk.customer_id.tolist(), chunk.cents.tolist())) == sorted(
+        ids = customer_ids(chunk, register_of({"c1", "c2", "c3"}))
+        assert sorted(zip(ids, chunk.cents.tolist())) == sorted(
             (f"c{i % 3 + 1}", (i * 100 + 125) * (1, -1)[i % 2]) for i in range(60))
 
     def test_nul_is_an_ordinary_byte(self):
@@ -544,10 +598,15 @@ class TestColumnarReader:
 # ---------------------------------------------------------------------------
 # The register's records against csv.reader over its text
 
+# The one date form a register row may use on every Python version
+ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
 def register_at_a_time(text, window, error_cap, delimiter):
-    """Customers and errors of a sequential parse of the register text with
-    ``csv.reader``, which hands NUL as ``NUL_STAND_IN``, as ``row_at_a_time``
-    does, or None and the errors when it aborts."""
+    """Account-open dates by customer id and errors of a sequential parse of
+    the register text with ``csv.reader``, which hands NUL as
+    ``NUL_STAND_IN``, as ``row_at_a_time`` does, or None and the errors when
+    it aborts."""
     reader = csv.reader(io.StringIO(text.replace("\0", NUL_STAND_IN), newline=""),
                         delimiter=delimiter)
     idx = ColumnMapping.identity(CUSTOMER_FIELDS).resolve(next(reader))
@@ -572,6 +631,8 @@ def register_at_a_time(text, window, error_cap, delimiter):
                 reason = f"expected at least {n_cols} columns, got {len(row)}"
             else:
                 try:
+                    if not ISO_DATE.fullmatch(row[idx["account_open_date"]]):
+                        raise ValueError
                     opened = date.fromisoformat(row[idx["account_open_date"]])
                 except ValueError:
                     reason = f"unparseable account_open_date in {row!r}"
@@ -583,7 +644,7 @@ def register_at_a_time(text, window, error_cap, delimiter):
                         reason = f"duplicate customer_id {cid!r}, first on line {first_lines[cid]}"
                     else:
                         first_lines[cid] = line_no
-                        customers[cid] = CustomerRecord(cid, opened)
+                        customers[cid] = opened
                         continue
         errors.append(RowError(line_no, reason, "register", cid))
         if len(errors) > error_cap:
@@ -615,7 +676,7 @@ def mutated_registers(draw):
         "account_open_date": st.sampled_from([
             "2010-05-01", "2014-12-31", "2013-02-28",  # good
             "2014-02-29", "2010-13-01", "yesterday", "", " 2010-05-01", "2010-05-01T00:00",
-            "20100501", "2010-05-01\x00", "٢٠١٠-05-01",  # bad
+            "20100501", "2010-W18-6", "2010-05-01\x00", "٢٠١٠-05-01",  # bad
             "2015-01-01", "9999-12-31",  # after the window end
         ]),
         "note": st.sampled_from(["", "x"]),
@@ -683,7 +744,7 @@ class TestRegisterParity:
         finally:
             csv.field_size_limit(limit)
         assert errors == expected_errors
-        assert customers == expected
+        assert customers == Register.of(expected)
 
 
 def record_starts(data, delimiter=","):
@@ -751,7 +812,7 @@ class TestLedgerRanges:
         cuts = sorted({starts[p % len(starts)] for p in cut_picks} if starts else set())
         ranges = [LedgerRange(header, a, b)
                   for a, b in zip([header, *cuts], [*cuts, len(data)])]
-        kw = dict(window=DIFF_WINDOW, register=REGISTER_IDS, error_cap=error_cap,
+        kw = dict(window=DIFF_WINDOW, register=register_of(REGISTER_IDS), error_cap=error_cap,
                   delimiter=delimiter)
         with tempfile.TemporaryDirectory() as tmp, \
                 mock.patch.object(ingest, "BLOCK_CHARS", block_chars):
@@ -812,7 +873,7 @@ class TestLedgerRanges:
             ranges = ledger_ranges(path, 4)
         assert len(ranges) == 4
         assert all(data[r.start] != ord("\n") for r in ranges)
-        kw = dict(window=WINDOW, register={"c1", "c2", "c3"})
+        kw = dict(window=WINDOW, register=register_of({"c1", "c2", "c3"}))
         with open(path, "rb") as fh:
             whole = TransactionReader(fh, **kw)
             list(whole)
@@ -847,7 +908,7 @@ class TestLedgerRanges:
         starts = record_starts(data, delimiter)
         assert ranges[0].header == starts[1]
         assert {r.start for r in ranges} < set(starts)
-        kw = dict(window=WINDOW, register={"c1", "c2", "c3"}, delimiter=delimiter)
+        kw = dict(window=WINDOW, register=register_of({"c1", "c2", "c3"}), delimiter=delimiter)
         parts = self.read(path, ranges, **kw)
         assert sum(r.accepted for _, r, _ in parts) == 300
         assert sum(r.records for _, r, _ in parts) == 300

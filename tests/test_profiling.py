@@ -6,21 +6,23 @@ import random
 import tempfile
 import time
 from collections import deque
-from datetime import date, datetime
+from datetime import date, datetime, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amlprofiler import parallel
+from amlprofiler import ingest, parallel
 from amlprofiler.ingest import (
     MAX_AMOUNT_CENTS,
-    CustomerRecord,
+    Register,
     TransactionChunk,
     TransactionRecord,
     TransactionReader,
     Window,
+    parse_customers,
     write_transactions,
 )
 from amlprofiler.profiling import (
@@ -52,8 +54,8 @@ def txn(cid, month, day, amount_cents, direction, svc=1, ttype=1, cp=None, hour=
     )
 
 
-def chunked(txns):
-    return [TransactionChunk.from_records(txns)]
+def chunked(txns, register):
+    return [TransactionChunk.from_records(txns, register)]
 
 
 def by_name(profiles, cid, name):
@@ -177,16 +179,16 @@ class TestPhase1:
         txns.append(txn("B", 2, 2, 2000, "credit", svc=5))
         # C: a single transaction
         txns.append(txn("C", 2, 14, 700, "debit", svc=3))
-        register = {
-            "A": CustomerRecord("A", date(2010, 1, 1)),
-            "B": CustomerRecord("B", date(2012, 7, 1)),
-            "C": CustomerRecord("C", date(2014, 1, 2)),
-        }
+        register = Register.of({
+            "A": date(2010, 1, 1),
+            "B": date(2012, 7, 1),
+            "C": date(2014, 1, 2),
+        })
         return txns, register
 
     def test_monthly_average_forced(self):
         txns, register = self.ledger()
-        profiles = build_profiles_phase1(chunked(txns), register, Q1)
+        profiles = build_profiles_phase1(chunked(txns, register), register, Q1)
         assert by_name(profiles, "A", "monthly_txns_avg") == 2.0
         assert by_name(profiles, "A", "monthly_credits_avg") == 2.0
         assert by_name(profiles, "A", "monthly_debits_avg") == 0.0
@@ -194,7 +196,7 @@ class TestPhase1:
 
     def test_zero_variance_customer(self):
         txns, register = self.ledger()
-        profiles = build_profiles_phase1(chunked(txns), register, Q1)
+        profiles = build_profiles_phase1(chunked(txns, register), register, Q1)
         for name in profiles.schema.names:
             if name.endswith("_std"):
                 assert by_name(profiles, "A", name) == 0.0
@@ -202,7 +204,7 @@ class TestPhase1:
     def test_constructed_ledger_exact_table(self):
         # expectations hand-aggregated from the ledger definition
         txns, register = self.ledger()
-        profiles = build_profiles_phase1(chunked(txns), register, Q1)
+        profiles = build_profiles_phase1(chunked(txns, register), register, Q1)
         assert by_name(profiles, "B", "monthly_txns_avg") == pytest.approx(4 / 3)
         assert by_name(profiles, "B", "monthly_txns_std") == pytest.approx(math.sqrt(14) / 3)
         assert by_name(profiles, "B", "monthly_debits_avg") == pytest.approx(2 / 3)
@@ -219,7 +221,7 @@ class TestPhase1:
 
     def test_profile_count_equals_distinct_customers(self):
         txns, register = self.ledger()
-        profiles = build_profiles_phase1(chunked(txns), register, Q1)
+        profiles = build_profiles_phase1(chunked(txns, register), register, Q1)
         assert sorted(profiles.ids) == ["A", "B", "C"]
 
     def test_unknown_customer_rejected(self):
@@ -235,19 +237,20 @@ class TestPhase1:
         ]
         assert sorted(profiles.ids) == ["A", "B", "C"]
         with pytest.raises(ValueError, match="GHOST"):
-            build_profiles_phase1(chunked(txns), register, Q1)
+            build_profiles_phase1(chunked(txns, register), register, Q1)
 
 
 class TestPhase2:
     def register(self, *cids):
-        return {c: CustomerRecord(c, date(2013, 1, 1)) for c in cids}
+        return Register.of({c: date(2013, 1, 1) for c in cids})
 
     def test_same_day_passthrough_lag_zero(self):
         txns = [
             txn("P", 1, 5, 100000, "credit"),
             txn("P", 1, 5, 100000, "debit", cp="BANK_02"),
         ]
-        profiles = build_profiles_phase2(chunked(txns), self.register("P"), Q1)
+        register = self.register("P")
+        profiles = build_profiles_phase2(chunked(txns, register), register, Q1)
         assert by_name(profiles, "P", "in_out_lag_days") == 0.0
 
     def test_all_interbank_debits_ratio_one(self):
@@ -256,7 +259,8 @@ class TestPhase2:
             txn("P", 1, 8, 3000, "debit", cp="BANK_01"),
             txn("P", 2, 9, 2000, "debit", cp="BANK_07"),
         ]
-        profiles = build_profiles_phase2(chunked(txns), self.register("P"), Q1)
+        register = self.register("P")
+        profiles = build_profiles_phase2(chunked(txns, register), register, Q1)
         assert by_name(profiles, "P", "interbank_outflow_ratio") == 1.0
         assert by_name(profiles, "P", "intrabank_transfer_ratio") == 0.0
 
@@ -268,12 +272,14 @@ class TestPhase2:
             txn("F", 1, 10, 10000, "credit"),
             txn("F", 1, 11, 20000, "debit"),
         ]
-        profiles = build_profiles_phase2(chunked(txns), self.register("F"), Q1)
+        register = self.register("F")
+        profiles = build_profiles_phase2(chunked(txns, register), register, Q1)
         assert by_name(profiles, "F", "in_out_lag_days") == pytest.approx(5.5)
 
     def test_zero_debit_sentinel_is_window_length(self):
         txns = [txn("S", 1, 5, 1000, "credit")]
-        profiles = build_profiles_phase2(chunked(txns), self.register("S"), Q1)
+        register = self.register("S")
+        profiles = build_profiles_phase2(chunked(txns, register), register, Q1)
         assert by_name(profiles, "S", "in_out_lag_days") == pytest.approx(Q1.days)
 
     def test_totals_and_share(self):
@@ -282,7 +288,8 @@ class TestPhase2:
             txn("T", 1, 20, 10000, "debit"),
             txn("T", 2, 3, 10000, "debit", cp="BANK_01"),
         ]
-        profiles = build_profiles_phase2(chunked(txns), self.register("T"), Q1)
+        register = self.register("T")
+        profiles = build_profiles_phase2(chunked(txns, register), register, Q1)
         assert by_name(profiles, "T", "total_credited") == 300.0
         assert by_name(profiles, "T", "total_debited") == 200.0
         assert by_name(profiles, "T", "outflow_share") == pytest.approx(0.4)
@@ -317,7 +324,7 @@ class TestPhase2:
         ledger_csv = io.StringIO()
         write_transactions(shuffled, ledger_csv)
         with host_zone("UTC"):
-            base = build_profiles_phase2(chunked(txns), register, EPOCH_WINDOW)
+            base = build_profiles_phase2(chunked(txns, register), register, EPOCH_WINDOW)
         for zone in ("UTC", "EST5EDT,M3.2.0,M11.1.0"):
             with host_zone(zone):
                 reader = TransactionReader(io.BytesIO(ledger_csv.getvalue().encode()), window=EPOCH_WINDOW,
@@ -329,8 +336,9 @@ class TestPhase2:
 
     def test_credit_matches_before_debit_at_equal_timestamps(self):
         credit, debit = txn("T", 2, 5, 100, "credit"), txn("T", 2, 5, 100, "debit")
-        credit_first = build_profiles_phase2(chunked([credit, debit]), self.register("T"), Q1)
-        debit_first = build_profiles_phase2(chunked([debit, credit]), self.register("T"), Q1)
+        register = self.register("T")
+        credit_first = build_profiles_phase2(chunked([credit, debit], register), register, Q1)
+        debit_first = build_profiles_phase2(chunked([debit, credit], register), register, Q1)
         assert debit_first.values.tolist() == credit_first.values.tolist()
         assert by_name(debit_first, "T", "in_out_lag_days") == 0.0
 
@@ -340,8 +348,8 @@ class TestPhase2:
             TransactionRecord("P", "acc_P", datetime(1965, 1, 5, 10), 100, "credit", 1, 1, None),
             TransactionRecord("P", "acc_P", datetime(1965, 1, 7, 10), 100, "debit", 1, 1, None),
         ]
-        register = {"P": CustomerRecord("P", date(1960, 1, 1))}
-        profiles = build_profiles_phase2(chunked(txns), register, window)
+        register = Register.of({"P": date(1960, 1, 1)})
+        profiles = build_profiles_phase2(chunked(txns, register), register, window)
         assert by_name(profiles, "P", "in_out_lag_days") == 2.0
 
     def test_host_time_zone_does_not_change_lag(self):
@@ -351,7 +359,8 @@ class TestPhase2:
         lags = []
         for zone in ("UTC", "EST5EDT,M3.2.0,M11.1.0"):
             with host_zone(zone):
-                profiles = build_profiles_phase2(chunked(txns), self.register("T"), Q1)
+                register = self.register("T")
+                profiles = build_profiles_phase2(chunked(txns, register), register, Q1)
             lags.append(by_name(profiles, "T", "in_out_lag_days"))
         assert lags == [2.0, 2.0]
 
@@ -368,7 +377,8 @@ class TestPhase2:
         # the exact integers
         amounts = [MAX_AMOUNT_CENTS, MAX_AMOUNT_CENTS - 1, MAX_AMOUNT_CENTS // 3, 12345]
         txns = [txn("T", 1, 1 + i, c, ("credit", "debit")[i % 2]) for i, c in enumerate(amounts)]
-        profiles = build_profiles_phase2(chunked(txns), self.register("T"), Q1)
+        register = self.register("T")
+        profiles = build_profiles_phase2(chunked(txns, register), register, Q1)
         n, total, sqsum = len(amounts), sum(amounts), sum(c * c for c in amounts)
         assert sqsum > 2**63
         assert by_name(profiles, "T", "amount_avg") == total / (n * 100)
@@ -379,7 +389,7 @@ class TestPhase2:
     def test_invariant_ranges(self):
         rng = random.Random(11)
         txns, register = self.ledger_many(rng)
-        profiles = build_profiles_phase2(chunked(txns), register, Q1)
+        profiles = build_profiles_phase2(chunked(txns, register), register, Q1)
         for cid in profiles.ids:
             for name in ("interbank_outflow_ratio", "intrabank_transfer_ratio", "outflow_share"):
                 assert 0.0 <= by_name(profiles, cid, name) <= 1.0
@@ -401,8 +411,7 @@ class TestRangesAndShards:
                     cp="BANK_01" if rng.random() < 0.3 else None, hour=rng.choice([0, 10, 23]))
                 for _ in range(rng.randint(0, 120))]
         # customers 0..customers-1 and two more that have no rows
-        register = {f"c{i}": CustomerRecord(f"c{i}", date(2013, 1, 1))
-                    for i in range(customers + 2)}
+        register = Register.of({f"c{i}": date(2013, 1, 1) for i in range(customers + 2)})
         return txns, register
 
     @pytest.mark.parametrize("fork", [False, True])
@@ -410,7 +419,8 @@ class TestRangesAndShards:
     def test_sharded_lags_equal_the_serial_loop(self, monkeypatch, fork, seed):
         monkeypatch.setattr(parallel, "fork_allowed", fork)
         txns, register = self.ledger(seed)
-        chunks = [TransactionChunk.from_records(txns[i : i + 17]) for i in range(0, len(txns), 17)]
+        chunks = [TransactionChunk.from_records(txns[i : i + 17], register)
+                  for i in range(0, len(txns), 17)]
         totals = aggregate(chunks, register, Q1, flows=True)
         serial = totals.lags(1)
         for shards in range(2, 8):
@@ -423,7 +433,7 @@ class TestRangesAndShards:
     def test_merged_streams_give_the_one_stream_profiles(self, flows, seed):
         txns, register = self.ledger(seed)
         build = build_profiles_phase2 if flows else build_profiles_phase1
-        whole = build([TransactionChunk.from_records(txns)], register, Q1)
+        whole = build([TransactionChunk.from_records(txns, register)], register, Q1)
         rng = random.Random(seed)
         cuts = sorted(rng.randint(0, len(txns)) for _ in range(rng.randint(1, 4)))
         streams = [txns[a:b] for a, b in zip([0, *cuts], [*cuts, len(txns)])]
@@ -431,7 +441,8 @@ class TestRangesAndShards:
         try:
             parts = []
             for stream, spill in zip(streams, spills):
-                part = aggregate([TransactionChunk.from_records(stream)], register, Q1, flows=flows)
+                part = aggregate([TransactionChunk.from_records(stream, register)], register, Q1,
+                                 flows=flows)
                 part.spill(spill)
                 parts.append(part)
             totals = merge_totals(parts, spills)
@@ -466,6 +477,54 @@ def cuts_of(*cut_points):
 
 def nominal_bins(profiles, dschema, column=0):
     return apply_discretization(profiles, dschema).values[:, column].tolist()
+
+
+class TestRegisterPositions:
+    """Ledger rows reach the totals as register positions, whichever way
+    the reader reads them."""
+
+    REGISTER = ('customer_id,account_open_date\nc1,2010-01-01\nc2,2011-02-03\n'
+                '"c""5",2012-03-04\nc3,2013-04-05\nc9,2014-13-01\n')
+    # (the id as written, the id)
+    CUSTOMERS = [("c1", "c1"), ('"c2"', "c2"), ("c3", "c3"), ('"c""5"', 'c"5'), ("c9", "c9")]
+    # "Credit " and an id with a quote in it take _parse_row, and so do the
+    # rows of c9, whose register row is rejected
+    DIRECTIONS = ["credit", "debit", "Credit ", "debit"]
+
+    def test_mixed_block_in_posting_order(self):
+        register, reg_errors = parse_customers(io.BytesIO(self.REGISTER.encode()), window=Q1)
+        assert register.ids == ('c"5', "c1", "c2", "c3")
+        rejected = {e.customer_id for e in reg_errors} - register.code.keys()
+        assert rejected == {"c9"}
+        rows, expected, slow = [], {}, 0
+        for i in range(60):
+            written, cid = self.CUSTOMERS[i % len(self.CUSTOMERS)]
+            direction = self.DIRECTIONS[i % len(self.DIRECTIONS)]
+            ts = (datetime(2014, 1, 1) + timedelta(hours=30 * i)).isoformat()
+            rows.append((cid, f"{written},a,{ts},{i + 1}.{i:02d},{direction},{i % 3},1,\n"))
+            if cid != "c9":
+                cents = (i + 1) * 100 + i
+                expected[cents if direction.strip().lower() == "credit" else -cents] = register.code[cid]
+            slow += direction != direction.strip() or cid in ('c"5', "c9")
+        header = ",".join(ingest.TRANSACTION_FIELDS) + "\n"
+
+        def read(lines):
+            return TransactionReader(io.BytesIO((header + "".join(lines)).encode()), window=Q1,
+                                     register=register, rejected_customers=rejected)
+
+        posted = read([line for _, line in rows])
+        with mock.patch.object(ingest, "_parse_row", wraps=ingest._parse_row) as parse_row:
+            chunks = list(posted)
+        assert len(chunks) == 1  # one block
+        assert parse_row.call_count == slow
+        assert posted.errors == [] and posted.dropped == 12
+        assert dict(zip(chunks[0].cents.tolist(), chunks[0].customer.tolist())) == expected
+        grouped = [line for _, line in sorted(rows, key=lambda row: row[0])]
+        for build in (build_profiles_phase1, build_profiles_phase2):
+            want = build(read(grouped), register, Q1)
+            got = build(chunks, register, Q1)
+            assert got.ids == want.ids == register.ids
+            assert got.values.tolist() == want.values.tolist()
 
 
 class TestPersistence:

@@ -100,7 +100,7 @@ class TestGeneratedLedgerQuality:
         assert len(chunk) > 0
         # per-customer chronological order
         last = {}
-        for cid, ts in zip(chunk.customer_id.tolist(), chunk.timestamp.tolist()):
+        for cid, ts in zip(chunk.customer.tolist(), chunk.timestamp.tolist()):
             if cid in last:
                 assert ts >= last[cid]
             last[cid] = ts
