@@ -139,12 +139,6 @@ def distances(
     return out
 
 
-def distances_to(
-    X: np.ndarray, center: np.ndarray, kind: str, nominal_cols: np.ndarray
-) -> np.ndarray:
-    return distances(X, center[None, :], kind, nominal_cols)[0]
-
-
 def pairwise_distances(
     X: np.ndarray, kind: str, schema: AttributeSchema, rows: slice = slice(None)
 ) -> np.ndarray:
@@ -171,7 +165,7 @@ def seed_indices(X: np.ndarray, k: int, kind: str, nominal_cols: np.ndarray, rng
     n = X.shape[0]
     trials = 2 + 2 * int(math.log2(k)) if k > 1 else 1
     chosen = [int(rng.integers(n))]
-    best = distances_to(X, X[chosen[0]], kind, nominal_cols) ** 2
+    best = distances(X, X[chosen[0]][None, :], kind, nominal_cols)[0] ** 2
     while len(chosen) < k:
         total = best.sum()
         if total <= 0:

@@ -1,5 +1,4 @@
-"""Model evaluation: splits, confusion matrices, kappa, ROC, and the
-classes-to-clusters check.
+"""Model evaluation: splits, confusion matrices, kappa and ROC.
 
 A classifier here is anything with ``predict(X)``, ``class_scores(X)``,
 ``classes`` and ``number_of_rules`` (rule sets and decision trees both
@@ -17,8 +16,6 @@ from typing import IO, Callable, Optional, Sequence
 
 import numpy as np
 
-from . import clustering
-from .clustering import ClusterModel
 from .parallel import pmap
 
 log = logging.getLogger(__name__)
@@ -353,28 +350,6 @@ def evaluate_inducer(
         train_idx, test_idx = holdout_split(X.shape[0], spec, y)
         return evaluate(inducer(X[train_idx], y[train_idx]), X[test_idx], y[test_idx])
     return cross_validate(inducer, X, y, spec).pooled
-
-
-def classes_to_clusters(
-    model: ClusterModel, X: np.ndarray, ref_labels: np.ndarray
-) -> tuple[float, dict[int, int]]:
-    """Map each cluster to its majority reference label and score mismatches.
-
-    Ties go to the lowest label.  Returns (incorrect rate, cluster->label).
-    """
-    assigned = clustering.assign(model, X)
-    ref = np.asarray(ref_labels)
-    mapping: dict[int, int] = {}
-    incorrect = 0
-    for cluster in range(model.k):
-        members = ref[assigned == cluster]
-        if members.size == 0:
-            continue
-        labels, counts = np.unique(members, return_counts=True)
-        best = labels[np.argmax(counts)]  # unique() sorts, argmax takes first max
-        mapping[cluster] = int(best)
-        incorrect += int((members != best).sum())
-    return incorrect / ref.size, mapping
 
 
 GRID_COLUMNS = (

@@ -11,8 +11,8 @@ about ``BLOCK_CHARS`` bytes that end on a line end (``\\n``, ``\\r\\n`` or a
 lone ``\\r``) and finds each block's structure with numpy: from the runs
 of adjacent quotes it tells which bytes lie inside quoted fields, as
 ``csv.reader``'s states do, and the line ends and delimiters outside them
-end the records and fields.  Ledger rows in the canonical form that
-``write_transactions`` produces, quoted or not, are converted by one set of
+end the records and fields.  Ledger rows in the canonical form, the one
+that ``synth`` writes, quoted or not, are converted by one set of
 array conversions, which take a byte matrix per field; every other ledger
 row, and every register row, is cut into fields at the same ends (a quoted
 field loses its quotes, and ``""`` in it becomes ``"``) and judged on its
@@ -80,6 +80,8 @@ EPOCH = datetime(1970, 1, 1)
 # UTF-8 to; no valid UTF-8 text holds one.
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 NOT_UTF8 = "line is not valid UTF-8"
+# Decoding with surrogateescape gives \udc80-\udcff only, so no text holds this
+_NUL_STAND_IN = "\udc00"
 # The forms that datetime.fromisoformat and date.fromisoformat read on Python
 # 3.10, where "*" is any one character:
 # YYYY-MM-DD[*HH[:MM[:SS[.fff[fff]]]][+HH:MM[:SS[.ffffff]]]] and YYYY-MM-DD.
@@ -101,7 +103,6 @@ class TooManyRowErrors(RuntimeError):
     def __init__(self, errors: list["RowError"], cap: int):
         super().__init__(f"aborted after {len(errors)} malformed rows (cap {cap})")
         self.errors = errors
-        self.cap = cap
 
 
 class RowError(NamedTuple):
@@ -171,7 +172,12 @@ class Window:
 
     @staticmethod
     def from_json(obj: dict) -> "Window":
+        """The window of two bounds in ``_TIMESTAMP_FORM``; an end in
+        ``_DATE_FORM`` means that whole day."""
         try:
+            for bound in ("start", "end"):
+                if not _TIMESTAMP_FORM.fullmatch(obj[bound]):
+                    raise ValueError(f"{bound} {obj[bound]!r} is not YYYY-MM-DD[THH[:MM[:SS]]]")
             start = datetime.fromisoformat(obj["start"])
             end = datetime.fromisoformat(obj["end"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -179,8 +185,7 @@ class Window:
         if start.tzinfo is not None or end.tzinfo is not None:
             raise ConfigError(f"bad window spec {obj!r}: a bound has a UTC offset; "
                               "expected naive dates or datetimes")
-        # A bare date for the end bound means "whole day".
-        if len(obj["end"]) == 10:
+        if _DATE_FORM.fullmatch(obj["end"]):
             end = end + timedelta(days=1) - timedelta(seconds=1)
         return Window(start, end)
 
@@ -343,14 +348,6 @@ class TransactionChunk:
         return TransactionChunk(
             *(np.concatenate([getattr(c, f.name) for c in chunks]) for f in fields(TransactionChunk))
         )
-
-    @staticmethod
-    def from_records(records: Sequence[TransactionRecord], register: Register) -> "TransactionChunk":
-        """The chunk of ``records``; a ValueError names an id not in ``register``."""
-        customer = [register.code.get(r.customer_id, -1) for r in records]
-        if -1 in customer:
-            raise ValueError(f"customer {records[customer.index(-1)].customer_id!r} not in register")
-        return TransactionChunk._of(records, customer)
 
     @staticmethod
     def _of(records: Sequence[TransactionRecord], customer: Sequence[int]) -> "TransactionChunk":
@@ -516,15 +513,18 @@ class _Ledger:
     def rows(self, delimiter: str) -> Iterator[list[str]]:
         """``csv.reader`` over the unread lines, decoded with
         ``errors="surrogateescape"``.  Each line is taken as the reader asks
-        for it, so what it has not read stays unread."""
+        for it, so what it has not read stays unread.  ``csv.reader`` before
+        Python 3.11 raises on NUL, so a NUL reaches it as ``_NUL_STAND_IN``
+        and is a NUL again in the fields it returns."""
 
         def lines() -> Iterator[str]:
             while block := self.block(1):
                 for line in _LINE.finditer(block):
                     self.take(len(line[0]))
-                    yield str(line[0], "utf-8", "surrogateescape")
+                    yield str(line[0], "utf-8", "surrogateescape").replace("\0", _NUL_STAND_IN)
 
-        return csv.reader(lines(), delimiter=delimiter)
+        return ([f.replace(_NUL_STAND_IN, "\0") for f in row]
+                for row in csv.reader(lines(), delimiter=delimiter))
 
     def header(self, delimiter: str, name: str) -> list[str]:
         """The header's fields; a ``ConfigError`` that names the ``name``
@@ -1029,28 +1029,6 @@ def format_amount(cents: int) -> str:
     sign = "-" if cents < 0 else ""
     cents = abs(cents)
     return f"{sign}{cents // 100}.{cents % 100:02d}"
-
-
-def write_transactions(records: Iterable[TransactionRecord], dest: IO[str]) -> int:
-    """Serialize records back to CSV; ``TransactionReader`` reads them."""
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(TRANSACTION_FIELDS)
-    n = 0
-    for r in records:
-        writer.writerow(
-            [
-                r.customer_id,
-                r.account_id,
-                r.timestamp.isoformat(),
-                format_amount(r.amount_cents),
-                r.direction,
-                r.service_code,
-                r.txn_type_code,
-                r.counterparty_bank or "",
-            ]
-        )
-        n += 1
-    return n
 
 
 def write_rejections(errors: Iterable[RowError], dest: IO[str]) -> None:

@@ -78,9 +78,6 @@ class AttributeSchema:
     def names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.attributes)
 
-    def index(self, name: str) -> int:
-        return self.names.index(name)
-
     def numeric_mask(self) -> np.ndarray:
         return np.array([a.kind == NUMERIC for a in self.attributes], dtype=bool)
 
@@ -499,20 +496,17 @@ THREE_LEVELS = ("low", "mid", "high")
 TWO_LEVELS = ("low", "high")
 
 
-def fit_discretization(profiles: Profiles,
-                       concentration_threshold: float = 1.0 / 3.0) -> DiscretizationSchema:
+def fit_discretization(profiles: Profiles) -> DiscretizationSchema:
     """Fit equal-frequency bins per numeric attribute.
 
     Three bins split at the 1/3 and 2/3 empirical quantiles. When one value
-    concentrates more than ``concentration_threshold`` of the mass, three
-    equal bins are impossible and the attribute falls back to a two-way
-    split at that value.  Constant attributes cannot be discretized and are
-    reported as skipped.
+    concentrates more than a third of the mass, three equal bins are
+    impossible and the attribute falls back to a two-way split at that
+    value.  Constant attributes cannot be discretized and are reported as
+    skipped.
     """
     if not len(profiles):
         raise ValueError("cannot fit discretization on an empty profile set")
-    if not 0.0 < concentration_threshold <= 1.0:
-        raise ValueError("concentration_threshold must be in (0, 1]")
     cuts: list[AttributeCuts] = []
     skipped: list[str] = []
     for j, attr in enumerate(profiles.schema.attributes):
@@ -526,17 +520,13 @@ def fit_discretization(profiles: Profiles,
             continue
         uniq, counts = np.unique(values, return_counts=True)
         modal_idx = int(np.argmax(counts))
-        if counts[modal_idx] / n > concentration_threshold:
+        if 3 * counts[modal_idx] > n:
             cuts.append(AttributeCuts(attr.name, (_two_way_cut(uniq, modal_idx),), TWO_LEVELS))
             continue
+        # c1 < c2: a value at both cuts fills places ceil(n/3)-1 through
+        # ceil(2n/3)-1, more than n/3 of them, so the test above took it
         c1 = float(values[math.ceil(n / 3) - 1])
         c2 = float(values[math.ceil(2 * n / 3) - 1])
-        if c1 == c2:
-            # One value straddles both tertile boundaries (possible when the
-            # threshold is above 1/3); a two-way split is the best we can do.
-            uniq_idx = int(np.searchsorted(uniq, c1))
-            cuts.append(AttributeCuts(attr.name, (_two_way_cut(uniq, uniq_idx),), TWO_LEVELS))
-            continue
         cuts.append(AttributeCuts(attr.name, (c1, c2), THREE_LEVELS))
     return DiscretizationSchema(tuple(cuts), tuple(skipped))
 

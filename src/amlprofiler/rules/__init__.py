@@ -11,10 +11,9 @@ from .model import (
     render_ruleset,
     ruleset_from_json,
     ruleset_to_json,
-    structural_violations,
     write_knowledge_base,
 )
-from .tree import DecisionTree, build_tree, split_score, tree_to_rules
+from .tree import DecisionTree, build_tree, tree_to_rules
 from .part import part_induce
 from .ripper import foil_gain, ripper_induce
 
@@ -34,8 +33,6 @@ __all__ = [
     "ripper_induce",
     "ruleset_from_json",
     "ruleset_to_json",
-    "split_score",
-    "structural_violations",
     "tree_to_rules",
     "write_knowledge_base",
 ]

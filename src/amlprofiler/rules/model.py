@@ -210,33 +210,6 @@ class RuleSet:
         return laplace_table(counts)[self._deciding_rule(X)]
 
 
-def structural_violations(ruleset: RuleSet) -> list[str]:
-    """Detect contradictory numeric bounds and duplicate equality tests.
-
-    Clean output here is the quality bar for the exported knowledge base:
-    a rule must never test one attribute twice in the same direction nor
-    carry an empty numeric interval.
-    """
-    problems = []
-    for i, rule in enumerate(ruleset.rules):
-        seen: dict[tuple[int, str], float] = {}
-        for c in rule.conditions:
-            key = (c.attr, c.op)
-            if key in seen:
-                problems.append(f"rule {i}: attribute {c.attr} tested twice with {c.op}")
-            seen[key] = c.value
-        for attr in {c.attr for c in rule.conditions}:
-            lo = seen.get((attr, OP_GT))
-            hi = seen.get((attr, OP_LE))
-            if lo is not None and hi is not None and lo >= hi:
-                problems.append(
-                    f"rule {i}: contradictory bounds on attribute {attr} ({lo} >= {hi})"
-                )
-            if (attr, OP_EQ) in seen and (lo is not None or hi is not None):
-                problems.append(f"rule {i}: attribute {attr} mixes equality and bounds")
-    return problems
-
-
 def render_ruleset(ruleset: RuleSet) -> str:
     """Human-readable decision list, one rule per line."""
     schema = ruleset.schema

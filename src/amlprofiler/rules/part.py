@@ -179,9 +179,6 @@ def part_induce(
                 # Remainder is pure: one catch-all rule closes the list.
                 pure_cls = classes[int(np.argmax(node_counts))]
                 rules.append(covered_rule((), pure_cls, y_pos[remaining], n_classes))
-                remaining = np.empty(0, dtype=np.int64)
-                default_pos = global_majority
-                default_counts = global_counts
             else:
                 # Coverage floor (or pruning) stopped expansion; the rest is
                 # handled by the default class.
@@ -200,9 +197,6 @@ def part_induce(
         remaining = remaining[~mask]
         iteration += 1
 
-    if remaining.size == 0 and not rules:
-        default_pos = global_majority
-        default_counts = global_counts
     return RuleSet(
         rules=rules,
         default_class=classes[default_pos],

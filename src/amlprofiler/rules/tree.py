@@ -32,7 +32,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from ..evaluation import _stratified_take
-from ..profiling import NUMERIC, AttributeSchema
+from ..profiling import AttributeSchema
 from .model import (
     OP_EQ,
     OP_GT,
@@ -262,35 +262,6 @@ def _choose_split(
     avg_gain = sum(c.gain for c in candidates) / len(candidates)
     admissible = [c for c in candidates if c.gain >= avg_gain - _EPS]
     return max(admissible, key=lambda c: (c.ratio, -c.attr))
-
-
-def split_score(
-    X: np.ndarray,
-    y: np.ndarray,
-    schema: AttributeSchema,
-    attr: int,
-    threshold: Optional[float] = None,
-) -> tuple[float, float]:
-    """(information gain, gain ratio) of one split on the given instances.
-
-    Numeric attributes need an explicit threshold and are scored as a
-    two-level branch (``<=`` versus ``>``); nominal ones branch on every
-    level present.  A split with fewer than two non-empty branches scores
-    zero.
-    """
-    if X.shape[0] < 2:
-        raise ValueError("need at least 2 instances to score a split")
-    classes, y_pos = np.unique(y, return_inverse=True)
-    parent_h = entropy(np.bincount(y_pos).astype(float))
-    col = X[:, attr]
-    if schema.attributes[attr].kind == NUMERIC:
-        if threshold is None:
-            raise ValueError("numeric splits need a threshold")
-        col, n_levels = ~(col <= threshold), 2
-    else:
-        n_levels = len(schema.attributes[attr].levels)
-    cand = _nominal_splits(col[:, None], y_pos, classes.size, [n_levels], 1, parent_h)
-    return (cand[0].gain, cand[0].ratio) if cand else (0.0, 0.0)
 
 
 @dataclass

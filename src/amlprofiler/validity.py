@@ -137,7 +137,8 @@ def sse(X: np.ndarray, model: ClusterModel) -> float:
     for j in range(model.k):
         members = Xn[labels == j]
         if members.size:
-            d = clustering.distances_to(members, model.centroids[j], model.distance_kind, nominal_cols)
+            d = clustering.distances(members, model.centroids[j][None, :], model.distance_kind,
+                                     nominal_cols)[0]
             total += float(np.sum(d**2))
     return total
 
@@ -164,9 +165,9 @@ def vrc(X: np.ndarray, labels: np.ndarray, schema: AttributeSchema) -> float:
     for c in uniq:
         members = X[labels == c]
         centroid = clustering.centroid(members, numeric_mask)
-        d_between = clustering.distances_to(centroid[None, :], grand, EUCLIDEAN, nominal_cols)
-        between += members.shape[0] * float(d_between[0] ** 2)
-        d_within = clustering.distances_to(members, centroid, EUCLIDEAN, nominal_cols)
+        d_between = clustering.distances(centroid[None, :], grand[None, :], EUCLIDEAN, nominal_cols)
+        between += members.shape[0] * float(d_between[0, 0] ** 2)
+        d_within = clustering.distances(members, centroid[None, :], EUCLIDEAN, nominal_cols)[0]
         within += float(np.sum(d_within**2))
     if within == 0.0:
         return math.inf
@@ -251,7 +252,6 @@ def k_sweep(
     runs: int = 10,
     base_seed: int = 1,
     kind: str = EUCLIDEAN,
-    silhouette_sample: int = DEFAULT_SILHOUETTE_SAMPLE,
     max_iter: int = 500,
 ) -> SweepResult:
     """Fit ``runs`` seeded models per k and report all validity metrics.
@@ -273,8 +273,7 @@ def k_sweep(
         then=lambda model: (model.sse, model.labels, vrc(Xn, model.labels, schema)),
     ))
     labels = np.array(labels)  # (k, run) order, one row per fit
-    sils = silhouette(Xn, labels, schema, kind=kind, sample_size=silhouette_sample,
-                      seed=base_seed)
+    sils = silhouette(Xn, labels, schema, kind=kind, seed=base_seed)
 
     reports = []
     for i, k in enumerate(ks):

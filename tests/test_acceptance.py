@@ -10,16 +10,18 @@ import itertools
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from amlprofiler import clustering, evaluation, synthgen, validity
 from amlprofiler.cli import geometric_steps, main
-from amlprofiler.evaluation import SplitSpec, classes_to_clusters, cv_folds, holdout_split
+from amlprofiler.evaluation import SplitSpec, cv_folds, holdout_split
 from amlprofiler.ingest import FilterPolicy, TransactionReader, filter_insignificant, parse_customers
 from amlprofiler.manifest import sha256_file
 from amlprofiler.profiling import (
@@ -33,11 +35,12 @@ from amlprofiler.rules import (
     build_tree,
     part_induce,
     ripper_induce,
-    split_score,
-    structural_violations,
     tree_to_rules,
 )
 
+from testkit import classes_to_clusters, split_score, structural_violations
+
+GOLDEN_DIGESTS = Path(__file__).with_name("criterion_7_digests.json")
 FILTER = FilterPolicy(frozenset({synthgen.BANK_CHARGE_TYPE_CODE}))
 
 
@@ -266,9 +269,9 @@ def test_criterion_5_oracle_equivalence(labeled_6k):
     Xn2 = model.normalization.apply(X[sub2])
     nominal_cols = np.flatnonzero(~schema.numeric_mask())
     for i in range(1000):
-        dists = clustering.distances_to(
-            model.centroids, Xn2[i], model.distance_kind, nominal_cols
-        )
+        dists = clustering.distances(
+            model.centroids, Xn2[i][None, :], model.distance_kind, nominal_cols
+        )[0]
         assert labels[i] == int(np.argmin(dists))
 
     # rule-set vs tree prediction equivalence on 10,000 instances
@@ -347,7 +350,17 @@ def test_criterion_7_determinism(tmp_path_factory):
         }
         artifact_hashes.append(hashes)
     assert artifact_hashes[0] == artifact_hashes[1]
-    report(7, f"{len(artifact_hashes[0])} artifacts byte-identical across reruns")
+    golden = json.loads(GOLDEN_DIGESTS.read_text())
+    recorded = golden["sha256"]
+    differ = sorted(name for name in recorded.keys() | artifact_hashes[0].keys()
+                    if recorded.get(name) != artifact_hashes[0].get(name))
+    on = golden["recorded_on"]
+    assert not differ, (
+        f"differ from the digests recorded on Python {on['python']}, numpy {on['numpy']} "
+        f"(this run: Python {platform.python_version()}, numpy {np.__version__}): "
+        + ", ".join(differ))
+    report(7, f"{len(artifact_hashes[0])} artifacts byte-identical across reruns "
+              "and to the recorded digests")
 
 
 def test_criterion_8_split_contracts():

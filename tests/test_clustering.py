@@ -6,7 +6,6 @@ from amlprofiler.clustering import (
     ClusterModel,
     Normalization,
     assign,
-    distances_to,
     kmeans_best_of,
     kmeans_fit,
     pairwise_distances,
@@ -81,8 +80,8 @@ class TestDistance:
 
     @pytest.mark.parametrize("kind", ["euclidean", "manhattan"])
     def test_kernel_rows_are_the_one_center_distances(self, kind):
-        """Each row of ``distances`` has the bits of ``distances_to`` and of
-        the formula on |x - c|, with two nominal columns."""
+        """Each row of ``distances`` has the bits of the one-center call and
+        of the formula on |x - c|, with two nominal columns."""
         rng = np.random.default_rng(4)
         X = np.c_[rng.random((500, 4)), rng.integers(0, 3, size=(500, 2))]
         centers = np.r_[X[:3], rng.random((2, 6))]
@@ -93,7 +92,7 @@ class TestDistance:
             d = np.abs(X - center)
             d[:, nominal_cols] = d[:, nominal_cols] != 0
             direct = np.sqrt(np.einsum("ij,ij->i", d, d)) if kind == "euclidean" else d.sum(axis=1)
-            assert np.array_equal(row, distances_to(X, center, kind, nominal_cols))
+            assert np.array_equal(row, clustering.distances(X, center[None, :], kind, nominal_cols)[0])
             assert np.array_equal(row, direct)
 
     def test_unknown_kind(self):
@@ -263,7 +262,8 @@ class TestAssign:
         no_nominal = np.zeros(0, dtype=np.int64)
         for i in range(X.shape[0]):
             dists = [
-                distances_to(Xn[i][None, :], model.centroids[j], model.distance_kind, no_nominal)[0]
+                clustering.distances(Xn[i][None, :], model.centroids[j][None, :], model.distance_kind,
+                                     no_nominal)[0, 0]
                 for j in range(model.k)
             ]
             assert labels[i] == int(np.argmin(dists))

@@ -9,7 +9,6 @@ from amlprofiler.evaluation import (
     ConfusionMatrix,
     SplitSpec,
     auc_from_scores,
-    classes_to_clusters,
     cross_validate,
     cv_folds,
     evaluate,
@@ -19,6 +18,8 @@ from amlprofiler.evaluation import (
     write_report_rows,
 )
 from amlprofiler.profiling import Attribute, AttributeSchema
+
+from testkit import classes_to_clusters
 
 
 def numeric_schema(width):

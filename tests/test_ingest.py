@@ -34,8 +34,9 @@ from amlprofiler.ingest import (
     parse_amount_cents,
     parse_customers,
     _parse_row,
-    write_transactions,
 )
+
+from testkit import chunk_of, write_transactions
 
 HEADER = "customer_id,account_id,timestamp,amount,direction,service_code,txn_type_code,counterparty_bank\n"
 WINDOW = Window(datetime(2014, 1, 1), datetime(2014, 12, 31, 23, 59, 59))
@@ -75,7 +76,7 @@ def read_all(text, register=frozenset({"c1"}), **kw):
 
 
 def concat(chunks):
-    return TransactionChunk.concat([TransactionChunk.from_records([], register_of(())), *chunks])
+    return TransactionChunk.concat([chunk_of([], register_of(())), *chunks])
 
 
 def assert_chunks_equal(a, b):
@@ -238,7 +239,7 @@ class TestRoundTrip:
         ids = {r.customer_id for r in records}
         chunk, reader = read_all(buf.getvalue(), register=ids)
         assert reader.rejected == 0
-        assert_chunks_equal(chunk, TransactionChunk.from_records(records, register_of(ids)))
+        assert_chunks_equal(chunk, chunk_of(records, register_of(ids)))
 
 
 class TestFilter:
@@ -254,8 +255,7 @@ class TestFilter:
             for i, code in enumerate(codes)
         ]
         half, register = len(records) // 2, self.register(codes)
-        return [TransactionChunk.from_records(records[:half], register),
-                TransactionChunk.from_records(records[half:], register)]
+        return [chunk_of(records[:half], register), chunk_of(records[half:], register)]
 
     def test_excludes_codes(self):
         codes = [1, 99, 2]
@@ -296,6 +296,19 @@ class TestWindow:
     def test_from_json_whole_day_end(self):
         w = Window.from_json({"start": "2014-01-01", "end": "2014-03-31"})
         assert w.contains(datetime(2014, 3, 31, 23, 59, 58))
+        w = Window.from_json({"start": "2014-01-01 06:00", "end": "2014-03-31T12:00"})
+        assert (w.start, w.end) == (datetime(2014, 1, 1, 6), datetime(2014, 3, 31, 12))
+
+    @pytest.mark.parametrize("bounds,reason", [
+        ({"start": "20140101", "end": "2014-12-31"}, "start '20140101' is not"),
+        ({"start": "2014-01-01", "end": "20141231"}, "end '20141231' is not"),
+        ({"start": "2014-01-01", "end": "2014-W52-7"}, "end '2014-W52-7' is not"),
+        ({"start": "2014-01-01T00:00+01:00", "end": "2014-12-31"}, "a bound has a UTC offset"),
+    ])
+    def test_from_json_reads_only_the_forms_of_every_version(self, bounds, reason):
+        # From Python 3.11 on fromisoformat also reads the basic and week forms
+        with pytest.raises(ConfigError, match=f"bad window spec .*: {reason}"):
+            Window.from_json(bounds)
 
     def test_reversed_window_rejected(self):
         with pytest.raises(ConfigError):
@@ -529,8 +542,7 @@ class TestColumnarReader:
         assert reader.errors == expected_errors
         assert reader.rejected == len(expected_errors)
         assert reader.accepted == len(expected)
-        assert row_tuples(concat(chunks)) == row_tuples(
-            TransactionChunk.from_records(expected, register_of(register)))
+        assert row_tuples(concat(chunks)) == row_tuples(chunk_of(expected, register_of(register)))
 
     def test_canonical_rows_take_the_array_path(self):
         text = (HEADER + make_row() + make_row(direction="debit", counterparty="B")
@@ -575,6 +587,29 @@ class TestColumnarReader:
         chunk, reader = read_all(text, window=WINDOW)
         assert chunk.interbank.tolist() == [True]
         assert reader.errors == [RowError(3, "customer 'c1\\x00' not in register")]
+
+    @pytest.mark.parametrize("nul_in", ["header", "record"])
+    def test_nul_reaches_csv_reader_of_every_version(self, nul_in):
+        """The header and a record over the field limit go to ``csv.reader``,
+        which before Python 3.11 raised "line contains NUL"."""
+        real = csv.reader
+
+        def reader_before_311(lines, **kw):
+            def checked():
+                for line in lines:
+                    if "\0" in line:
+                        raise csv.Error("line contains NUL")
+                    yield line
+            return real(checked(), **kw)
+
+        limit = csv.field_size_limit()
+        header = HEADER.replace("\n", ",no\x00te\n") if nul_in == "header" else HEADER
+        long = "B" * limit + ("\x00" if nul_in == "record" else "B")
+        text = header + make_row(counterparty=long) + make_row()
+        with mock.patch.object(ingest.csv, "reader", reader_before_311):
+            chunk, reader = read_all(text, window=WINDOW)
+        assert reader.errors == [RowError(2, f"field larger than field limit ({limit})")]
+        assert reader.accepted == len(chunk) == 1
 
     @pytest.mark.parametrize("before", [
         "",  # every line on the array path

@@ -17,8 +17,9 @@ from amlprofiler.rules import (
     ripper_induce,
     ruleset_from_json,
     ruleset_to_json,
-    structural_violations,
 )
+
+from testkit import structural_violations
 
 
 def numeric_schema(width):

@@ -11,12 +11,12 @@ from amlprofiler.rules import (
     OP_GT,
     OP_LE,
     build_tree,
-    split_score,
-    structural_violations,
     tree_to_rules,
 )
 from amlprofiler.rules.model import merge_conditions
 from amlprofiler.rules.tree import _grow_tree, _z_value, added_errors, stratified_two_way
+
+from testkit import split_score, structural_violations
 
 
 def numeric_schema(width):

@@ -111,7 +111,7 @@ class TestGeneratedLedgerQuality:
         cfg = replace(base, archetypes=(replace(passthrough, proportion=1.0),))
         _, tx, reg, _ = generate_to_strings(cfg)
         profiles = profile_ledger(tx, reg, cfg.window)
-        lags = profiles.values[:, profiles.schema.index("in_out_lag_days")]
+        lags = profiles.values[:, profiles.schema.names.index("in_out_lag_days")]
         assert np.median(lags) < 1.0
 
     def test_legal_limits_amounts_under_threshold(self):

@@ -27,7 +27,7 @@ def numeric_schema(width):
 def distance(a, b, schema):
     """Euclidean distance of two value vectors under the schema's 0/1 nominal rule."""
     nominal_cols = np.flatnonzero(~schema.numeric_mask())
-    return clustering.distances_to(a[None, :], b, "euclidean", nominal_cols)[0]
+    return clustering.distances(a[None, :], b[None, :], "euclidean", nominal_cols)[0, 0]
 
 
 def silhouette_oracle(X, labels, schema):
