@@ -239,9 +239,20 @@ def _resolve_window(config: PipelineConfig, out_dir: Path) -> Window:
         return config.window
     gen_path = out_dir / GENERATOR_JSON
     if gen_path.exists():
-        with open(gen_path, "r", encoding="utf-8") as fh:
-            return Window.from_json(json.load(fh)["window"])
+        return _read_stage_json(gen_path, lambda obj: Window.from_json(obj["window"]))
     raise StageError("no analysis window: add \"window\" to the config file")
+
+
+def _read_stage_json(path: Path, read):
+    """``read`` of the JSON in ``path``, a file an earlier stage wrote, with
+    a malformed file one diagnostic."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return read(json.load(fh))
+    except KeyError as exc:
+        raise StageError(f"{path}: no key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise StageError(f"{path}: {exc}") from None
 
 
 def _read_sidecar(path: Path):
@@ -698,8 +709,7 @@ def cmd_grid(args, config: PipelineConfig, out_dir: Path) -> StageResult:
 
 def cmd_export_kb(args, config: PipelineConfig, out_dir: Path) -> StageResult:
     path = _require(out_dir / RULESET_JSON, "rules")
-    with open(path, "r", encoding="utf-8") as fh:
-        ruleset = ruleset_from_json(json.load(fh))
+    ruleset = _read_stage_json(path, ruleset_from_json)
     with open(out_dir / KNOWLEDGE_BASE_JSON, "w", encoding="utf-8") as fh:
         write_knowledge_base(ruleset, fh)
     return StageResult(

@@ -43,6 +43,17 @@ class SplitSpec:
             raise ValueError("seed must be >= 0")
 
 
+def apportion(exact: Sequence[float], total: int) -> list[int]:
+    """Largest-remainder allocation: floor each share of ``exact``, then give
+    one more to the largest remainders (lowest index on ties) until the
+    shares sum to ``total``, if the floors fall short of it."""
+    shares = [math.floor(e) for e in exact]
+    short = max(total - sum(shares), 0)
+    for i in sorted(range(len(exact)), key=lambda i: (-(exact[i] - shares[i]), i))[:short]:
+        shares[i] += 1
+    return shares
+
+
 def _stratified_take(
     y: np.ndarray, fraction: float, target: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -54,13 +65,7 @@ def _stratified_take(
     """
     classes, inverse = np.unique(y, return_inverse=True)
     members = [rng.permutation(np.flatnonzero(inverse == c)) for c in range(classes.size)]
-    exact = [fraction * m.size for m in members]
-    take = [math.floor(e) for e in exact]
-    remainders = [e - t for e, t in zip(exact, take)]
-    short = target - sum(take)
-    for c in sorted(range(classes.size), key=lambda c: (-remainders[c], c))[: max(short, 0)]:
-        if take[c] < members[c].size:
-            take[c] += 1
+    take = apportion([fraction * m.size for m in members], target)
     empty = [np.empty(0, dtype=np.int64)]
     taken = np.concatenate([m[:t] for m, t in zip(members, take)] or empty)
     rest = np.concatenate([m[t:] for m, t in zip(members, take)] or empty)
@@ -101,7 +106,7 @@ def cv_folds(n: int, spec: SplitSpec, y: Optional[np.ndarray] = None) -> list[np
         classes, inverse = np.unique(y, return_inverse=True)
         counts = np.bincount(inverse)
         if (counts < spec.folds).any():
-            small = [classes[c] for c in np.flatnonzero(counts < spec.folds)]
+            small = classes[counts < spec.folds].tolist()
             log.warning(
                 "classes %s have fewer instances than %d folds; stratification degrades to global",
                 small,

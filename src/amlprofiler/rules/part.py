@@ -6,17 +6,16 @@ The partial tree expands only where it has to: children are explored in
 order of increasing entropy, and as soon as one child keeps a real subtree
 the remaining siblings are left unexplored.  A node whose children all
 collapsed to leaves may itself collapse under the pessimistic error
-estimate, which is what keeps the extracted rules short.
+estimate (``tree.estimated_errors``, the estimate C4.5 prunes with), which
+is what keeps the extracted rules short.  The partial tree is one generator
+per node on C4.5's grower (``tree.grow``); reduced-error pruning and the
+choice of leaf use the tree module's walks.
 
 Numeric columns are sorted once per induction; every partial tree takes
 its nodes' orders from that one sort (see ``tree.restrict``).
 """
 
 from __future__ import annotations
-
-import logging
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -34,26 +33,14 @@ from .tree import (
     TreeNode,
     _choose_split,
     _rep_prune,
-    added_errors,
     entropy,
+    estimated_errors,
+    grow,
     leaf_paths,
     presort,
     restrict,
     stratified_two_way,
 )
-
-log = logging.getLogger(__name__)
-
-
-@dataclass
-class _Frame:
-    idx: np.ndarray
-    orders: np.ndarray  # idx in each numeric column's sorted order
-    node: Optional[TreeNode] = None
-    partitions: Optional[list[np.ndarray]] = None
-    expansion_order: Optional[list[int]] = None
-    next_child: int = 0
-    blocked: bool = False  # a kept subtree stops further sibling expansion
 
 
 def _partial_tree(
@@ -74,6 +61,7 @@ def _partial_tree(
     ``orders`` is the presorted numeric columns of all rows of ``X``.
     """
     n_rows = X.shape[0]
+    cf = params.pruning_confidence
 
     def node_for(node_idx: np.ndarray, split=None, expanded: bool = True) -> TreeNode:
         counts = np.bincount(y_pos[node_idx], minlength=n_classes).astype(float)
@@ -81,62 +69,35 @@ def _partial_tree(
         node.expanded = expanded
         return node
 
-    def estimated_errors(node: TreeNode) -> float:
-        n = float(node.coverage)
-        e = n - float(node.class_counts[node.class_pos])
-        return e + added_errors(n, e, params.pruning_confidence)
-
-    stack = [_Frame(idx, restrict(orders, n_rows, idx))]
-    finished: Optional[TreeNode] = None
-    while stack:
-        frame = stack[-1]
-        if frame.node is None:
-            split = None
-            if frame.idx.size >= 2 * params.min_instances:
-                split = _choose_split(
-                    X, y_pos, frame.idx, frame.orders, schema, n_classes, params.min_instances
-                )
-            if split is None:
-                finished = node_for(frame.idx)
-                stack.pop()
-                continue
-            frame.node = node_for(frame.idx, split)
-            frame.partitions, _ = frame.node.partition(X, frame.idx)
-            entropies = [
-                entropy(np.bincount(y_pos[part], minlength=n_classes).astype(float))
-                for part in frame.partitions
-            ]
-            frame.expansion_order = sorted(
-                range(len(frame.partitions)), key=lambda b: (entropies[b], b)
+    def expand(node_idx: np.ndarray, node_orders: np.ndarray):
+        split = None
+        if node_idx.size >= 2 * params.min_instances:
+            split = _choose_split(
+                X, y_pos, node_idx, node_orders, schema, n_classes, params.min_instances
             )
+        node = node_for(node_idx, split)
+        if split is None:
+            return node
+        parts, _ = node.partition(X, node_idx)
+        entropies = [
+            entropy(np.bincount(y_pos[part], minlength=n_classes).astype(float))
+            for part in parts
+        ]
+        for b in sorted(range(len(parts)), key=lambda b: (entropies[b], b)):
+            child = node.children[b] = yield parts[b], restrict(node_orders, n_rows, parts[b])
+            if not child.is_leaf:
+                break
         else:
-            # a child expansion just returned
-            branch = frame.expansion_order[frame.next_child]
-            frame.node.children[branch] = finished
-            frame.next_child += 1
-            if not finished.is_leaf:
-                frame.blocked = True
-
-        if not frame.blocked and frame.next_child < len(frame.partitions):
-            part = frame.partitions[frame.expansion_order[frame.next_child]]
-            stack.append(_Frame(part, restrict(frame.orders, n_rows, part)))
-            continue
-
-        # no more children to expand: placeholders for unexplored siblings
-        for pos in range(frame.next_child, len(frame.partitions)):
-            branch = frame.expansion_order[pos]
-            frame.node.children[branch] = node_for(frame.partitions[branch], expanded=False)
-        node = frame.node
-        all_expanded_leaves = frame.next_child == len(frame.partitions) and all(
-            c.is_leaf for c in node.children
-        )
-        if all_expanded_leaves:
-            subtree_est = sum(estimated_errors(c) for c in node.children)
-            if estimated_errors(node) <= subtree_est + 0.1:
+            subtree_est = sum(estimated_errors(c, cf) for c in node.children)
+            if estimated_errors(node, cf) <= subtree_est + 0.1:
                 node.make_leaf()
-        finished = node
-        stack.pop()
-    return finished
+            return node
+        for b, part in enumerate(parts):
+            if node.children[b] is None:
+                node.children[b] = node_for(part, expanded=False)
+        return node
+
+    return grow(expand, idx, restrict(orders, n_rows, idx))
 
 
 def part_induce(

@@ -17,17 +17,20 @@ boundary.  Nominal attributes share one (level, class) table per node,
 built with a single ``bincount``.  This is the attribute-list scheme of
 SLIQ and SPRINT.
 
-Growth and pruning are iterative (explicit work lists), so tree depth is
-not limited by the interpreter recursion limit.
+``grow`` grows every tree (C4.5's whole tree here, PART's partial trees in
+``part.py``), and one breadth-first walk routes rows down a finished one
+(``route``: prediction, reduced-error pruning and the count refresh).
+``estimated_errors`` is the one pessimistic leaf estimate.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Generator, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -353,17 +356,11 @@ class DecisionTree:
         """The tree's leaves and, per row, the index of the leaf it reaches,
         or ``len(leaves)`` when a nominal level with no branch on its path
         leaves it to the global majority."""
-        leaves = [node for node in _bfs(self.root) if node.is_leaf]
-        slot = {id(leaf): i for i, leaf in enumerate(leaves)}
-        out = np.full(X.shape[0], len(leaves), dtype=np.int64)
-        stack = [(self.root, np.arange(X.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if node.is_leaf:
-                out[idx] = slot[id(node)]
-            elif idx.size:
-                stack.extend(zip(node.children, node.partition(X, idx)[0]))
-        return leaves, out
+        reached = [(node, idx) for node, idx, _ in route(self.root, X) if node.is_leaf]
+        out = np.full(X.shape[0], len(reached), dtype=np.int64)
+        for i, (_, idx) in enumerate(reached):
+            out[idx] = i
+        return [node for node, _ in reached], out
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         leaves, slots = self._deciding_leaf(X)
@@ -374,6 +371,48 @@ class DecisionTree:
         leaves, slots = self._deciding_leaf(X)
         counts = [leaf.class_counts for leaf in leaves] + [self.root.class_counts]
         return laplace_table(counts)[slots]
+
+
+def grow(expand: Callable[..., Generator], idx: np.ndarray, orders: np.ndarray) -> TreeNode:
+    """The tree that ``expand`` grows from the rows ``idx``, whose numeric
+    columns are in the sorted ``orders``.
+
+    ``expand(idx, orders)`` is a generator for one node.  It yields the rows
+    and restricted orders of each child it wants grown, is sent back that
+    child's subtree, and returns its node.  The generators run from an
+    explicit stack, so tree depth is not limited by the interpreter's
+    recursion limit.
+    """
+    stack = [expand(idx, orders)]
+    subtree = None
+    while stack:
+        try:
+            child = stack[-1].send(subtree)
+        except StopIteration as done:
+            stack.pop()
+            subtree = done.value
+        else:
+            stack.append(expand(*child))
+            subtree = None
+    return subtree
+
+
+def route(root: TreeNode, X: np.ndarray) -> list[tuple[TreeNode, np.ndarray, np.ndarray]]:
+    """Every node under ``root`` in breadth-first order, with the rows of
+    ``X`` that reach it and the rows it sends to no child (a nominal level
+    with no branch there).  A node that no row reaches is not partitioned."""
+    walk = []
+    queue = deque([(root, np.arange(X.shape[0]))])
+    while queue:
+        node, idx = queue.popleft()
+        missed = idx[:0]
+        if not node.is_leaf:
+            parts = [missed] * len(node.children)
+            if idx.size:
+                parts, missed = node.partition(X, idx)
+            queue.extend(zip(node.children, parts))
+        walk.append((node, idx, missed))
+    return walk
 
 
 def _grow_tree(
@@ -387,34 +426,20 @@ def _grow_tree(
     """Grow an unpruned tree over the rows ``idx`` of ``X``, sorting each
     numeric column once."""
     n_rows = X.shape[0]
-    orders = restrict(presort(X, np.flatnonzero(schema.numeric_mask())), n_rows, idx)
-    holder: list[Optional[TreeNode]] = [None]
-    work = [(idx, orders, holder, 0)]
-    while work:
-        node_idx, orders, container, pos = work.pop()
+
+    def expand(node_idx: np.ndarray, orders: np.ndarray):
         counts = np.bincount(y_pos[node_idx], minlength=n_classes).astype(float)
         split = None
         if node_idx.size >= 2 * min_instances:
             split = _choose_split(X, y_pos, node_idx, orders, schema, n_classes, min_instances)
-        node = container[pos] = TreeNode.for_split(counts, split)
+        node = TreeNode.for_split(counts, split)
         if split is not None:
-            parts, _ = node.partition(X, node_idx)
-            work.extend(
-                (sub, restrict(orders, n_rows, sub), node.children, b)
-                for b, sub in enumerate(parts)
-            )
-    return holder[0]
+            for b, sub in enumerate(node.partition(X, node_idx)[0]):
+                node.children[b] = yield sub, restrict(orders, n_rows, sub)
+        return node
 
-
-def _bfs(root: TreeNode) -> list[TreeNode]:
-    order = [root]
-    i = 0
-    while i < len(order):
-        node = order[i]
-        if not node.is_leaf:
-            order.extend(node.children)
-        i += 1
-    return order
+    orders = presort(X, np.flatnonzero(schema.numeric_mask()))
+    return grow(expand, idx, restrict(orders, n_rows, idx))
 
 
 @lru_cache(maxsize=16)
@@ -442,50 +467,43 @@ def added_errors(n: float, e: float, cf: float) -> float:
     return r * n - e
 
 
+def estimated_errors(node: TreeNode, cf: float) -> float:
+    """C4.5's pessimistic error estimate of ``node`` as a leaf: its training
+    errors plus ``added_errors``."""
+    n = float(node.coverage)
+    e = n - float(node.class_counts[node.class_pos])
+    return e + added_errors(n, e, cf)
+
+
 def _pessimistic_prune(root: TreeNode, cf: float) -> None:
     estimates: dict[int, float] = {}
-    for node in reversed(_bfs(root)):
-        n = float(node.coverage)
-        e_leaf = n - float(node.class_counts[node.class_pos])
-        leaf_est = e_leaf + added_errors(n, e_leaf, cf)
-        if node.is_leaf:
-            estimates[id(node)] = leaf_est
-            continue
-        subtree_est = sum(estimates[id(c)] for c in node.children)
-        if leaf_est <= subtree_est + 0.1:
-            node.make_leaf()
-            estimates[id(node)] = leaf_est
-        else:
-            estimates[id(node)] = subtree_est
+    # routing no rows, the walk is just the nodes in breadth-first order
+    for node, _, _ in reversed(route(root, np.empty((0, 0)))):
+        est = estimated_errors(node, cf)
+        if not node.is_leaf:
+            subtree_est = sum(estimates[id(c)] for c in node.children)
+            if est <= subtree_est + 0.1:
+                node.make_leaf()
+            else:
+                est = subtree_est
+        estimates[id(node)] = est
 
 
 def _rep_prune(
     root: TreeNode, X_prune: np.ndarray, y_prune_pos: np.ndarray, global_majority: int
 ) -> None:
     """Subtree replacement driven by held-out error; never increases it."""
-    order = _bfs(root)
-    routed: dict[int, np.ndarray] = {id(root): np.arange(X_prune.shape[0])}
-    missed: dict[int, np.ndarray] = {}
-    for node in order:
-        if not node.is_leaf:
-            parts, missed[id(node)] = node.partition(X_prune, routed[id(node)])
-            for child, sub in zip(node.children, parts):
-                routed[id(child)] = sub
-
     errors: dict[int, float] = {}
-    for node in reversed(order):
-        y_here = y_prune_pos[routed[id(node)]]
-        leaf_err = float((y_here != node.class_pos).sum())
-        if node.is_leaf:
-            errors[id(node)] = leaf_err
-            continue
-        subtree_err = sum(errors[id(c)] for c in node.children)
-        subtree_err += float((y_prune_pos[missed[id(node)]] != global_majority).sum())
-        if leaf_err <= subtree_err:
-            node.make_leaf()
-            errors[id(node)] = leaf_err
-        else:
-            errors[id(node)] = subtree_err
+    for node, idx, missed in reversed(route(root, X_prune)):
+        err = float((y_prune_pos[idx] != node.class_pos).sum())
+        if not node.is_leaf:
+            subtree_err = sum(errors[id(c)] for c in node.children)
+            subtree_err += float((y_prune_pos[missed] != global_majority).sum())
+            if err <= subtree_err:
+                node.make_leaf()
+            else:
+                err = subtree_err
+        errors[id(node)] = err
 
 
 def refresh_counts(tree: DecisionTree, X: np.ndarray, y_pos: np.ndarray) -> None:
@@ -496,13 +514,8 @@ def refresh_counts(tree: DecisionTree, X: np.ndarray, y_pos: np.ndarray) -> None
     whole training set, not just the growing partition.  Leaf classes are
     not changed.
     """
-    k = len(tree.classes)
-    stack = [(tree.root, np.arange(X.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        node.class_counts = np.bincount(y_pos[idx], minlength=k).astype(float)
-        if not node.is_leaf:
-            stack.extend(zip(node.children, node.partition(X, idx)[0]))
+    for node, idx, _ in route(tree.root, X):
+        node.class_counts = np.bincount(y_pos[idx], minlength=len(tree.classes)).astype(float)
 
 
 def stratified_two_way(

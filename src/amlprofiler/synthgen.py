@@ -17,10 +17,11 @@ import math
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
+from .evaluation import apportion
 from .ingest import CUSTOMER_FIELDS, TRANSACTION_FIELDS, ConfigError, Window, format_amount
 
 AMOUNT_LOGNORMAL = "lognormal"
@@ -111,17 +112,6 @@ def _blend(a: ArchetypeSpec, b: ArchetypeSpec, lam: float) -> ArchetypeSpec:
              for f in fields(ArchetypeSpec) if f.name not in ("name", "proportion", "amount_mode")}
     dials["services_used"] = max(1, int(round(dials["services_used"])))
     return replace(a if lam >= 0.5 else b, proportion=0.0, **dials)
-
-
-def _apportion(n: int, proportions: Sequence[float]) -> list[int]:
-    """Largest-remainder allocation; realized counts within one of exact."""
-    exact = [p * n for p in proportions]
-    base = [int(math.floor(e)) for e in exact]
-    short = n - sum(base)
-    order = sorted(range(len(exact)), key=lambda i: (-(exact[i] - base[i]), i))
-    for i in order[:short]:
-        base[i] += 1
-    return base
 
 
 @dataclass
@@ -217,7 +207,7 @@ def generate(
 
     n_noise = int(round(config.noise * config.n_customers))
     n_core = config.n_customers - n_noise
-    counts = _apportion(n_core, [a.proportion for a in config.archetypes])
+    counts = apportion([a.proportion * n_core for a in config.archetypes], n_core)
     assignment: list[int] = []
     for a_idx, count in enumerate(counts):
         assignment.extend([a_idx] * count)

@@ -580,6 +580,25 @@ class TestDiagnostics:
         assert message in err
         assert not (tmp_path / "cluster_model.json").exists()  # a failed cluster writes no model
 
+    @pytest.mark.parametrize("name, text, stage, message", [
+        ("ruleset.json", '{"algorithm": "part"}', "export-kb", "no key 'rules'"),
+        ("generator_config.json", '{"seed": 1}', "profile", "no key 'window'"),
+        ("generator_config.json", '{\n  "window": ', "profile",
+         "Expecting value: line 2 column 13"),
+    ], ids=["ruleset_without_rules", "generator_config_without_window",
+            "generator_config_not_json"])
+    def test_malformed_stage_json_is_one_line_diagnostic(self, pipeline_dir, tmp_path, capsys,
+                                                         name, text, stage, message):
+        out, _ = pipeline_dir
+        for ledger in ("transactions.csv", "register.csv"):
+            (tmp_path / ledger).write_bytes((out / ledger).read_bytes())
+        (tmp_path / name).write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["--out-dir", str(tmp_path), stage])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / name}: {message}") and err.count("\n") == 1
+
     @pytest.mark.parametrize("stage, message", [
         (["sweep"], "error: cannot sweep k in 2..10 over 1 profiles: k must lie within [2, 0]\n"),
         (["cluster", "--k", "2"], "error: cannot cluster 1 profiles into k=2: only 1 are distinct\n"),

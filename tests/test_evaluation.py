@@ -109,7 +109,9 @@ class TestCvFolds:
         y = np.array([0] * 97 + [1] * 3)
         with caplog.at_level("WARNING"):
             folds = cv_folds(100, SplitSpec(mode="cross_validation", folds=10, seed=6, stratified=True), y)
-        assert any("stratification degrades" in m for m in caplog.messages)
+        assert caplog.messages == [
+            "classes [1] have fewer instances than 10 folds; stratification degrades to global"
+        ]
         assert np.array_equal(np.sort(np.concatenate(folds)), np.arange(100))
 
     def test_split_dispatch(self):

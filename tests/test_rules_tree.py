@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,10 +12,20 @@ from amlprofiler.rules import (
     OP_GT,
     OP_LE,
     build_tree,
+    part_induce,
     tree_to_rules,
 )
 from amlprofiler.rules.model import merge_conditions
-from amlprofiler.rules.tree import _grow_tree, _z_value, added_errors, stratified_two_way
+from amlprofiler.rules.part import _partial_tree
+from amlprofiler.rules.tree import (
+    DecisionTree,
+    _grow_tree,
+    _z_value,
+    added_errors,
+    leaf_paths,
+    presort,
+    stratified_two_way,
+)
 
 from testkit import split_score, structural_violations
 
@@ -145,8 +156,6 @@ class TestBuildTree:
         unpruned_root = _grow_tree(
             X, y_pos, grow_idx, numeric_schema(4), classes.size, params.min_instances
         )
-        from amlprofiler.rules.tree import DecisionTree
-
         unpruned = DecisionTree(unpruned_root, tuple(classes.tolist()), numeric_schema(4), params)
         err_pruned = (pruned.predict(X[prune_idx]) != y[prune_idx]).sum()
         err_unpruned = (unpruned.predict(X[prune_idx]) != y[prune_idx]).sum()
@@ -262,3 +271,57 @@ class TestMergeConditions:
     def test_conflicting_equality_rejected(self):
         with pytest.raises(ValueError):
             merge_conditions((Condition(2, OP_EQ, 1.0), Condition(2, OP_EQ, 2.0)))
+
+
+class TestDepth:
+    """x = 0..599 with alternating classes: every split peels one row off an
+    end, so the unpruned tree and PART's first partial tree are a chain about
+    600 nodes deep.  Each call runs with the interpreter's recursion limit
+    100 frames above the caller."""
+
+    X = np.arange(600, dtype=float)[:, None]
+    y = np.arange(600) % 2
+
+    @pytest.fixture(autouse=True)
+    def shallow_recursion_limit(self):
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            yield
+        finally:
+            sys.setrecursionlimit(limit)
+
+    @staticmethod
+    def depth(root):
+        return max(len(path) for _, path in leaf_paths(root))
+
+    def test_unpruned_tree_walks(self):
+        root = _grow_tree(self.X, self.y, np.arange(600), numeric_schema(1), 2, 1)
+        assert self.depth(root) >= 590
+        tree = DecisionTree(root, (0, 1), numeric_schema(1), InductionParams(min_instances=1))
+        assert (tree.predict(self.X) == self.y).all()
+        assert tree.class_scores(self.X).shape == (600, 2)
+        rs = tree_to_rules(tree)
+        assert len(rs.rules) == 600
+        assert np.array_equal(rs.predict(self.X), self.y)
+
+    @pytest.mark.parametrize("rep", [False, True])
+    def test_inducers(self, rep):
+        params = InductionParams(min_instances=1, reduced_error_pruning=rep)
+        tree = build_tree(self.X, self.y, numeric_schema(1), params)
+        assert tree.predict(self.X).shape == tree.class_scores(self.X).shape[:1] == (600,)
+        assert len(tree_to_rules(tree).rules) == tree.number_of_rules
+        # without reduced-error pruning the default confidence keeps every one-row
+        # leaf, and PART then grows 600 chains for 600 rules; 0.05 collapses the
+        # first chain back to the root once it is grown
+        if not rep:
+            params = InductionParams(min_instances=1, pruning_confidence=0.05)
+        part_induce(self.X, self.y, numeric_schema(1), params)
+
+    def test_partial_tree(self):
+        root = _partial_tree(self.X, self.y, np.arange(600), presort(self.X, np.array([0])),
+                             numeric_schema(1), 2, InductionParams(min_instances=1))
+        assert self.depth(root) >= 590
