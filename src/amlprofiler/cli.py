@@ -35,7 +35,6 @@ from .ingest import (
     ConfigError,
     FilterPolicy,
     FilterStats,
-    LedgerRange,
     Register,
     TooManyRowErrors,
     TransactionReader,
@@ -350,17 +349,17 @@ class _Counts:
                        reader.records)
 
 
-def _profile_ranges(tx_path: Path, ranges: list[LedgerRange], reader, config: PipelineConfig,
-                    register: Register, window: Window):
+def _profile_ranges(tx_path: Path, ranges: list[tuple[int, int]], reader,
+                    config: PipelineConfig, register: Register, window: Window):
     """The profiles and counts of the ledger, each range aggregated by a
     worker of ``parallel.pmap`` and the parts merged in range order."""
     policy = config.filter_policy
 
-    def read(item: tuple[LedgerRange, IO[bytes]]):
+    def read(item: tuple[tuple[int, int], IO[bytes]]):
         span, spill = item
         stats = FilterStats()
-        with span.open(tx_path) as fh:
-            ranged = reader(fh)
+        with open(tx_path, "rb") as fh:
+            ranged = reader(fh, span=span)
             try:
                 totals = aggregate((policy.apply(chunk, stats) for chunk in ranged), register,
                                    window, flows=config.phase == 2)
@@ -683,7 +682,7 @@ def cmd_grid(args, config: PipelineConfig, out_dir: Path) -> StageResult:
     base = _override(config.rules, "rules", seed=args.seed).params()
     path, _, profiles = _load_profiles(out_dir, labeled=kind)
     if args.sweep:
-        smallest_cluster = int(np.bincount(profiles.labels).min())
+        smallest_cluster = int(np.unique(profiles.labels, return_counts=True)[1].min())
         steps = geometric_steps(2, max(smallest_cluster, 2), config.grid.sweep_steps)
         cells = [GridCell(algorithm, mi, "off", evaluation.HOLDOUT)
                  for algorithm in ("part", "tree") for mi in steps]

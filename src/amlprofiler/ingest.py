@@ -31,21 +31,21 @@ customer id up there once and hands on its position
 (``TransactionChunk.customer``), which the profile totals index by.
 
 A ledger may also be read in byte ranges (``ledger_ranges``), each by its
-own reader that sees the header and then the range (``LedgerRange.open``).
-Every range starts where the reader's own index starts a record, so the
-readers of the ranges split the records that one reader of the whole
-ledger splits; ``join_rejections`` numbers their rejections as that reader
-does.  A record with bytes that are not UTF-8 is the same rejected row in
-whichever range it lies.
+own reader, which reads the header and then seeks to its range
+(``TransactionReader``'s ``span``).  Every range starts where the reader's
+own index starts a record, so the readers of the ranges split the records
+that one reader of the whole ledger splits; ``join_rejections`` numbers
+their rejections as that reader does.  A record with bytes that are not
+UTF-8 is the same rejected row in whichever range it lies.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import logging
 import os
 import re
+import sys
 from dataclasses import dataclass, fields
 from datetime import date, datetime, timedelta
 from decimal import Decimal, InvalidOperation
@@ -253,15 +253,17 @@ def parse_amount_cents(text: str) -> int:
     """Parse a decimal amount with at most two fraction digits into cents.
 
     Exactness matters: profiles must not depend on the order float rounding
-    happens in, so the currency value never becomes a float here.
+    happens in, so the currency value never becomes a float here.  Every
+    malformed amount is ``unparseable``.
     """
     whole, dot, frac = text.strip().partition(".")
-    if dot and whole.lstrip("-").isdigit() and frac.isdigit() and len(frac) <= 2:
-        sign = -1 if whole.startswith("-") else 1
-        cents = abs(int(whole)) * 100 + int(frac.ljust(2, "0"))
-        return sign * cents
-    if not dot and whole.lstrip("-").isdigit():
-        return int(whole) * 100
+    digits = whole.removeprefix("-")
+    if digits.isdecimal() and (not dot or frac.isdecimal() and len(frac) <= 2):
+        try:  # int() reads any Unicode decimal digits, up to sys.get_int_max_str_digits()
+            cents = int(digits) * 100 + int(frac.ljust(2, "0"))
+        except ValueError:
+            raise ValueError(f"unparseable amount {text!r}") from None
+        return -cents if whole.startswith("-") else cents
     try:
         dec = Decimal(text.strip())
         if not dec.is_finite():
@@ -482,11 +484,13 @@ class _Ledger:
     """The unread bytes of a binary CSV stream, taken in blocks that end on
     a line end, or line by line for ``csv.reader``."""
 
-    def __init__(self, source: IO[bytes]):
+    def __init__(self, source: IO[bytes], start: int = 0, end: int = sys.maxsize):
+        # ``source`` is at byte ``start``, and its bytes from ``end`` on are not read
         self._source = source
         self._data = b""
         self._pos = 0  # of the next unread byte in _data
-        self.offset = 0  # of that byte in the stream
+        self.offset = start  # of that byte in the stream
+        self._left = end - start  # bytes to read after _data
         self.eof = False
 
     def take(self, size: int) -> None:
@@ -500,7 +504,9 @@ class _Ledger:
         read a lone-CR ledger whole."""
         while True:
             if len(self._data) - self._pos < size and not self.eof:
-                more = self._source.read(max(size, BLOCK_CHARS) - len(self._data) + self._pos)
+                more = self._source.read(min(max(size, BLOCK_CHARS) - len(self._data) + self._pos,
+                                             self._left))
+                self._left -= len(more)
                 self._data, self._pos, self.eof = self._data[self._pos:] + more, 0, not more
             data, pos = self._data, self._pos
             # a \r at the end may be the first half of a \r\n
@@ -661,8 +667,11 @@ class TransactionReader:
     """Iterable over the ledger's accepted rows as ``TransactionChunk``s,
     split by the tokenizer of the module docstring.
 
-    ``source`` is a binary stream.  A record holding bytes that are not
-    UTF-8 becomes a rejected row (``NOT_UTF8``); in the header they are a
+    ``source`` is a binary stream.  Given a ``span`` ``(start, end)``, a
+    range of ``ledger_ranges``, the reader reads the header from the start
+    of the stream and then seeks to ``start``: its records are those at
+    bytes ``start:end``.  A record holding bytes that are not UTF-8 becomes
+    a rejected row (``NOT_UTF8``); in the header they are a
     ``ConfigError``.  A rejected row's ``line_no`` counts records as
     ``csv.reader`` splits them, the header being record 1.  A record with a
     field longer than ``csv.field_size_limit()`` characters is rejected.
@@ -686,8 +695,10 @@ class TransactionReader:
         window: Optional[Window] = None,
         error_cap: int = 100,
         delimiter: str = ",",
+        span: Optional[tuple[int, int]] = None,
     ):
         self._source = source
+        self._span = span
         self._mapping = mapping or ColumnMapping.identity()
         self._window = window
         self._register = register
@@ -708,6 +719,9 @@ class TransactionReader:
         ledger = _Ledger(self._source)
         header = ledger.header(self._delimiter, "ledger")
         idx = self._mapping.resolve(header)
+        if self._span is not None:
+            self._source.seek(self._span[0])
+            ledger = _Ledger(self._source, *self._span)
         line_no = 2
         while block := ledger.block(BLOCK_CHARS):
             chunk, records = self._array_chunk(ledger, block, line_no, idx, len(header))
@@ -866,64 +880,22 @@ class TransactionReader:
 MIN_SPLIT_BYTES = 16 * BLOCK_CHARS
 
 
-class _Slices(io.RawIOBase):
-    """The bytes of ``(start, end)`` slices of a file, one after another."""
-
-    def __init__(self, path, slices: Sequence[tuple[int, int]]):
-        self._file = open(path, "rb", buffering=0)
-        self._slices = list(slices)[::-1]  # the next slice last
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        while self._slices:
-            start, end = self._slices.pop()
-            self._file.seek(start)
-            n = self._file.readinto(memoryview(buffer)[: end - start])
-            if n:
-                if start + n < end:
-                    self._slices.append((start + n, end))
-                return n
-        return 0
-
-    def close(self) -> None:
-        self._file.close()
-        super().close()
-
-
-class LedgerRange(NamedTuple):
-    """The records at bytes ``start:end`` of a ledger whose header ends at
-    byte ``header``."""
-
-    header: int
-    start: int
-    end: int
-
-    def open(self, path) -> IO[bytes]:
-        """The header and the range as one binary stream, which
-        ``TransactionReader`` reads as a ledger whose records are the range's."""
-        return io.BufferedReader(_Slices(path, [(0, self.header), (self.start, self.end)]), 1 << 16)
-
-
-def ledger_ranges(path, parts: int, delimiter: str = ",") -> list[LedgerRange]:
-    """Up to ``parts`` consecutive ranges that hold the ledger's records,
-    each starting at the first record start of the reader's own index
-    (``_split_block``) past an even share of the bytes, so that the readers
-    of the ranges together split the records that one reader of the ledger
-    splits.  No range starts with ``\\n``: after a header that ends in a lone
-    ``\\r`` it would read as ``\\r\\n``.  A ledger under ``MIN_SPLIT_BYTES`` is
-    one range."""
+def ledger_ranges(path, parts: int, delimiter: str = ",") -> list[tuple[int, int]]:
+    """Up to ``parts`` consecutive ``(start, end)`` byte ranges that hold the
+    ledger's records: the first starts after the header, and each other at
+    the first record start of the reader's own index (``_split_block``) past
+    an even share of the bytes.  A ``TransactionReader`` given a range as
+    its ``span`` reads the header and then seeks to the range, so the
+    readers of the ranges together split the records that one reader of the
+    ledger splits.  A ledger under ``MIN_SPLIT_BYTES`` is one range."""
     size = os.path.getsize(path)
-    whole = [LedgerRange(0, 0, size)]
-    if parts < 2 or size < MIN_SPLIT_BYTES:
-        return whole
+    if size < MIN_SPLIT_BYTES:
+        parts = 1
     with open(path, "rb") as fh:
         ledger = _Ledger(fh)
         ledger.header(delimiter, "ledger")
-        header = ledger.offset
-        targets = [header + (size - header) * i // parts for i in range(1, parts)]
-        cuts = [header]
+        cuts = [ledger.offset]
+        targets = [cuts[0] + (size - cuts[0]) * i // parts for i in range(1, parts)]
         while targets and (block := ledger.block(BLOCK_CHARS)):
             at = ledger.offset
             if at + len(block) <= targets[0] and b'"' not in bytes(block):
@@ -932,13 +904,12 @@ def ledger_ranges(path, parts: int, delimiter: str = ",") -> list[LedgerRange]:
                 # ledger, is not needed
                 ledger.take(len(block))
                 continue
-            padded, start, *_ = _split_block(ledger, block, delimiter)
-            start = at + start[padded[_PAD + start] != _LF]
+            start = at + _split_block(ledger, block, delimiter)[1]
             while targets and len(start) and targets[0] <= start[-1]:
                 cut = int(start[np.searchsorted(start, targets.pop(0))])
                 if cuts[-1] < cut:
                     cuts.append(cut)
-    return [LedgerRange(header, start, end) for start, end in zip(cuts, cuts[1:] + [size])]
+    return list(zip(cuts, cuts[1:] + [size]))
 
 
 def join_rejections(parts: Sequence[tuple[list[RowError], int]], cap: int) -> list[RowError]:

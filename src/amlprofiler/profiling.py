@@ -589,7 +589,9 @@ def write_profiles(dest: IO[str], profiles: Profiles) -> None:
 
 def read_profiles(source: IO[str], schema: AttributeSchema) -> Profiles:
     """What ``write_profiles`` wrote; no labels when a label cell or the
-    column is missing.  A malformed line raises ValueError naming it."""
+    column is missing.  A malformed line raises ValueError naming it, and so
+    does a value that the schema does not allow: one that is not finite, or
+    a nominal one that is not the index of one of its levels."""
     reader = csv.reader(source)
     header = next(reader, [])
     expected = ["customer_id", *schema.names]
@@ -597,7 +599,7 @@ def read_profiles(source: IO[str], schema: AttributeSchema) -> Profiles:
     if not has_label and header != expected:
         raise ValueError(f"line 1: profile header {header[:4]}... does not match schema")
     width = len(schema)
-    ids, rows, labels = [], [], []
+    ids, rows, labels, lines = [], [], [], []
     try:
         for row in reader:
             if len(row) != len(header):
@@ -608,11 +610,22 @@ def read_profiles(source: IO[str], schema: AttributeSchema) -> Profiles:
                 if labels[-1] is not None and not -2**63 <= labels[-1] < 2**63:
                     raise ValueError(f"label {labels[-1]} does not fit in 64 bits")
             ids.append(row[0])
+            lines.append(reader.line_num)
     except (ValueError, csv.Error) as exc:
         raise ValueError(f"line {reader.line_num}: {exc}") from None
+    values = np.array(rows, dtype=np.float64).reshape(len(ids), width)
+    levels = np.array([len(a.levels or ()) for a in schema.attributes])
+    level = (values == np.floor(values)) & (values >= 0) & (values < levels)
+    bad = np.argwhere(~np.isfinite(values) | (~schema.numeric_mask() & ~level))
+    if len(bad):
+        i, j = bad[0]
+        attribute = schema.attributes[j]
+        allowed = ("a finite number" if attribute.kind == NUMERIC
+                   else f"a level index 0 to {len(attribute.levels) - 1}")
+        raise ValueError(f"line {lines[i]}: {attribute.name} is {float(values[i, j])}, "
+                         f"not {allowed}")
     labeled = has_label and None not in labels
-    return Profiles(schema, tuple(ids), np.array(rows, dtype=np.float64).reshape(len(ids), width),
-                    np.array(labels, dtype=np.int64) if labeled else None)
+    return Profiles(schema, tuple(ids), values, np.array(labels, dtype=np.int64) if labeled else None)
 
 
 def write_schema_sidecar(

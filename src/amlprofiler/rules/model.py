@@ -12,6 +12,7 @@ agents, so their JSON shape is fixed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import IO, Sequence
 
@@ -242,7 +243,27 @@ def ruleset_to_json(ruleset: RuleSet) -> dict:
     }
 
 
+def _check_condition(cond: Condition, schema: AttributeSchema) -> None:
+    """A ValueError unless ``cond`` tests an attribute of ``schema`` with
+    ``<=``, ``>`` or ``=`` against a finite number, which an ``=`` on a
+    nominal attribute compares with one of its level indices."""
+    where = f"condition {asdict(cond)}"
+    if type(cond.attr) is not int or not 0 <= cond.attr < len(schema):
+        raise ValueError(f"{where}: attr is not an attribute index 0 to {len(schema) - 1}")
+    if cond.op not in (OP_LE, OP_GT, OP_EQ):
+        raise ValueError(f"{where}: op is not one of '<=', '>' and '='")
+    if not (type(cond.value) is int or type(cond.value) is float and math.isfinite(cond.value)):
+        raise ValueError(f"{where}: value is not a finite number")
+    attribute = schema.attributes[cond.attr]
+    if (cond.op == OP_EQ and attribute.kind == NOMINAL
+            and cond.value not in range(len(attribute.levels))):
+        raise ValueError(f"{where}: value is not a level index of {attribute.name}, "
+                         f"0 to {len(attribute.levels) - 1}")
+
+
 def ruleset_from_json(obj: dict) -> RuleSet:
+    """The rule set that ``ruleset_to_json`` wrote; a condition that its
+    schema does not allow is a ValueError (``_check_condition``)."""
     rules = [
         Rule(
             conditions=tuple(Condition(**c) for c in r["conditions"]),
@@ -252,12 +273,15 @@ def ruleset_from_json(obj: dict) -> RuleSet:
         )
         for r in obj["rules"]
     ]
+    schema = from_json(AttributeSchema, obj["schema"], "schema")
+    for cond in (c for r in rules for c in r.conditions):
+        _check_condition(cond, schema)
     return RuleSet(
         rules=rules,
         default_class=obj["default_class"],
         default_counts=tuple(obj["default_counts"]),
         classes=tuple(obj["classes"]),
-        schema=from_json(AttributeSchema, obj["schema"], "schema"),
+        schema=schema,
         algorithm=obj["algorithm"],
         params=InductionParams(**obj["params"]),
     )

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,25 @@ class TestGrid:
         assert len(by_algo["part"]) == 6 and len(by_algo["tree"]) == 6
         assert len(by_algo["ripper"]) == 3
         assert all(r["rep_flag"] == "builtin" for r in by_algo["ripper"])
+
+    def test_sweep_takes_the_smallest_cluster_of_any_labels(self, pipeline_dir, tmp_path):
+        """A label of -1, which ``rules`` reads, is one more cluster to
+        ``grid --sweep`` too."""
+        out, _ = pipeline_dir
+        for path in out.glob("*profiles*"):
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        rows = csv_rows(tmp_path / "labeled_profiles.csv")
+        sizes = Counter(r["label"] for r in rows)
+        smallest = min(sizes, key=sizes.get)
+        lines = (tmp_path / "labeled_profiles.csv").read_text().splitlines()
+        lines[1:] = [with_field(line, -1, "-1") if r["label"] == smallest else line
+                     for line, r in zip(lines[1:], rows)]
+        (tmp_path / "labeled_profiles.csv").write_text("\n".join(lines) + "\n")
+        (tmp_path / "config.json").write_text(json.dumps({"grid": {"sweep_steps": 3}}))
+        assert main(["--config", str(tmp_path / "config.json"), "--out-dir", str(tmp_path),
+                     "grid", "--attribute-kind", "numeric", "--sweep"]) == 0
+        manifest = json.loads((tmp_path / "grid_numeric_sweep.manifest.json").read_text())
+        assert manifest["params"]["steps"] == geometric_steps(2, max(sizes[smallest], 2), 3)
 
     def test_grid_nominal(self, pipeline_dir):
         out, args = pipeline_dir
@@ -558,8 +578,15 @@ class TestDiagnostics:
          "profiles.schema.json: the schema sidecar is not a JSON object"),
         ("profiles_nominal.schema.json", '{"schema": {"attributes": []}}', ["cluster"],
          "profiles_nominal.schema.json: no discretization"),
+        ("profiles.csv", lambda lines: with_field(lines[2], 1, "nan"), ["cluster"],
+         "profiles.csv: line 3: monthly_services_avg is nan, not a finite number"),
+        *[("labeled_profiles_nominal.csv", lambda lines, v=value: with_field(lines[2], 1, v),
+           ["rules", "--attribute-kind", "nominal"],
+           f"labeled_profiles_nominal.csv: line 3: monthly_services_avg is {value}, "
+           "not a level index 0 to 2") for value in ("7.0", "-1.0")],
     ], ids=["value", "row_width", "header", "label", "label_beyond_int64", "sidecar",
-            "nominal_sidecar", "sidecar_not_object", "nominal_sidecar_without_cuts"])
+            "nominal_sidecar", "sidecar_not_object", "nominal_sidecar_without_cuts",
+            "non_finite", "nominal_beyond_levels", "nominal_negative"])
     def test_malformed_profile_file_is_one_line_diagnostic(self, pipeline_dir, tmp_path, capsys,
                                                           name, edit, stage, message):
         out, _ = pipeline_dir
@@ -579,6 +606,30 @@ class TestDiagnostics:
         assert err.startswith(f"error: {tmp_path / name}: ") and err.count("\n") == 1
         assert message in err
         assert not (tmp_path / "cluster_model.json").exists()  # a failed cluster writes no model
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"attr": -1}, "attr is not an attribute index 0 to 17"),
+        ({"attr": 99}, "attr is not an attribute index 0 to 17"),
+        ({"op": "!="}, "op is not one of '<=', '>' and '='"),
+    ], ids=["negative_attr", "attr_beyond_schema", "unknown_op"])
+    def test_condition_outside_the_schema_is_one_line_diagnostic(self, pipeline_dir, tmp_path,
+                                                                 capsys, edit, message):
+        out, _ = pipeline_dir
+        for path in out.glob("*profiles*"):
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        assert main(["--out-dir", str(tmp_path), "rules"]) == 0
+        path = tmp_path / "ruleset.json"
+        ruleset = json.loads(path.read_text())
+        next(r for r in ruleset["rules"] if r["conditions"])["conditions"][0].update(edit)
+        path.write_text(json.dumps(ruleset))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["--out-dir", str(tmp_path), "export-kb"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: condition ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "knowledge_base.json").exists()
 
     @pytest.mark.parametrize("name, text, stage, message", [
         ("ruleset.json", '{"algorithm": "part"}', "export-kb", "no key 'rules'"),

@@ -19,7 +19,6 @@ from amlprofiler.ingest import (
     ConfigError,
     FilterPolicy,
     FilterStats,
-    LedgerRange,
     Register,
     RowError,
     TooManyRowErrors,
@@ -217,6 +216,20 @@ class TestAmountParsing:
         for text in ("12,50", "NaN", "Infinity", "-inf", "sNaN", "1e400"):
             with pytest.raises(ValueError, match="unparseable amount"):
                 parse_amount_cents(text)
+
+    @pytest.mark.parametrize("text,cents", [
+        ("+5.00", 500), ("5.", 500), (".5", 50), ("1E2", 10000), ("1_000.00", 100000),
+        ("-5", -500), ("-5.25", -525), (" 7 ", 700), ("\u0665.\u0660\u0660", 500),
+    ])
+    def test_accepted_forms_keep_their_cents(self, text, cents):
+        assert parse_amount_cents(text) == cents
+
+    @pytest.mark.parametrize("text", ["--5.00", "5.\u00b2", "--5", "\u00b2", "5.0\u00b2", "-",
+                                      "1" * 5000])
+    def test_every_malformed_amount_gives_one_reason(self, text):
+        with pytest.raises(ValueError) as exc:
+            parse_amount_cents(text)
+        assert str(exc.value) == f"unparseable amount {text!r}"
 
     @given(st.integers(min_value=1, max_value=10**12))
     def test_format_roundtrip(self, cents):
@@ -816,8 +829,8 @@ class TestLedgerRanges:
         """Each range's chunks, its reader, and whether it was aborted."""
         out = []
         for span in ranges:
-            with span.open(path) as fh:
-                reader = TransactionReader(fh, **kw)
+            with open(path, "rb") as fh:
+                reader = TransactionReader(fh, span=span, **kw)
                 try:
                     out.append((list(reader), reader, False))
                 except TooManyRowErrors:
@@ -841,12 +854,9 @@ class TestLedgerRanges:
             # a byte that is not UTF-8, after the header
             at = header + pick % (len(data) - header + 1)
             data = data[:at] + b"\xff" + data[at:]
-        # record starts, as ledger_ranges cuts, but for those at a \n, which
-        # would end a header that ends in a lone \r as \r\n does
-        starts = [i for i in record_starts(data, delimiter)[2:-1] if data[i] != ord("\n")]
+        starts = record_starts(data, delimiter)[2:-1]  # where ledger_ranges may cut
         cuts = sorted({starts[p % len(starts)] for p in cut_picks} if starts else set())
-        ranges = [LedgerRange(header, a, b)
-                  for a, b in zip([header, *cuts], [*cuts, len(data)])]
+        ranges = list(zip([header, *cuts], [*cuts, len(data)]))
         kw = dict(window=DIFF_WINDOW, register=register_of(REGISTER_IDS), error_cap=error_cap,
                   delimiter=delimiter)
         with tempfile.TemporaryDirectory() as tmp, \
@@ -863,7 +873,7 @@ class TestLedgerRanges:
             parts = self.read(path, ranges, **kw)
             with mock.patch.object(ingest, "MIN_SPLIT_BYTES", 0):
                 cut = ledger_ranges(path, 4, delimiter)
-        assert {r.start for r in cut[1:]} <= set(starts)
+        assert {start for start, _ in cut[1:]} <= set(starts)
         if aborted is not None:
             with pytest.raises(TooManyRowErrors) as exc:
                 join_rejections([(r.errors, r.records) for _, r, _ in parts], error_cap)
@@ -886,18 +896,24 @@ class TestLedgerRanges:
         with mock.patch.object(ingest, "MIN_SPLIT_BYTES", 0):
             ranges = ledger_ranges(path, 4)
         assert len(ranges) == 4
-        assert {r.header for r in ranges} == {len(HEADER) + 1}
-        assert [r.start for r in ranges] == [len(HEADER) + 1] + [r.end for r in ranges[:-1]]
-        assert ranges[-1].end == len(data)
-        assert all(data[r.end - 2 : r.end] == b"\r\n" for r in ranges)
-        assert max(r.end - r.start for r in ranges) < len(data) / 3
+        assert ranges[0][0] == len(HEADER) + 1
+        assert [start for start, _ in ranges] == [len(HEADER) + 1] + [end for _, end in ranges[:-1]]
+        assert ranges[-1][1] == len(data)
+        assert all(data[end - 2 : end] == b"\r\n" for _, end in ranges)
+        assert max(end - start for start, end in ranges) < len(data) / 3
 
     @pytest.mark.parametrize("header_end, row_end", [
         ("\r", "\n\n"),  # an empty record after each row
         ("\r", "\r"),
         ("\n", "\r\n\r\n"),
+        ("\n", "\n\n"),
+        ("\r", "\r\n\n"),
     ])
-    def test_ranges_never_start_at_a_newline(self, tmp_path, header_end, row_end):
+    def test_cuts_at_every_record_start_read_as_the_whole_ledger(self, tmp_path, header_end,
+                                                                 row_end):
+        """Ranges cut at every record start, the \n of an empty record
+        included, after a header that ends in a lone \r too, read as the
+        whole ledger, and so do the ranges of ``ledger_ranges``."""
         path = tmp_path / "ledger.csv"
         rows = [make_row(cid=f"c{i % 3 + 1}", amount="0.00" if i % 50 == 7 else f"{i + 1}.00")
                 for i in range(300)]
@@ -907,15 +923,20 @@ class TestLedgerRanges:
                 mock.patch.object(ingest, "BLOCK_CHARS", 97):
             ranges = ledger_ranges(path, 4)
         assert len(ranges) == 4
-        assert all(data[r.start] != ord("\n") for r in ranges)
+        starts = record_starts(data)[1:-1]
+        assert ranges[0][0] == starts[0]
+        at_newline = [start for start in starts if data[start] == ord("\n")]
+        assert len(at_newline) == (300 if row_end.endswith("\n\n") else 0)
         kw = dict(window=WINDOW, register=register_of({"c1", "c2", "c3"}))
         with open(path, "rb") as fh:
             whole = TransactionReader(fh, **kw)
             list(whole)
-        parts = self.read(path, ranges, **kw)
-        assert join_rejections([(r.errors, r.records) for _, r, _ in parts], 100) == whole.errors
-        assert sum(r.records for _, r, _ in parts) == whole.records
-        assert sum(r.accepted for _, r, _ in parts) == whole.accepted == 294
+        for cut in (ranges, list(zip(starts, [*starts[1:], len(data)]))):
+            parts = self.read(path, cut, **kw)
+            assert join_rejections([(r.errors, r.records) for _, r, _ in parts],
+                                   100) == whole.errors
+            assert sum(r.records for _, r, _ in parts) == whole.records == len(starts)
+            assert sum(r.accepted for _, r, _ in parts) == whole.accepted == 294
 
     @pytest.mark.parametrize("delimiter", [",", ";"])
     @pytest.mark.parametrize("account", [
@@ -941,8 +962,8 @@ class TestLedgerRanges:
             ranges = ledger_ranges(path, 4, delimiter=delimiter)
         assert len(ranges) == 4
         starts = record_starts(data, delimiter)
-        assert ranges[0].header == starts[1]
-        assert {r.start for r in ranges} < set(starts)
+        assert ranges[0][0] == starts[1]
+        assert {start for start, _ in ranges} < set(starts)
         kw = dict(window=WINDOW, register=register_of({"c1", "c2", "c3"}), delimiter=delimiter)
         parts = self.read(path, ranges, **kw)
         assert sum(r.accepted for _, r, _ in parts) == 300
@@ -961,7 +982,7 @@ class TestLedgerRanges:
         path = tmp_path / "ledger.csv"
         path.write_text(HEADER + make_row() * 300)
         size = path.stat().st_size
-        assert ledger_ranges(path, 4) == [LedgerRange(0, 0, size)]  # under the floor
+        assert ledger_ranges(path, 4) == [(len(HEADER), size)]  # under the floor
         with mock.patch.object(ingest, "MIN_SPLIT_BYTES", 0):
             assert len(ledger_ranges(path, 4)) == 4
-            assert ledger_ranges(path, 1) == [LedgerRange(0, 0, size)]
+            assert ledger_ranges(path, 1) == [(len(HEADER), size)]

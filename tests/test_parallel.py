@@ -140,7 +140,7 @@ def test_default_workers_match_one_cpu(pipeline_dir, monkeypatch, tmp_path, stag
         forked, serial = seen
         assert len(forked) > 1 and len(serial) == 1
         # the planted rows lie in more than one range
-        assert len({sum(r.start <= at for r in forked) for at in planted}) > 1
+        assert len({sum(start <= at for start, _ in forked) for at in planted}) > 1
 
 
 def test_sweep_csv_is_the_same_on_any_cpu_mask_and_blas_thread_count(tmp_path):
@@ -187,7 +187,7 @@ def test_error_cap_abort_in_several_ranges_matches_one_cpu(pipeline_dir, monkeyp
     assert runs[0][:2] == (2, "error: aborted after 4 malformed rows (cap 3)\n")
     if available_cpus() > 1:
         # the cap is reached with rejections in more than one range
-        assert len({sum(r.start <= at for r in seen[0]) for at in planted[:4]}) > 1
+        assert len({sum(start <= at for start, _ in seen[0]) for at in planted[:4]}) > 1
 
 
 class FullDisk(io.BytesIO):

@@ -1,5 +1,7 @@
 """PART and RIPPER rule lists, plus decision-list prediction semantics."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,29 @@ class TestDecisionListSemantics:
         obj = ruleset_to_json(tiny_ruleset())
         obj["rules"][1]["class"] = 7
         with pytest.raises(ValueError, match="class 7"):
+            ruleset_from_json(obj)
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"attr": -1}, "attr is not an attribute index 0 to 2"),
+        ({"attr": 3}, "attr is not an attribute index 0 to 2"),
+        ({"attr": 1.0}, "attr is not an attribute index 0 to 2"),
+        ({"op": "!="}, "op is not one of '<=', '>' and '='"),
+        ({"value": float("nan")}, "value is not a finite number"),
+        ({"value": True}, "value is not a finite number"),
+        ({"attr": 2, "op": "=", "value": 3.0}, "value is not a level index of c, 0 to 2"),
+        ({"attr": 2, "op": "=", "value": 0.5}, "value is not a level index of c, 0 to 2"),
+        ({"attr": 2, "op": "=", "value": 2.0}, None),
+        ({"attr": 2, "op": "<=", "value": 7.5}, None),
+    ])
+    def test_condition_outside_the_schema_rejected(self, edit, message):
+        obj = ruleset_to_json(tiny_ruleset())
+        obj["schema"]["attributes"] += ({"name": "c", "kind": "nominal", "levels": ["r", "g", "b"]},)
+        obj["rules"][1]["conditions"][0].update(edit)
+        if message is None:
+            assert ruleset_from_json(obj).rules[1].conditions[0] == Condition(**{
+                "attr": 1, "op": ">", "value": 2.0, **edit})
+            return
+        with pytest.raises(ValueError, match=re.escape(message)):
             ruleset_from_json(obj)
 
     def test_scores_follow_matched_rule(self):
