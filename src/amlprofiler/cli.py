@@ -315,10 +315,12 @@ def _inducer(algorithm: str, schema: AttributeSchema, params: InductionParams):
 
 
 def cmd_synth(args, config: PipelineConfig, out_dir: Path) -> StageResult:
+    if config.generator and args.archetypes:
+        raise StageError("--archetypes and the config's generator section both pick the population")
     out_dir.mkdir(parents=True, exist_ok=True)
     bundled = synthgen.six_archetype_config if args.archetypes == 6 else synthgen.default_config
-    gen = _override(config.generator or bundled(noise=args.noise), "generator",
-                   seed=args.seed, n_customers=args.n_customers)
+    gen = _override(config.generator or bundled(), "generator",
+                   seed=args.seed, n_customers=args.n_customers, noise=args.noise)
     result = synthgen.generate_files(gen, out_dir)
     write_json(out_dir / GENERATOR_JSON, gen.to_json())
     return StageResult(
@@ -752,8 +754,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic ledger")
     p.add_argument("--n-customers", type=int, default=None)
-    p.add_argument("--archetypes", type=int, choices=(6, 7), default=7)
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--archetypes", type=int, choices=(6, 7), default=None)
+    p.add_argument("--noise", type=float, default=None)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("profile", help="aggregate transactions into profiles")

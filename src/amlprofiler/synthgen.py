@@ -16,6 +16,7 @@ import csv
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timedelta
+from itertools import repeat
 from pathlib import Path
 from typing import IO
 
@@ -28,6 +29,8 @@ AMOUNT_LOGNORMAL = "lognormal"
 AMOUNT_BELOW_THRESHOLD = "just_below_threshold"
 
 BANK_CHARGE_TYPE_CODE = 99
+_DIRECTIONS = np.array(["credit", "debit"])  # by the debit flag
+_COUNTERPARTIES = np.array([""] + [f"BANK_{bank:02d}" for bank in range(1, 30)])  # by bank id
 # The largest mean numpy's Poisson sampler accepts ("lam value too large" above it).
 POISSON_MEAN_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
 
@@ -71,6 +74,8 @@ class ArchetypeSpec:
             )
         if self.amount_mode not in (AMOUNT_LOGNORMAL, AMOUNT_BELOW_THRESHOLD):
             raise ConfigError(f"{self.name}: unknown amount mode {self.amount_mode!r}")
+        if self.amount_mode == AMOUNT_LOGNORMAL and not self.amount_scale > 0:
+            raise ConfigError(f"{self.name}: a lognormal amount_scale must be > 0")
 
 
 @dataclass(frozen=True)
@@ -136,12 +141,13 @@ def _month_starts(window: Window) -> list[tuple[float, float]]:
 
 
 def _customer_rows(
-    idx: int,
     spec: ArchetypeSpec,
     config: GeneratorConfig,
     months: list[tuple[float, float]],
     rng: np.random.Generator,
-) -> tuple[list, str]:
+) -> tuple[list[list], str]:
+    """The customer's ledger rows in time order, as the columns timestamp,
+    amount, direction, service, type and counterparty; and the open date."""
     window = config.window
     window_seconds = (window.end - window.start).total_seconds()
     age = float(np.clip(rng.normal(spec.account_age_years_mean, spec.account_age_years_sd), 0.3, 45.0))
@@ -153,14 +159,9 @@ def _customer_rows(
     if flows_per_month.sum() == 0:
         flows_per_month[int(rng.integers(len(months)))] = 1  # every customer transacts
 
-    rows = []
     total_flows = int(flows_per_month.sum())
-    credit_offsets = np.empty(total_flows)
-    pos = 0
-    for (m_off, m_len), count in zip(months, flows_per_month):
-        if count:
-            credit_offsets[pos : pos + count] = m_off + rng.random(count) * m_len
-            pos += count
+    credit_offsets = np.concatenate([m_off + rng.random(count) * m_len
+                                     for (m_off, m_len), count in zip(months, flows_per_month)])
     if spec.amount_mode == AMOUNT_BELOW_THRESHOLD:
         amounts = config.reporting_threshold * (0.9 + 0.099 * rng.random(total_flows))
     else:
@@ -171,27 +172,34 @@ def _customer_rows(
     bank_ids = rng.integers(1, 30, size=total_flows)
     svc = pool[rng.integers(0, len(pool), size=2 * total_flows)]
     types = rng.integers(1, 6, size=2 * total_flows)
-
-    for i in range(total_flows):
-        c_off = credit_offsets[i]
-        cents = max(1, int(round(amounts[i] * 100)))
-        rows.append((c_off, 0, cents, "credit", int(svc[2 * i]), int(types[2 * i]), ""))
-        d_off = min(c_off + lags[i], window_seconds)
-        d_cents = max(1, int(round(cents * spec.outflow_fraction)))
-        counterparty = f"BANK_{bank_ids[i]:02d}" if interbank[i] else ""
-        rows.append(
-            (d_off, 1, d_cents, "debit", int(svc[2 * i + 1]), int(types[2 * i + 1]), counterparty)
-        )
-
     n_charges = rng.poisson(config.bank_charges_per_month * len(months))
-    if n_charges:
-        charge_offsets = rng.random(n_charges) * window_seconds
-        charge_cents = rng.integers(100, 2000, size=n_charges)
-        for off, cents in zip(charge_offsets, charge_cents):
-            rows.append((float(off), 1, int(cents), "debit", 0, BANK_CHARGE_TYPE_CODE, ""))
+    charge_offsets = rng.random(n_charges) * window_seconds
+    charge_cents = rng.integers(100, 2000, size=n_charges)
 
-    rows.sort()
-    return rows, open_date.isoformat()
+    cents = np.maximum(1, np.rint(amounts * 100))
+    if not cents.max() < 2**63:
+        raise ConfigError(f"{spec.name}: an amount of {amounts.max():g} overflows int64 cents")
+    debit_cents = np.maximum(1, np.rint(cents * spec.outflow_fraction))
+    no_flow, no_charge = np.zeros(total_flows, np.int64), np.zeros(n_charges, np.int64)
+    # The credit rows, then the debit rows, then the bank charges. They sort by
+    # offset, debit flag (it is the direction), cents, service, type and bank;
+    # two rows that tie on every key are the same row.
+    keys = (
+        np.concatenate([credit_offsets, np.minimum(credit_offsets + lags, window_seconds),
+                        charge_offsets]),
+        np.repeat([0, 1], [total_flows, total_flows + n_charges]),
+        np.concatenate([cents, debit_cents, charge_cents]).astype(np.int64),
+        np.concatenate([svc[0::2], svc[1::2], no_charge]),
+        np.concatenate([types[0::2], types[1::2], no_charge + BANK_CHARGE_TYPE_CODE]),
+        np.concatenate([no_flow, np.where(interbank, bank_ids, 0), no_charge]),
+    )
+    order = np.lexsort(keys[::-1])
+    offset, debit, cents, svc, types, bank = (key[order] for key in keys)
+    stamps = np.datetime64(window.start) + offset.astype("timedelta64[s]")
+    unit = "us" if window.start.microsecond else "s"  # as datetime.isoformat writes them
+    return [np.datetime_as_string(stamps, unit=unit).tolist(),
+            list(map(format_amount, cents.tolist())), _DIRECTIONS[debit].tolist(),
+            svc.tolist(), types.tolist(), _COUNTERPARTIES[bank].tolist()], open_date.isoformat()
 
 
 def generate(
@@ -202,8 +210,7 @@ def generate(
 ) -> GeneratedLedger:
     """Write the ledger, register and archetype labels for one config."""
     config.validate()
-    window = config.window
-    months = _month_starts(window)
+    months = _month_starts(config.window)
 
     n_noise = int(round(config.noise * config.n_customers))
     n_core = config.n_customers - n_noise
@@ -230,23 +237,9 @@ def generate(
             lam = float(rng.uniform(0.25, 0.75))
             spec = _blend(config.archetypes[pair[0]], config.archetypes[pair[1]], lam)
         customer_id = f"cust_{idx:07d}"
-        account_id = f"acc_{idx:07d}"
-        rows, open_date = _customer_rows(idx, spec, config, months, rng)
-        for off, _, cents, direction, svc, ttype, counterparty in rows:
-            ts = window.start + timedelta(seconds=int(off))
-            tx_writer.writerow(
-                [
-                    customer_id,
-                    account_id,
-                    ts.isoformat(),
-                    format_amount(cents),
-                    direction,
-                    svc,
-                    ttype,
-                    counterparty,
-                ]
-            )
-        n_rows += len(rows)
+        columns, open_date = _customer_rows(spec, config, months, rng)
+        tx_writer.writerows(zip(repeat(customer_id), repeat(f"acc_{idx:07d}"), *columns))
+        n_rows += len(columns[0])
         reg_writer.writerow([customer_id, open_date])
         gt_writer.writerow([customer_id, spec.name])
         archetype_counts[spec.name] = archetype_counts.get(spec.name, 0) + 1

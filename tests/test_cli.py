@@ -379,6 +379,20 @@ class TestDiagnostics:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and f"{rate} must be at most" in err
 
+    def test_synth_flags_override_the_config_generator(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"generator": synthgen.default_config(40).to_json()}))
+        argv = ["--config", str(cfg_path), "--out-dir", str(tmp_path / "run"), "synth"]
+        assert main([*argv, "--noise", "0.5", "--n-customers", "20"]) == 0
+        written = json.loads((tmp_path / "run" / "generator_config.json").read_text())
+        assert (written["noise"], written["n_customers"]) == (0.5, 20)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--archetypes", "6"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--archetypes" in err and "generator" in err
+
     def test_amount_beyond_int64_cents_is_rejected_row(self, tmp_path):
         (tmp_path / "register.csv").write_text("customer_id,account_open_date\nc1,2010-01-01\n")
         (tmp_path / "transactions.csv").write_text(

@@ -1,6 +1,10 @@
+import hashlib
 import io
 import csv
+import json
 from dataclasses import replace
+from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from amlprofiler.manifest import from_json
 from amlprofiler.ingest import (
     ConfigError,
     FilterPolicy,
+    Window,
     TransactionChunk,
     TransactionReader,
     filter_insignificant,
@@ -77,6 +82,21 @@ class TestValidation:
         bad = replace(base, archetypes=tuple(replace(a, proportion=0.1) for a in base.archetypes))
         with pytest.raises(ConfigError, match="sum"):
             bad.validate()
+
+    def test_lognormal_amount_scale_must_be_positive(self):
+        base = synthgen.default_config(n_customers=20)
+        for scale in (0.0, -5.0):
+            bad = replace(base, archetypes=(replace(base.archetypes[0], proportion=1.0,
+                                                    amount_scale=scale),))
+            with pytest.raises(ConfigError, match="amount_scale must be > 0"):
+                bad.validate()
+
+    @pytest.mark.parametrize("dial", [{"amount_scale": 1e300}, {"amount_sigma": 1e3}])
+    def test_amount_beyond_int64_cents_rejected(self, dial):
+        base = synthgen.default_config(n_customers=20)
+        bad = replace(base, archetypes=(replace(base.archetypes[0], proportion=1.0, **dial),))
+        with pytest.raises(ConfigError, match="overflows int64 cents"):
+            generate_to_strings(bad)
 
     def test_noise_range(self):
         with pytest.raises(ConfigError):
@@ -148,3 +168,49 @@ class TestGeneratedLedgerQuality:
         assert result.customers == 100
         labels = {row["archetype"] for row in csv.DictReader(io.StringIO(gt))}
         assert labels <= {a.name for a in cfg.archetypes}
+
+
+def _perfbench_generator():
+    ledger = Path(__file__).resolve().parents[1] / "perfbench" / "ledger.json"
+    return from_json(synthgen.GeneratorConfig, json.loads(ledger.read_text())["generator"],
+                     "generator")
+
+
+POPULATIONS = {
+    "six_archetypes_1500": lambda: synthgen.six_archetype_config(n_customers=1500),
+    "noise_0.3_1000": lambda: synthgen.default_config(n_customers=1000, noise=0.3),
+    "perfbench_ledger_800": _perfbench_generator,
+    # isoformat writes the half second of every timestamp
+    "half_second_start_50": lambda: replace(synthgen.default_config(n_customers=50), window=Window(
+        datetime(2014, 1, 1, 0, 0, 0, 500000), datetime(2014, 12, 31, 23, 59, 59))),
+}
+# SHA-256 of transactions.csv, register.csv and ground_truth.csv, recorded on
+# the row-by-row writer that the columnar one replaced
+GOLDEN = {
+    "six_archetypes_1500": (
+        "07d3b3f0a8ca50d7e6cd7da097d7b23ed0fd69fbb70b9c77087ca648860286d1",
+        "d3cb686e0f8cfcfa623ba94d6b164630355fc5562725c9dc152354159816db88",
+        "7fa30e12772a87049d8e9896d88239b72e79e075ebdcf28ee51cddd2e8e7d242",
+    ),
+    "noise_0.3_1000": (
+        "8989c07dc342d7f3b5d00b3f0c10d7c235aa8f6bafd39c0747c429497e1c0c3a",
+        "f600a7891e836a82d7c422069c15b2f0d175b7d29b6b2e1ef0eae31be49acb83",
+        "3391c15349c30ad29819f3fb9512b4bd6e627b8fccca83a8cdccba8d3bb9e339",
+    ),
+    "perfbench_ledger_800": (
+        "74654c8be3017d14028aec14e3d44aaa4530f99b03e9f6196028641d014eeeda",
+        "47bffe86a34b9ea65e2a4def7dfbabbb12803d1f6d1dd04fa1a34de2ee0fab14",
+        "2ce2a2baaafab23882d3811bcb800cbf36bc864c268788ea434b1e483ae026bf",
+    ),
+    "half_second_start_50": (
+        "63e966aa9f7805d32924704ff0731d105da81f5071ce012a998960c1376cbc60",
+        "0d7c4b5eaa6b041dd2daef84ab3bfd9d6a123abf4322fb2c2f693da07ce9ef0e",
+        "23ef2add8ac2fdbadc899f91539ce26801fd1f5fc1f505883c3ce6fa0db4e469",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", POPULATIONS)
+def test_files_match_the_recorded_digests(name):
+    _, *texts = generate_to_strings(POPULATIONS[name]())
+    assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == GOLDEN[name]
