@@ -408,8 +408,8 @@ def cmd_profile(args, config: PipelineConfig, out_dir: Path) -> StageResult:
             window=window,
             register=register,
             # a rejected register row is the one rejection of its customer's rows
-            rejected_customers={e.customer_id for e in reg_errors if e.customer_id}
-            - register.code.keys(),
+            rejected_customers={e.customer_id for e in reg_errors
+                                if e.customer_id and e.customer_id not in register},
             error_cap=config.error_cap,
             delimiter=config.delimiter,
         )

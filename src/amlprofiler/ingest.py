@@ -16,19 +16,26 @@ that ``synth`` writes, quoted or not, are converted by one set of
 array conversions, which take a byte matrix per field; every other ledger
 row, and every register row, is cut into fields at the same ends (a quoted
 field loses its quotes, and ``""`` in it becomes ``"``) and judged on its
-own, a ledger row by ``_parse_row``.  ``csv.reader`` reads the
-header, and any record longer than ``csv.field_size_limit()`` bytes or
-than its block: it rejects a field over that many characters, and where
-it resumes then is its own.  Amounts are kept exact (integer cents) so
+own, a ledger row by ``_parse_row``.  A check of the canonical rows runs
+only on a block that holds the bytes it looks for, which one scan of the
+block tells: the quoted-field checks on a block with a quote, the id
+quote/NUL check on one with a quote or NUL, the UTF-8 check on one with a
+byte of 0x80 or more, and the count of blanks in the counterparty field on
+one with a quote or a byte up to 0x20 other than a line end.  ``csv.reader``
+reads the header, and any record longer than ``csv.field_size_limit()``
+bytes or than its block: it rejects a field over that many characters, and
+where it resumes then is its own.  Amounts are kept exact (integer cents) so
 that downstream aggregation is independent of row order.  A timestamp or
 date is read only in a form that ``fromisoformat`` reads on every supported
 Python version (``_TIMESTAMP_FORM``, ``_DATE_FORM``).
 
 The register becomes one frozen ``Register`` table: the customer ids in
-sorted order, their account-open dates, and each id's position, which is
-how every later step names a customer.  The reader looks each ledger row's
-customer id up there once and hands on its position
-(``TransactionChunk.customer``), which the profile totals index by.
+sorted order and their account-open dates.  An id's position there is how
+every later step names a customer.  The table also holds the ids' bytes in
+byte order, and the reader finds the customer ids of a block's rows there
+with one ``np.searchsorted``, once per run of one id, and hands on their
+positions (``TransactionChunk.customer``), which the profile totals index
+by.
 
 A ledger may also be read in byte ranges (``ledger_ranges``), each by its
 own reader, which reads the header and then seeks to its range
@@ -46,10 +53,9 @@ import logging
 import os
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from datetime import date, datetime, timedelta
 from decimal import Decimal, InvalidOperation
-from itertools import repeat
 from typing import (IO, Callable, Collection, Generator, Iterable, Iterator, Mapping, NamedTuple,
                     Optional, Sequence, Union)
 
@@ -123,19 +129,60 @@ class TransactionRecord(NamedTuple):
     counterparty_bank: Optional[str]
 
 
+# The byte after an id's UTF-8 bytes in its lookup key.  numpy's ``S`` strings
+# ignore trailing NULs, and a key never ends in one, so two keys are equal
+# as ``S`` strings only when their bytes are: "c9\x00" is not "c9".
+_KEY_END = b"\x01"
+
+
+def _key(cid: str) -> bytes:
+    return cid.encode("utf-8", "surrogatepass") + _KEY_END
+
+
 @dataclass(frozen=True)
 class Register:
-    """The accepted customers of a register: ``ids`` in sorted order, their
-    account-open dates ``opened``, and ``code``, each id's position."""
+    """The accepted customers of a register: ``ids`` in sorted order and
+    their account-open dates ``opened``.  An id's position in ``ids`` is how
+    every later step names its customer; ``lookup`` and ``positions`` find
+    it by one sorted search of ``keys``."""
 
     ids: tuple[str, ...]
     opened: tuple[date, ...]
-    code: dict[str, int]
+    # every id's key (``_key``) in byte order, which need not be the order
+    # of ``ids``, and last a key above them all; and the position in ``ids``
+    # of each, -1 for that last one
+    keys: np.ndarray = field(init=False, repr=False, compare=False)
+    rank: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        keys = [_key(c) for c in self.ids]
+        width = max(map(len, keys), default=1)
+        table = np.array(keys, f"S{width}")
+        order = np.argsort(table, kind="stable")
+        # UTF-8 never holds \xff, so no key reaches this one
+        object.__setattr__(self, "keys", np.append(table[order], np.array(b"\xff" * width)))
+        object.__setattr__(self, "rank", np.append(order, -1))
 
     @staticmethod
     def of(opened: Mapping[str, date]) -> "Register":
         ids = tuple(sorted(opened))
-        return Register(ids, tuple(opened[c] for c in ids), {c: i for i, c in enumerate(ids)})
+        return Register(ids, tuple(opened[c] for c in ids))
+
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """The position of the id of each of ``keys``, an ``S`` array no
+        wider than ``self.keys``, or -1 where the register has no such id."""
+        at = np.searchsorted(self.keys, keys)
+        return np.where(self.keys[at] == keys, self.rank[at], -1)
+
+    def positions(self, ids: Iterable[str]) -> np.ndarray:
+        """The position of each of ``ids``, or -1 where it is not in ``ids``."""
+        width = self.keys.dtype.itemsize
+        keys = (_key(c) for c in ids)
+        # a key wider than every id's is none of them
+        return self.lookup(np.array([k if len(k) <= width else b"" for k in keys], f"S{width}"))
+
+    def __contains__(self, cid: str) -> bool:
+        return bool(self.positions([cid])[0] >= 0)
 
 
 @dataclass(frozen=True)
@@ -388,12 +435,14 @@ _AMOUNT_DIGITS = [i for i in range(_AMOUNT_WIDTH) if i != 15]
 _AMOUNT_WEIGHTS = np.array([10**p for p in range(16, 1, -1)] + [0, 10, 1], dtype=np.int64)
 _CODE_WIDTH = 9
 _CODE_WEIGHTS = 10.0 ** np.arange(_CODE_WIDTH - 1, -1, -1)
-_CREDIT, _DEBIT = (np.frombuffer(word.encode(), np.uint8) for word in (CREDIT, DEBIT))
-# Customer ids up to this long take the array path.
-_ID_WIDTH = 64
+# A direction is read as one little-endian word of its first 8 bytes
+_WORD = 8
+_CREDIT, _DEBIT = (int.from_bytes(word.encode(), "little") for word in (CREDIT, DEBIT))
+# Customer ids whose key (``_key``) is at most this long take the array path.
+_KEY_WIDTH = 64
 # NUL bytes on either side of a block, so that the bytes gathered for a
 # field, at most this many, lie inside
-_PAD = _ID_WIDTH
+_PAD = _KEY_WIDTH
 # The ASCII whitespace that str.strip removes; a quoted field may hold line ends
 _BLANK = np.array([chr(c).isspace() for c in range(33)])
 _QUOTE, _LF, _CR = b'"\n\r'
@@ -446,10 +495,13 @@ def _codes(chars: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def _signs(chars: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """1 for "credit", -1 for "debit", 0 for any other text; ``chars`` is
-    left-aligned."""
-    credit = (lengths == len(CREDIT)) & (chars[:, : len(CREDIT)] == _CREDIT).all(axis=1)
-    debit = (lengths == len(DEBIT)) & (chars[:, : len(DEBIT)] == _DEBIT).all(axis=1)
-    return credit.astype(np.int64) - debit
+    left-aligned and ``_WORD`` wide."""
+    word = chars.view("<u8").ravel()
+
+    def equal(text: str, value: int) -> np.ndarray:
+        return (lengths == len(text)) & ((word & ((1 << 8 * len(text)) - 1)) == value)
+
+    return equal(CREDIT, _CREDIT).astype(np.int64) - equal(DEBIT, _DEBIT)
 
 
 def _byte_matrix(padded: np.ndarray, start: np.ndarray, end: np.ndarray, width: int,
@@ -468,6 +520,12 @@ def _byte_matrix(padded: np.ndarray, start: np.ndarray, end: np.ndarray, width: 
         keep = np.ascontiguousarray((np.arange(width)[:, None] >= width - lengths).T)
         chars = chars * keep + np.uint8(_ZERO) * ~keep
     return chars, lengths
+
+
+def _holds(buf: np.ndarray, byte: int) -> bool:
+    """Whether ``buf`` holds ``byte``: one scan, which spares a block without
+    it the checks that only that byte can fail."""
+    return bool((buf == byte).any())
 
 
 def _count(positions: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
@@ -739,72 +797,95 @@ class TransactionReader:
         padded, line_start, line_end, delims, parsed = _split_block(ledger, block, self._delimiter)
         buf = padded[_PAD:-_PAD]
         width = len(self._delimiter.encode())
-        first = np.searchsorted(delims, line_start)
-        n_delims = np.searchsorted(delims, line_end) - first
-        lines = np.flatnonzero(n_delims == n_fields - 1)
+        n, k = len(line_end), n_fields - 1
+        if k and len(delims) == k * n and (delims[::k] >= line_start).all() and (
+                delims[k - 1::k] < line_end).all():
+            # each record holds the header's count of delimiters
+            lines, inner = np.arange(n), delims.reshape(n, k)
+        else:
+            first = np.searchsorted(delims, line_start)
+            lines = np.flatnonzero(np.searchsorted(delims, line_end) - first == k)
+            inner = delims[first[lines, None] + np.arange(k)]
         # field j of line lines[i] is buf[bounds[i, j] + width : bounds[i, j + 1]]
         bounds = np.empty((len(lines), n_fields + 1), np.int64)
         bounds[:, 0] = line_start[lines] - width
-        bounds[:, 1:-1] = delims[first[lines, None] + np.arange(n_fields - 1)]
+        bounds[:, 1:-1] = inner
         bounds[:, -1] = line_end[lines]
-
-        opened = buf[bounds[:, :-1] + width] == _QUOTE
+        # each check below runs only on a block that holds the bytes it looks for
+        quoted = _holds(buf, _QUOTE)
+        opened = buf[bounds[:, :-1] + width] == _QUOTE if quoted else None
 
         def field(name: str) -> tuple[np.ndarray, np.ndarray]:
             """The bytes of a field, inside its quotes if it is quoted."""
-            quoted = opened[:, idx[name]]
-            return bounds[:, idx[name]] + width + quoted, bounds[:, idx[name] + 1] - quoted
+            lo, hi = bounds[:, idx[name]] + width, bounds[:, idx[name] + 1]
+            return (lo, hi) if opened is None else (lo + opened[:, idx[name]],
+                                                    hi - opened[:, idx[name]])
 
         values, ok = self._canonical(
             lambda name, width, right: _byte_matrix(padded, *field(name), width, right))
         chunk = None
         if values is not None:
-            # a quoted field that is read is its inner bytes when it ends in
-            # its closing quote
-            read = np.array([i for name, i in idx.items() if name != "account_id"])
-            hi = bounds[:, read + 1]
-            ok &= ~(opened[:, read] & ((buf[hi - 1] != _QUOTE)
-                                       | (hi - bounds[:, read] - width < 2))).any(axis=1)
-            high = np.flatnonzero(buf >= 0x80)
-            try:
-                str(block, "utf-8")
-            except UnicodeDecodeError:  # _merge finds the rows that are not UTF-8
-                ok &= _count(high, line_start[lines], line_end[lines]) == 0
-            start, end = field("customer_id")
-            ok &= end - start <= _ID_WIDTH
-            id_width = max(1, int((end - start)[ok].max(initial=0)))
-            chars, lengths = _byte_matrix(padded, start, end, id_width, False)
-            in_id = np.ascontiguousarray((np.arange(id_width)[:, None] < lengths).T)
-            # "" in a quoted id stands for one quote, and the id view below
-            # drops trailing NULs
-            ok &= ~(((chars == _QUOTE) | (chars == 0)) & in_id).any(axis=1)
-            chars *= in_id
-            ids = chars.view(f"S{id_width}").ravel()
-            # a ledger grouped by customer repeats each id in runs
-            head = np.r_[True, ids[1:] != ids[:-1]]
-            distinct, inverse = np.unique(ids[head], return_inverse=True)
-            names = (i.decode("utf-8", "surrogateescape") for i in distinct.tolist())
-            customer = np.fromiter(map(self._register.code.get, names, repeat(-1)), np.int64,
-                                   len(distinct))[inverse[np.cumsum(head) - 1]]
+            if quoted:
+                # a quoted field that is read is its inner bytes when it ends
+                # in its closing quote
+                read = np.array([i for name, i in idx.items() if name != "account_id"])
+                hi = bounds[:, read + 1]
+                ok &= ~(opened[:, read] & ((buf[hi - 1] != _QUOTE)
+                                           | (hi - bounds[:, read] - width < 2))).any(axis=1)
+            high = None
+            if buf.max() >= 0x80:
+                high = np.flatnonzero(buf >= 0x80)
+                try:
+                    str(block, "utf-8")
+                except UnicodeDecodeError:  # _merge finds the rows that are not UTF-8
+                    ok &= _count(high, line_start[lines], line_end[lines]) == 0
+            customer = self._customers(padded, *field("customer_id"), ok, quoted or _holds(buf, 0))
             ok &= customer >= 0
             start, end = field("counterparty_bank")
+            # the bytes of the field that str.strip may keep
+            kept = end - start
             low = np.flatnonzero(buf <= 32)
-            blank = low[_BLANK[buf[low]]]
-            # a field of blanks and other bytes is blank to str.strip when
-            # those are Unicode whitespace, which only _parse_row tells
-            highs = _count(high, start, end)
-            interbank = end - start > _count(blank, start, end) + highs
-            ok &= interbank | (highs == 0)
-            chunk = TransactionChunk(customer, *values, interbank)
-        canonical = np.zeros(len(line_end), bool)
+            if quoted or ((buf[low] != _LF) & (buf[low] != _CR)).any():
+                kept = kept - _count(low[_BLANK[buf[low]]], start, end)
+            if high is not None:
+                # a field of blanks and other bytes is blank to str.strip
+                # when those are Unicode whitespace, which only _parse_row tells
+                highs = _count(high, start, end)
+                kept = kept - highs
+                ok &= (kept > 0) | (highs == 0)
+            chunk = TransactionChunk(customer, *values, kept > 0)
+        canonical = np.zeros(n, bool)
         canonical[lines[ok]] = True
         data = bytes(block)
+        slow = np.flatnonzero(~canonical)
+        cuts = np.searchsorted(delims, [line_start[slow], line_end[slow]]).T.tolist()
         rows = [(first_line + i, _fields(data, line_start[i], line_end[i],
-                                         delims[first[i]:first[i] + n_delims[i]].tolist(), width))
-                for i in np.flatnonzero(~canonical).tolist()]
+                                         delims[a:b].tolist(), width))
+                for i, (a, b) in zip(slow.tolist(), cuts)]
         if parsed is not None:
-            rows.append((first_line + len(line_end), parsed))
-        return self._merge(chunk, ok, rows, idx), len(line_end) + (parsed is not None)
+            rows.append((first_line + n, parsed))
+        return self._merge(chunk, ok, rows, idx), n + (parsed is not None)
+
+    def _customers(self, padded: np.ndarray, start: np.ndarray, end: np.ndarray, ok: np.ndarray,
+                   unusual: bool) -> np.ndarray:
+        """The position in the register of each row's customer id
+        ``padded[start:end]``, or -1 where the row is not ``ok``, the
+        register has no such id, or the id holds a quote or a NUL, which only
+        a block with such ``unusual`` bytes checks."""
+        lengths = end - start
+        ok = ok & (lengths < min(_KEY_WIDTH, self._register.keys.dtype.itemsize))
+        key_width = int(lengths[ok].max(initial=0)) + 1
+        chars, _ = _byte_matrix(padded, start, end, key_width, False)
+        column = np.arange(key_width)[:, None]
+        in_id = np.ascontiguousarray((column < lengths).T)
+        if unusual:
+            # "" in a quoted id stands for one quote, and a NUL is no key's end
+            ok &= ~(((chars == _QUOTE) | (chars == 0)) & in_id).any(axis=1)
+        keys = (chars * in_id + np.ascontiguousarray((column == lengths).T)).view(f"S{key_width}")
+        keys = keys.ravel()
+        # a ledger grouped by customer repeats each id in runs
+        head = np.r_[True, keys[1:] != keys[:-1]]
+        return np.where(ok, self._register.lookup(keys[head])[np.cumsum(head) - 1], -1)
 
     def _canonical(
         self, matrix: Callable[[str, int, bool], tuple[np.ndarray, np.ndarray]]
@@ -827,7 +908,7 @@ class TransactionReader:
         ok &= amount_ok
         if not ok.any():
             return None, ok
-        sign = _signs(*matrix("direction", len(CREDIT), False))
+        sign = _signs(*matrix("direction", _WORD, False))
         service, service_ok = _codes(*matrix("service_code", _CODE_WIDTH, True))
         txn_type, txn_type_ok = _codes(*matrix("txn_type_code", _CODE_WIDTH, True))
         ok &= (sign != 0) & service_ok & txn_type_ok
@@ -843,25 +924,33 @@ class TransactionReader:
         if not rows:
             return chunk
         n_cols = max(idx.values()) + 1
-        records, customer = [], []
+        judged: list[tuple[int, Union[TransactionRecord, str]]] = []
         for line_no, row in rows:
             if not row:
                 continue
             reason = _row_fault(row, n_cols)
             if reason is None:
                 try:
-                    record = _parse_row(row, idx, self._window)
+                    judged.append((line_no, _parse_row(row, idx, self._window)))
+                    continue
                 except ValueError as exc:
                     reason = str(exc)
-                else:
-                    if (position := self._register.code.get(record.customer_id)) is not None:
-                        records.append(record)
-                        customer.append(position)
-                        continue
-                    if record.customer_id in self._rejected_customers:
-                        self.dropped += 1
-                        continue
-                    reason = f"customer {record.customer_id!r} not in register"
+            judged.append((line_no, reason))
+        positions = iter(self._register.positions(
+            r.customer_id for _, r in judged if not isinstance(r, str)).tolist())
+        records, customer = [], []
+        for line_no, record in judged:
+            if isinstance(record, str):
+                reason = record
+            elif (position := next(positions)) >= 0:
+                records.append(record)
+                customer.append(position)
+                continue
+            elif record.customer_id in self._rejected_customers:
+                self.dropped += 1
+                continue
+            else:
+                reason = f"customer {record.customer_id!r} not in register"
             self._record_error(line_no, reason)
         self.accepted += len(records)
         slow = TransactionChunk._of(records, customer)
@@ -898,7 +987,8 @@ def ledger_ranges(path, parts: int, delimiter: str = ",") -> list[tuple[int, int
         targets = [cuts[0] + (size - cuts[0]) * i // parts for i in range(1, parts)]
         while targets and (block := ledger.block(BLOCK_CHARS)):
             at = ledger.offset
-            if at + len(block) <= targets[0] and b'"' not in bytes(block):
+            if at + len(block) <= targets[0] and not _holds(np.frombuffer(block, np.uint8),
+                                                            _QUOTE):
                 # no cut here, and every line end of a block without quotes
                 # ends a record, so its index, most of the cost on a plain
                 # ledger, is not needed

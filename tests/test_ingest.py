@@ -7,6 +7,7 @@ import tempfile
 from datetime import date, datetime
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,7 +60,7 @@ def register_of(ids):
 
 
 def opened_on(register, cid):
-    return register.opened[register.code[cid]]
+    return register.opened[register.ids.index(cid)]
 
 
 def customer_ids(chunk, register):
@@ -333,9 +334,18 @@ class TestRegister:
         text = "customer_id,account_open_date\nc1,2010-05-01\nc2,2013-12-31\n"
         customers, errors = parse_customers(io.BytesIO(text.encode()), window=WINDOW)
         assert customers.ids == ("c1", "c2")
-        assert customers.code == {"c1": 0, "c2": 1}
+        assert customers.positions(["c2", "c1", "c3"]).tolist() == [1, 0, -1]
         assert opened_on(customers, "c1").year == 2010
         assert errors == []
+
+    def test_positions_compare_whole_ids(self):
+        # "c1" comes before "c1\x00" as text, but its key comes after
+        register = register_of({"c9\x00", "c1", "c1\x00", "c1" * 40, "ç3"})
+        assert register.ids == ("c1", "c1\x00", "c1" * 40, "c9\x00", "ç3")
+        ids = ["c9", "c9\x00", "c1", "c1\x00", "c1" * 40, "c1" * 41, "ç3", "c", ""]
+        assert register.positions(ids).tolist() == [-1, 3, 0, 1, 2, -1, 4, -1, -1]
+        assert "c9\x00" in register and "c9" not in register
+        assert register_of(()).positions(ids).tolist() == [-1] * len(ids)
 
     def test_bad_date_collected(self):
         text = "customer_id,account_open_date\nc1,yesterday\n"
@@ -390,6 +400,10 @@ class TestRegisterDuplicates:
 
 DIFF_WINDOW = Window(datetime(2014, 1, 1), datetime(2016, 12, 31, 23, 59, 59))
 REGISTER_IDS = frozenset({"c1", "c2", "c3", "ç3"})
+# Ids that a plain numpy ``S`` table of the register's bytes reads wrongly:
+# "c1\x00", which ``S`` strings hold as "c1", where the ledger has "c1", and
+# an id longer than every ledger id and than the array path takes
+NUL_REGISTER_IDS = (REGISTER_IDS - {"c1"}) | {"c1\x00", "ç3", "c1" * 40}
 UNDECODABLE = re.compile("[\udc80-\udcff]")
 # csv.reader before Python 3.11 rejects a line with NUL, which the reader
 # reads as an ordinary byte: the oracles hand it this stand-in instead
@@ -533,7 +547,8 @@ def ledger_bytes(text):
 class TestColumnarReader:
     @given(
         mutated_ledgers(),
-        st.sampled_from([REGISTER_IDS, REGISTER_IDS | set(FIELD_MUTATIONS["customer_id"])]),
+        st.sampled_from([REGISTER_IDS, REGISTER_IDS | set(FIELD_MUTATIONS["customer_id"]),
+                         NUL_REGISTER_IDS]),
         st.sampled_from([0, 2, 5, 1000]),
         st.sampled_from([1, 16, 97, 1 << 18]),
     )
@@ -600,6 +615,23 @@ class TestColumnarReader:
         chunk, reader = read_all(text, window=WINDOW)
         assert chunk.interbank.tolist() == [True]
         assert reader.errors == [RowError(3, "customer 'c1\\x00' not in register")]
+
+    @pytest.mark.parametrize("written", ["c9", '"c9"'])
+    def test_register_id_with_a_trailing_nul_is_another_id(self, written):
+        text = HEADER + make_row(cid=written) + make_row(direction="debit") + make_row(cid=written)
+        chunk, reader = read_all(text, window=WINDOW, register={"c9\x00", "c1"})
+        assert reader.errors == [RowError(2, "customer 'c9' not in register"),
+                                 RowError(4, "customer 'c9' not in register")]
+        assert customer_ids(chunk, register_of({"c9\x00", "c1"})) == ["c1"]
+
+    def test_empty_register_rejects_every_row(self):
+        text = HEADER + make_row() + make_row(cid='"c2"') + make_row(cid="") + make_row(cid="c\x00")
+        chunk, reader = read_all(text, window=WINDOW, register=())
+        assert len(chunk) == 0
+        assert reader.errors == [RowError(2, "customer 'c1' not in register"),
+                                 RowError(3, "customer 'c2' not in register"),
+                                 RowError(4, "customer '' not in register"),
+                                 RowError(5, "customer 'c\\x00' not in register")]
 
     @pytest.mark.parametrize("nul_in", ["header", "record"])
     def test_nul_reaches_csv_reader_of_every_version(self, nul_in):
@@ -761,6 +793,32 @@ def mutated_registers(draw):
     return text, delimiter
 
 
+class TestDirectionWord:
+    """``_signs`` reads a direction as one 8-byte word; it must agree with
+    the text, whatever bytes follow the field in its block."""
+
+    @staticmethod
+    def signs(texts, after):
+        blocks = [t.encode() + after for t in texts]
+        sizes = [len(b) for b in blocks]
+        starts = [sum(sizes[:i]) for i in range(len(blocks))]
+        padded = np.frombuffer(bytes(ingest._PAD) + b"".join(blocks) + bytes(ingest._PAD), np.uint8)
+        start = np.array(starts)
+        end = start + [len(t.encode()) for t in texts]
+        return ingest._signs(*ingest._byte_matrix(padded, start, end, ingest._WORD, False)).tolist()
+
+    @pytest.mark.parametrize("after", [b",", b";", b"\r", b"\n", b"\r\n", b""],
+                             ids=["comma", "semicolon", "cr", "lf", "crlf", "pad"])
+    def test_matches_the_text(self, after):
+        texts = ["credit", "debit", *FIELD_MUTATIONS["direction"]]
+        # b"" puts the last field at the block's end, before the NUL pad
+        assert self.signs(texts, after) == [{"credit": 1, "debit": -1}.get(t, 0) for t in texts]
+
+    @given(st.lists(st.text("credbit,\x00\r\n", max_size=9), min_size=1, max_size=8))
+    def test_matches_the_text_of_any_bytes(self, texts):
+        assert self.signs(texts, b"") == [{"credit": 1, "debit": -1}.get(t, 0) for t in texts]
+
+
 class TestRegisterParity:
     @given(
         mutated_registers(),
@@ -843,10 +901,11 @@ class TestLedgerRanges:
         st.lists(st.integers(0, 10**9), max_size=4),
         st.lists(st.integers(0, 10**9), max_size=3),
         st.sampled_from([16, 97, 1 << 18]),
+        st.sampled_from([REGISTER_IDS, NUL_REGISTER_IDS]),
     )
     @settings(max_examples=300, deadline=None)
     def test_ranges_read_as_the_whole_ledger(self, ledger, error_cap, cut_picks, bad_picks,
-                                             block_chars):
+                                             block_chars, register):
         text, delimiter = ledger
         data = ledger_bytes(text)
         header = record_starts(data, delimiter)[1]
@@ -857,7 +916,7 @@ class TestLedgerRanges:
         starts = record_starts(data, delimiter)[2:-1]  # where ledger_ranges may cut
         cuts = sorted({starts[p % len(starts)] for p in cut_picks} if starts else set())
         ranges = list(zip([header, *cuts], [*cuts, len(data)]))
-        kw = dict(window=DIFF_WINDOW, register=register_of(REGISTER_IDS), error_cap=error_cap,
+        kw = dict(window=DIFF_WINDOW, register=register_of(register), error_cap=error_cap,
                   delimiter=delimiter)
         with tempfile.TemporaryDirectory() as tmp, \
                 mock.patch.object(ingest, "BLOCK_CHARS", block_chars):

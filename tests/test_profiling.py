@@ -490,7 +490,7 @@ class TestRegisterPositions:
     def test_mixed_block_in_posting_order(self):
         register, reg_errors = parse_customers(io.BytesIO(self.REGISTER.encode()), window=Q1)
         assert register.ids == ('c"5', "c1", "c2", "c3")
-        rejected = {e.customer_id for e in reg_errors} - register.code.keys()
+        rejected = {e.customer_id for e in reg_errors} - set(register.ids)
         assert rejected == {"c9"}
         rows, expected, slow = [], {}, 0
         for i in range(60):
@@ -500,7 +500,8 @@ class TestRegisterPositions:
             rows.append((cid, f"{written},a,{ts},{i + 1}.{i:02d},{direction},{i % 3},1,\n"))
             if cid != "c9":
                 cents = (i + 1) * 100 + i
-                expected[cents if direction.strip().lower() == "credit" else -cents] = register.code[cid]
+                signed = cents if direction.strip().lower() == "credit" else -cents
+                expected[signed] = register.ids.index(cid)
             slow += direction != direction.strip() or cid in ('c"5', "c9")
         header = ",".join(ingest.TRANSACTION_FIELDS) + "\n"
 

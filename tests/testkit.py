@@ -34,7 +34,8 @@ def write_transactions(records: Iterable[TransactionRecord], dest: IO[str]) -> N
 
 def chunk_of(records: Sequence[TransactionRecord], register: Register) -> TransactionChunk:
     """The chunk of ``records``, each customer named by its register position."""
-    return TransactionChunk._of(records, [register.code[r.customer_id] for r in records])
+    position = {c: i for i, c in enumerate(register.ids)}
+    return TransactionChunk._of(records, [position[r.customer_id] for r in records])
 
 
 def split_score(
